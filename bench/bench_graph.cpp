@@ -24,8 +24,7 @@
 //
 // Correctness gate (always a hard fail): the watch delta after an edit
 // that plants a vulnerability must equal the multiset diff of two cold
-// scans on fresh single-worker services — checked at workers 1 and 4 and
-// under the "ir" taint backend.
+// scans on fresh single-worker services — checked at workers 1 and 4.
 //
 // Usage: bench_graph [reps] [output.json]
 //        bench_graph --smoke [baseline.json]
@@ -114,11 +113,9 @@ std::string edit_line_json(const FileList& upserts) {
     return os.str();
 }
 
-ScanRequest full_request(const std::string& plugin, const FileList& files,
-                         const std::string& backend = "") {
+ScanRequest full_request(const std::string& plugin, const FileList& files) {
     ScanRequest request;
     request.plugin = plugin;
-    request.backend = backend;
     request.files.reserve(files.size());
     for (const auto& [name, text] : files)
         request.files.emplace_back(name, text);
@@ -295,12 +292,11 @@ std::multiset<std::string> multiset_minus(const std::multiset<std::string>& a,
     return out;
 }
 
-/// The hard gate: open a watch session at `workers`/`backend`, plant a
+/// The hard gate: open a watch session at `workers`, plant a
 /// vulnerability in one leaf file, and require the delta to equal the
 /// multiset diff of two cold scans on fresh single-worker services (and
 /// the underlying full report to match the cold re-scan byte-for-byte).
-bool verify_byte_identity(int workers, const std::string& backend,
-                          std::string& detail) {
+bool verify_byte_identity(int workers, std::string& detail) {
     corpus::MonorepoOptions options;
     options.scale = 0.25;
     const corpus::MonorepoSource source = corpus::generate_monorepo(options);
@@ -322,8 +318,7 @@ bool verify_byte_identity(int workers, const std::string& backend,
         ServiceOptions cold;
         cold.workers = 1;
         AnalysisService fresh(cold);
-        return fresh.scan(full_request("monorepo-verify", files, backend))
-            .result;
+        return fresh.scan(full_request("monorepo-verify", files)).result;
     };
     const AnalysisResult cold_before = cold_scan(source.files);
     const AnalysisResult cold_after = cold_scan(edited);
@@ -333,7 +328,7 @@ bool verify_byte_identity(int workers, const std::string& backend,
     AnalysisService service(live);
     WatchSession watch(service);
     const ScanResponse open =
-        watch.open(full_request("monorepo-verify", source.files, backend));
+        watch.open(full_request("monorepo-verify", source.files));
     if (render_json_report(open.result) != render_json_report(cold_before)) {
         detail = "watch open report differs from a cold scan";
         return false;
@@ -371,19 +366,15 @@ bool verify_byte_identity(int workers, const std::string& backend,
 
 struct IdentityCheck {
     int workers = 0;
-    std::string backend;
     bool ok = false;
 };
 
 std::vector<IdentityCheck> run_identity_checks() {
-    std::vector<IdentityCheck> checks = {{1, "", false},
-                                         {4, "", false},
-                                         {4, "ir", false}};
+    std::vector<IdentityCheck> checks = {{1, false}, {4, false}};
     for (IdentityCheck& check : checks) {
         std::string detail;
-        check.ok = verify_byte_identity(check.workers, check.backend, detail);
-        std::cout << "byte-identity (workers " << check.workers << ", backend "
-                  << (check.backend.empty() ? "default" : check.backend)
+        check.ok = verify_byte_identity(check.workers, detail);
+        std::cout << "byte-identity (workers " << check.workers
                   << "): " << (check.ok ? "ok" : "FAIL — " + detail) << "\n";
     }
     return checks;
@@ -530,7 +521,6 @@ int main(int argc, char** argv) {
     for (const IdentityCheck& check : identity) {
         w.begin_object();
         w.kv("workers", check.workers);
-        w.kv("backend", check.backend.empty() ? "default" : check.backend);
         w.kv("delta_matches_cold_rescan_diff", check.ok);
         w.end_object();
     }

@@ -41,16 +41,7 @@ int main(int argc, char** argv) {
     }
 
     obs::Tracer tracer(/*enabled=*/true);
-    // The paper's 3 tools plus the phpSAFE preset on the IR backend: the
-    // fourth row is what makes the lower/propagate split in the stage
-    // table non-trivial (the AST rows lower nothing).
-    std::vector<Tool> tools = paper_tool_set();
-    Tool ir_tool = make_phpsafe_tool();
-    ir_tool.name = "phpSAFE-IR";
-    ir_tool.options = ir_tool.options.to_builder()
-                          .engine_backend(EngineBackend::kIr)
-                          .build();
-    tools.push_back(std::move(ir_tool));
+    const std::vector<Tool> tools = paper_tool_set();
 
     EvaluationOptions options;
     options.corpus_scale = scale;
@@ -63,7 +54,7 @@ int main(int argc, char** argv) {
     // StageBreakdown the evaluation driver fills from the obs subsystem.
     TextTable table;
     table.add_row({"Version", "Tool", "lex s", "parse s", "include s",
-                   "lower s", "propagate s", "total s"});
+                   "analyze s", "total s"});
     auto fmt = [](double v) {
         char buf[32];
         std::snprintf(buf, sizeof buf, "%.3f", v);
@@ -73,8 +64,7 @@ int main(int argc, char** argv) {
         for (const auto& [tool, stats] : tools) {
             const StageBreakdown& st = stats.stages;
             table.add_row({version, tool, fmt(st.lex), fmt(st.parse),
-                           fmt(st.include), fmt(st.lower), fmt(st.propagate()),
-                           fmt(st.total())});
+                           fmt(st.include), fmt(st.analyze), fmt(st.total())});
         }
     }
     std::cout << table.to_string() << "\n";
@@ -101,8 +91,6 @@ int main(int argc, char** argv) {
                 w.kv("parse_cpu_seconds", st.parse);
                 w.kv("include_cpu_seconds", st.include);
                 w.kv("analyze_cpu_seconds", st.analyze);
-                w.kv("lower_cpu_seconds", st.lower);
-                w.kv("propagate_cpu_seconds", st.propagate());
                 w.kv("total_cpu_seconds", st.total());
                 w.end_object();
                 w.key("counters").begin_object();

@@ -33,9 +33,7 @@
 //     ones case-by-case (this pins the fork+seeding fast path to the
 //     from-scratch rebuild),
 //   - validation_signature (tiers + verified fixes) is byte-identical at
-//     workers 1 and 4,
-//   - validation_signature is byte-identical under the "ast" and "ir"
-//     taint backends.
+//     workers 1 and 4.
 //
 // Usage: bench_validate [reps] [output.json]
 //        bench_validate --smoke [baseline.json]
@@ -247,9 +245,8 @@ bool batched_equals_sequential(
     return true;
 }
 
-/// Gates 2 and 3: the full pipeline (tiers + verified fixes) must render
-/// the same validation_signature at workers 1 vs 4, and under the ast vs
-/// ir taint backends.
+/// Gate 2: the full pipeline (tiers + verified fixes) must render the same
+/// validation_signature at workers 1 vs 4.
 bool verify_workers_identity(double scale, std::string& detail) {
     const Tool tool = make_phpsafe_tool();
     const std::vector<PluginRun> runs = scan_corpus(scale, tool);
@@ -266,38 +263,6 @@ bool verify_workers_identity(double scale, std::string& detail) {
             validate::validation_signature(run.result, b)) {
             detail = "signatures differ between 1 and 4 workers on plugin " +
                      run.result.plugin;
-            return false;
-        }
-    }
-    return true;
-}
-
-bool verify_backend_identity(double scale, std::string& detail) {
-    Tool ast = make_phpsafe_tool();
-    ast.options =
-        ast.options.to_builder().engine_backend(EngineBackend::kAst).build();
-    Tool ir = make_phpsafe_tool();
-    ir.options =
-        ir.options.to_builder().engine_backend(EngineBackend::kIr).build();
-    const std::vector<PluginRun> ast_runs = scan_corpus(scale, ast);
-    const std::vector<PluginRun> ir_runs = scan_corpus(scale, ir);
-    if (ast_runs.size() != ir_runs.size()) {
-        detail = "plugin count differs between backends";
-        return false;
-    }
-    ValidateOptions vopts;
-    vopts.workers = 2;
-    for (size_t p = 0; p < ast_runs.size(); ++p) {
-        const ValidationReport a = validate::validate_result(
-            ast_runs[p].project, ast.kb, ast.options, ast_runs[p].result,
-            vopts);
-        const ValidationReport b = validate::validate_result(
-            ir_runs[p].project, ir.kb, ir.options, ir_runs[p].result, vopts);
-        if (validate::validation_signature(ast_runs[p].result, a) !=
-            validate::validation_signature(ir_runs[p].result, b)) {
-            detail = "signatures differ between ast and ir backends on "
-                     "plugin " +
-                     ast_runs[p].result.plugin;
             return false;
         }
     }
@@ -395,10 +360,6 @@ int run_smoke(const std::string& baseline_path) {
         std::cerr << "SMOKE FAIL: " << detail << "\n";
         return 1;
     }
-    if (!verify_backend_identity(0.25, detail)) {
-        std::cerr << "SMOKE FAIL: " << detail << "\n";
-        return 1;
-    }
     const Measurement small = measure(0.25, 3);
     if (!small.identical) {
         std::cerr << "SMOKE FAIL: " << small.detail << "\n";
@@ -460,13 +421,10 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    std::string workers_detail, backend_detail;
+    std::string workers_detail;
     const bool workers_ok = verify_workers_identity(0.25, workers_detail);
-    const bool backend_ok = verify_backend_identity(0.25, backend_detail);
     std::cout << "byte-identity (workers 1 vs 4): "
               << (workers_ok ? "ok" : "FAIL — " + workers_detail) << "\n";
-    std::cout << "byte-identity (backend ast vs ir): "
-              << (backend_ok ? "ok" : "FAIL — " + backend_detail) << "\n";
 
     const Measurement full = measure(1.0, reps);
     std::cout << "corpus scale 1: " << full.plugins << " plugins, "
@@ -532,10 +490,6 @@ int main(int argc, char** argv) {
     w.kv("gate", "workers_1_vs_4");
     w.kv("ok", workers_ok);
     w.end_object();
-    w.begin_object();
-    w.kv("gate", "backend_ast_vs_ir");
-    w.kv("ok", backend_ok);
-    w.end_object();
     w.end_array();
     w.key("smoke").begin_object();
     w.kv("corpus_scale", 0.25, 2);
@@ -547,7 +501,7 @@ int main(int argc, char** argv) {
     out << "\n";
     std::cout << "wrote " << out_path << "\n";
 
-    if (!full.identical || !smoke.identical || !workers_ok || !backend_ok) {
+    if (!full.identical || !smoke.identical || !workers_ok) {
         std::cerr << "FATAL: batched validation diverged from sequential "
                      "replay\n";
         return 1;

@@ -57,12 +57,6 @@ ScanResult Analyzer::scan(const php::Project& project,
     scan_result.result = engine.analyze(project, exchange);
     scan_result.result.cpu_seconds = thread_cpu_seconds() - start;
     scan_result.result.counters = delta.take();
-    scan_result.backend = options.engine_backend;
-    if (options.engine_backend == EngineBackend::kDifferential) {
-        for (const Diagnostic& diag : scan_result.result.diagnostics)
-            if (diag.message.find(kBackendMismatchMarker) != std::string::npos)
-                scan_result.differential_mismatch = true;
-    }
     return scan_result;
 }
 

@@ -2,8 +2,8 @@
 // ISSUE-7 redesign introduces): configure once — knowledge base + options —
 // then scan(project) as many times as needed. Everything the old helpers
 // exposed piecemeal (Engine construction, observer wiring, CPU clocking,
-// counter deltas, backend selection) happens behind one call, and a
-// ScanResult carries the complete outcome.
+// counter deltas) happens behind one call, and a ScanResult carries the
+// complete outcome.
 //
 // An Analyzer is immutable after construction and therefore shareable:
 // scan() is const and creates a fresh single-use Engine per call, so one
@@ -23,15 +23,10 @@
 
 namespace phpsafe {
 
-/// Outcome of one Analyzer::scan: the AnalysisResult (findings, stats,
-/// diagnostics, counters, cpu_seconds all filled) plus scan-level metadata.
+/// Outcome of one Analyzer::scan: the AnalysisResult with findings, stats,
+/// diagnostics, counters and cpu_seconds all filled.
 struct ScanResult {
     AnalysisResult result;
-    /// Backend that produced result (kDifferential reports the AST result).
-    EngineBackend backend = EngineBackend::kAst;
-    /// True when a kDifferential scan found the IR result not byte-identical
-    /// to the AST oracle (a kBackendMismatchMarker diagnostic is attached).
-    bool differential_mismatch = false;
 };
 
 class Analyzer {
@@ -55,8 +50,8 @@ public:
     /// Analyzes a project with this Analyzer's options.
     ScanResult scan(const php::Project& project) const;
 
-    /// Analyzes with per-scan options (e.g. a backend or loop-iteration
-    /// override built with options().to_builder()).
+    /// Analyzes with per-scan options (e.g. a loop-iteration override
+    /// built with options().to_builder()).
     ScanResult scan(const php::Project& project,
                     const AnalysisOptions& options) const;
 

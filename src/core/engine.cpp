@@ -1,10 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
-#include "core/ir.h"
 #include "obs/counters.h"
 #include "php/walk.h"
 #include "util/strings.h"
@@ -95,48 +92,6 @@ std::string superglobal_display(std::string_view name, const php::Expr* index) {
 
 }  // namespace
 
-std::string_view to_string(EngineBackend backend) noexcept {
-    switch (backend) {
-        case EngineBackend::kAst:
-            return "ast";
-        case EngineBackend::kIr:
-            return "ir";
-        case EngineBackend::kDifferential:
-            return "differential";
-    }
-    return "ast";
-}
-
-bool backend_from_string(std::string_view text, EngineBackend& out) noexcept {
-    if (text == "ast") {
-        out = EngineBackend::kAst;
-        return true;
-    }
-    if (text == "ir") {
-        out = EngineBackend::kIr;
-        return true;
-    }
-    if (text == "differential") {
-        out = EngineBackend::kDifferential;
-        return true;
-    }
-    return false;
-}
-
-EngineBackend default_engine_backend() {
-    static const EngineBackend cached = [] {
-        EngineBackend backend = EngineBackend::kAst;
-        if (const char* env = std::getenv("PHPSAFE_BACKEND");
-            env && *env && !backend_from_string(env, backend))
-            std::fprintf(stderr,
-                         "phpsafe: ignoring unknown PHPSAFE_BACKEND=%s "
-                         "(expected ast|ir|differential)\n",
-                         env);
-        return backend;
-    }();
-    return cached;
-}
-
 AnalysisOptions AnalysisOptions::phpsafe() {
     AnalysisOptions options;
     options.tool_name = "phpSAFE";
@@ -181,15 +136,11 @@ std::string AnalysisOptions::fingerprint() const {
     fp += '|' + std::to_string(loop_iterations);
     fp += '|' + std::to_string(max_include_depth);
     fp += '|' + std::to_string(max_call_depth);
-    fp += '|';
-    fp += to_string(engine_backend);
     return fp;
 }
 
 Engine::Engine(const KnowledgeBase& kb, AnalysisOptions options)
     : kb_(kb), options_(std::move(options)) {}
-
-Engine::~Engine() = default;  // out-of-line: ir::Module is incomplete in the header
 
 AnalysisResult Engine::analyze(const php::Project& project) {
     return analyze(project, SummaryExchange{});
@@ -197,8 +148,6 @@ AnalysisResult Engine::analyze(const php::Project& project) {
 
 AnalysisResult Engine::analyze(const php::Project& project,
                                const SummaryExchange& exchange) {
-    if (options_.engine_backend == EngineBackend::kDifferential)
-        return analyze_differential(project, exchange);
     project_ = &project;
     exchange_ = exchange;
     capture_stack_.clear();
@@ -219,10 +168,6 @@ AnalysisResult Engine::analyze(const php::Project& project,
     eval_depth_ = 0;
     stats_ = AnalysisStats{};
     include_cpu_seconds_ = 0;
-    lower_cpu_seconds_ = 0;
-    ir_module_.reset();
-    if (options_.engine_backend == EngineBackend::kIr)
-        ir_module_ = std::make_unique<ir::Module>();
 
     AnalysisResult result;
     result.tool = options_.tool_name;
@@ -313,60 +258,12 @@ AnalysisResult Engine::analyze(const php::Project& project,
     deduplicate(findings_);
     result.findings = std::move(findings_);
     result.include_cpu_seconds = include_cpu_seconds_;
-    result.lower_cpu_seconds = lower_cpu_seconds_;
     result.files_failed = static_cast<int>(failed_files.size());
     result.error_messages =
         diagnostics_.count(Severity::kError) + diagnostics_.count(Severity::kFatal);
     result.diagnostics = diagnostics_.diagnostics();
     findings_.clear();
     exchange_ = SummaryExchange{};  // seed/capture pointers die with the call
-    return result;
-}
-
-AnalysisResult Engine::analyze_differential(const php::Project& project,
-                                            const SummaryExchange& exchange) {
-    // The IR run goes first and is seed-only: it must see the same warm
-    // state as the AST run, but only the AST run may produce the captures
-    // (and observer events) the caller consumes — otherwise a differential
-    // run would double-report or overwrite artifacts.
-    Engine ir_engine(
-        kb_, options_.to_builder().engine_backend(EngineBackend::kIr).build());
-    SummaryExchange seed_only;
-    seed_only.seeds = exchange.seeds;
-    const obs::CounterDelta ir_delta;
-    const AnalysisResult ir_result = ir_engine.analyze(project, seed_only);
-    // Roll the IR sub-run's counter increments back out of the thread's
-    // block, keeping only the ir_* group: the caller's counters must stay
-    // consistent with the (AST) result it receives — findings_xss equal to
-    // the XSS findings in it, sink_checks describing one run's work — while
-    // still surfacing the IR telemetry only this sub-run can produce.
-    obs::Counters rollback = ir_delta.take();
-    rollback.ir_bodies_lowered = 0;
-    rollback.ir_insts_lowered = 0;
-    rollback.ir_blocks_lowered = 0;
-    rollback.ir_body_runs = 0;
-    rollback.ir_fallbacks = 0;
-    rollback.ir_mismatches = 0;
-    obs::tls() = obs::tls() - rollback;
-
-    Engine ast_engine(
-        kb_, options_.to_builder().engine_backend(EngineBackend::kAst).build());
-    ast_engine.set_observer(observer_);
-    AnalysisResult result = ast_engine.analyze(project, exchange);
-    result.lower_cpu_seconds = ir_result.lower_cpu_seconds;
-
-    if (result_signature(ir_result) != result_signature(result)) {
-        ++obs::tls().ir_mismatches;
-        Diagnostic diag;
-        diag.severity = Severity::kError;
-        diag.location = SourceLocation{project.name(), 0};
-        diag.message = std::string(kBackendMismatchMarker);
-        diag.message += ": IR findings are not byte-identical to the AST "
-                        "oracle for plugin ";
-        diag.message += project.name();
-        result.diagnostics.push_back(std::move(diag));
-        ++result.error_messages;
-    }
     return result;
 }
 
@@ -639,7 +536,7 @@ void Engine::analyze_entry_file(const php::ParsedFile& file) {
     include_stack_.push_back(&file);
     included_once_.clear();
     included_once_.insert(file.source->name());
-    run_body(file.unit.statements, scope);
+    exec_stmts(file.unit.statements, scope);
     // The file-level scope dies here, but `global $x` statements alias into
     // globals_, which persists across entry files: taint written to a plain
     // global by one entry is visible to every later entry in the run (the
@@ -650,29 +547,6 @@ void Engine::analyze_entry_file(const php::ParsedFile& file) {
 // ---------------------------------------------------------------------------
 // Statements
 // ---------------------------------------------------------------------------
-
-void Engine::run_body(const ArenaVector<php::StmtPtr>& stmts, Scope& scope) {
-    if (!ir_module_) {
-        exec_stmts(stmts, scope);
-        return;
-    }
-    const ir::Body* body = ir_module_->find(stmts);
-    if (!body) {
-        const double lower_start = thread_cpu_seconds();
-        body = &ir_module_->lower(kb_, options_, symbols_, stmts);
-        lower_cpu_seconds_ += thread_cpu_seconds() - lower_start;
-    }
-    // The IR stream carries no truncation guard (lowered ops cannot bail
-    // mid-expression); it is only allowed to run when no lowered node could
-    // have reached the evaluator's depth limit. Bodies entered too deep run
-    // on the AST path, whose truncation diagnostics are the semantics.
-    if (eval_depth_ + body->max_depth <= kMaxEvalDepth) {
-        run_ir_body(*body, scope);
-    } else {
-        ++obs::tls().ir_fallbacks;
-        exec_stmts(stmts, scope);
-    }
-}
 
 void Engine::exec_stmts(const ArenaVector<php::StmtPtr>& stmts, Scope& scope) {
     for (const php::StmtPtr& stmt : stmts) {
@@ -692,7 +566,9 @@ void Engine::exec_stmt(const php::Stmt& stmt, Scope& scope) {
             for (const php::ExprPtr& arg : n.args) {
                 if (!arg) continue;
                 const TaintValue value = eval(*arg, scope);
-                check_echo_arg(n, *arg, value, scope);
+                check_sink(kXssOnly, value, loc_of(*arg, scope),
+                           n.from_open_tag ? "<?=" : "echo", to_php_source(*arg),
+                           scope, value.via_oop);
             }
             break;
         }
@@ -739,9 +615,10 @@ void Engine::exec_stmt(const php::Stmt& stmt, Scope& scope) {
         }
         case NodeKind::kForeachStmt: {
             const auto& n = static_cast<const php::ForeachStmt&>(stmt);
-            TaintValue iterable = foreach_prepare(
-                n, n.iterable ? eval(*n.iterable, scope) : TaintValue::clean(),
-                scope);
+            TaintValue iterable =
+                n.iterable ? eval(*n.iterable, scope) : TaintValue::clean();
+            if (iterable.tainted_any())
+                iterable.add_step(loc_of(n, scope), "iterated by foreach");
             for (int i = 0; i < std::max(1, options_.loop_iterations); ++i) {
                 if (n.key_var) assign_to(*n.key_var, iterable, scope);
                 if (n.value_var) assign_to(*n.value_var, iterable, scope);
@@ -772,7 +649,9 @@ void Engine::exec_stmt(const php::Stmt& stmt, Scope& scope) {
             break;
         }
         case NodeKind::kGlobalStmt:
-            exec_global_decl(static_cast<const php::GlobalStmt&>(stmt), scope);
+            for (const std::string_view name :
+                 static_cast<const php::GlobalStmt&>(stmt).names)
+                scope.global_aliases.insert(sym(name));
             break;
         case NodeKind::kStaticVarStmt: {
             const auto& n = static_cast<const php::StaticVarStmt&>(stmt);
@@ -806,7 +685,7 @@ void Engine::exec_stmt(const php::Stmt& stmt, Scope& scope) {
             const auto& n = static_cast<const php::TryStmt&>(stmt);
             exec_stmts(n.body, scope);
             for (const php::CatchClause& c : n.catches) {
-                bind_catch_var(c, scope);
+                if (!c.var.empty()) scope.vars[sym(c.var)] = TaintValue::clean();
                 exec_stmts(c.body, scope);
             }
             exec_stmts(n.finally_body, scope);
@@ -830,20 +709,6 @@ void Engine::exec_stmt(const php::Stmt& stmt, Scope& scope) {
     }
 }
 
-void Engine::check_echo_arg(const php::EchoStmt& echo, const php::Expr& arg,
-                            const TaintValue& value, Scope& scope) {
-    check_sink(kXssOnly, value, loc_of(arg, scope),
-               echo.from_open_tag ? "<?=" : "echo", to_php_source(arg), scope,
-               value.via_oop);
-}
-
-TaintValue Engine::foreach_prepare(const php::ForeachStmt& stmt,
-                                   TaintValue iterable, Scope& scope) {
-    if (iterable.tainted_any())
-        iterable.add_step(loc_of(stmt, scope), "iterated by foreach");
-    return iterable;
-}
-
 void Engine::finish_return(const TaintValue& value, Scope& scope) {
     if (!scope.summary) return;
     // Split the value into parameter-dependent flows and base taint.
@@ -860,11 +725,6 @@ void Engine::finish_return(const TaintValue& value, Scope& scope) {
     TaintValue base = value;
     base.param_flows.clear();
     scope.summary->return_base.merge(base);
-}
-
-void Engine::exec_global_decl(const php::GlobalStmt& stmt, Scope& scope) {
-    for (const std::string_view name : stmt.names)
-        scope.global_aliases.insert(sym(name));
 }
 
 void Engine::exec_unset(const php::UnsetStmt& stmt, Scope& scope) {
@@ -894,10 +754,6 @@ void Engine::exec_unset(const php::UnsetStmt& stmt, Scope& scope) {
         }
         // unset($a['k']) leaves the whole-array taint untouched.
     }
-}
-
-void Engine::bind_catch_var(const php::CatchClause& clause, Scope& scope) {
-    if (!clause.var.empty()) scope.vars[sym(clause.var)] = TaintValue::clean();
 }
 
 // ---------------------------------------------------------------------------
@@ -993,7 +849,16 @@ TaintValue Engine::eval(const php::Expr& expr, Scope& scope) {
         case NodeKind::kCast: {
             const auto& n = static_cast<const php::Cast&>(expr);
             TaintValue v = n.operand ? eval(*n.operand, scope) : TaintValue::clean();
-            return apply_cast(n, std::move(v), scope);
+            // Numeric/bool casts are sanitizers for both vulnerability kinds.
+            if (n.type == "int" || n.type == "integer" || n.type == "float" ||
+                n.type == "double" || n.type == "real" || n.type == "bool" ||
+                n.type == "boolean" || n.type == "unset") {
+                std::string label = "(";
+                label += n.type;
+                label += ") cast";
+                v.apply_sanitizer(kBothVulns, loc_of(n, scope), label);
+            }
+            return v;
         }
         case NodeKind::kTernary: {
             const auto& n = static_cast<const php::Ternary&>(expr);
@@ -1032,9 +897,13 @@ TaintValue Engine::eval(const php::Expr& expr, Scope& scope) {
                 eval(*n.operand, scope);
             return TaintValue::clean();
         }
-        case NodeKind::kClosure:
-            return make_closure_value(static_cast<const php::Closure&>(expr),
-                                      scope);
+        case NodeKind::kClosure: {
+            if (options_.analyze_closures)
+                eval_closure_body(static_cast<const php::Closure&>(expr), scope);
+            TaintValue out;
+            out.object_class = "closure";
+            return out;
+        }
         case NodeKind::kIncludeExpr:
             return eval_include(static_cast<const php::IncludeExpr&>(expr), scope);
         case NodeKind::kListExpr:
@@ -1154,11 +1023,7 @@ TaintValue Engine::eval_property_access(const php::PropertyAccess& access,
     TaintValue object = eval(*access.object, scope);
     if (access.property_expr) eval(*access.property_expr, scope);
     if (access.property.empty()) return TaintValue::clean();
-    return finish_property_read(access, object, scope);
-}
 
-TaintValue Engine::finish_property_read(const php::PropertyAccess& access,
-                                        const TaintValue& object, Scope& scope) {
     TaintValue out;
     // A property of a tainted value (e.g. a row object fetched from the
     // database) carries the value's taint — the paper's mail-subscribe-list
@@ -1214,38 +1079,6 @@ TaintValue Engine::superglobal_source(const SuperglobalInfo& sg,
                               superglobal_display(name, index));
 }
 
-TaintValue Engine::apply_cast(const php::Cast& cast, TaintValue value,
-                              Scope& scope) {
-    // Numeric/bool casts are sanitizers for both vulnerability kinds.
-    if (cast.type == "int" || cast.type == "integer" || cast.type == "float" ||
-        cast.type == "double" || cast.type == "real" || cast.type == "bool" ||
-        cast.type == "boolean" || cast.type == "unset") {
-        std::string label = "(";
-        label += cast.type;
-        label += ") cast";
-        value.apply_sanitizer(kBothVulns, loc_of(cast, scope), label);
-    }
-    return value;
-}
-
-TaintValue Engine::make_closure_value(const php::Closure& closure, Scope& scope) {
-    if (options_.analyze_closures) eval_closure_body(closure, scope);
-    TaintValue out;
-    out.object_class = "closure";
-    return out;
-}
-
-void Engine::bind_ref_alias(const php::Assign& assign, Scope& scope) {
-    const auto& target = static_cast<const php::Variable&>(*assign.target);
-    const auto& source = static_cast<const php::Variable&>(*assign.value);
-    const Symbol canonical = resolve_alias(sym(source.name), scope);
-    const Symbol target_sym = sym(target.name);
-    if (canonical != target_sym) {
-        scope.ref_aliases[target_sym] = canonical;
-        scope.vars.erase(target_sym);
-    }
-}
-
 Symbol Engine::resolve_alias(Symbol name, const Scope& scope) const {
     Symbol current = name;
     for (int depth = 0; depth < 8; ++depth) {
@@ -1262,7 +1095,14 @@ TaintValue Engine::eval_assign(const php::Assign& assign, Scope& scope) {
     // Reference assignment $a =& $b: both names share one slot from now on.
     if (assign.by_ref && assign.target->kind == NodeKind::kVariable &&
         assign.value->kind == NodeKind::kVariable) {
-        bind_ref_alias(assign, scope);
+        const auto& target = static_cast<const php::Variable&>(*assign.target);
+        const auto& source = static_cast<const php::Variable&>(*assign.value);
+        const Symbol canonical = resolve_alias(sym(source.name), scope);
+        const Symbol target_sym = sym(target.name);
+        if (canonical != target_sym) {
+            scope.ref_aliases[target_sym] = canonical;
+            scope.vars.erase(target_sym);
+        }
         return eval(*assign.value, scope);
     }
 
@@ -1450,12 +1290,6 @@ TaintValue Engine::eval_function_call(const php::FunctionCall& call, Scope& scop
     }
 
     std::vector<TaintValue> args = eval_args(call.args, scope);
-    return dispatch_function_call(call, args, scope);
-}
-
-TaintValue Engine::dispatch_function_call(const php::FunctionCall& call,
-                                          std::vector<TaintValue>& args,
-                                          Scope& scope) {
     const SourceLocation loc = loc_of(call, scope);
 
     // extract($arr) defines a variable for every array key: any name read
@@ -1468,23 +1302,7 @@ TaintValue Engine::dispatch_function_call(const php::FunctionCall& call,
     // Generator yield: the yielded value reaches whoever iterates the
     // generator — fold it into the enclosing function's return flow.
     if (call.name == "__yield") {
-        if (scope.summary) {
-            for (const TaintValue& arg : args) {
-                for (const ParamFlow& pf : arg.param_flows) {
-                    bool merged = false;
-                    for (ParamFlow& existing : scope.summary->param_to_return) {
-                        if (existing.param == pf.param) {
-                            existing.kinds |= pf.kinds;
-                            merged = true;
-                        }
-                    }
-                    if (!merged) scope.summary->param_to_return.push_back(pf);
-                }
-                TaintValue base = arg;
-                base.param_flows.clear();
-                scope.summary->return_base.merge(base);
-            }
-        }
+        for (const TaintValue& arg : args) finish_return(arg, scope);
         return TaintValue::clean();
     }
 
@@ -1521,13 +1339,6 @@ TaintValue Engine::eval_method_call(const php::MethodCall& call, Scope& scope) {
     TaintValue object = eval(*call.object, scope);
     if (call.method_expr) eval(*call.method_expr, scope);
     std::vector<TaintValue> args = eval_args(call.args, scope);
-    return dispatch_method_call(call, object, args, scope);
-}
-
-TaintValue Engine::dispatch_method_call(const php::MethodCall& call,
-                                        const TaintValue& object,
-                                        std::vector<TaintValue>& args,
-                                        Scope& scope) {
     const SourceLocation loc = loc_of(call, scope);
 
     if (call.method.empty()) {  // dynamic method name
@@ -1591,12 +1402,6 @@ TaintValue Engine::dispatch_method_call(const php::MethodCall& call,
 TaintValue Engine::eval_static_call(const php::StaticCall& call, Scope& scope) {
     std::vector<TaintValue> args = eval_args(call.args, scope);
     if (!options_.oop_support) return TaintValue::clean();
-    return dispatch_static_call(call, args, scope);
-}
-
-TaintValue Engine::dispatch_static_call(const php::StaticCall& call,
-                                        std::vector<TaintValue>& args,
-                                        Scope& scope) {
     const SourceLocation loc = loc_of(call, scope);
     const std::string cls =
         resolve_class_name(call.class_name, scope.current_class, *project_);
@@ -1630,11 +1435,6 @@ TaintValue Engine::eval_new(const php::New& expr, Scope& scope) {
     if (expr.class_expr) eval(*expr.class_expr, scope);
     std::vector<TaintValue> args = eval_args(expr.args, scope);
     if (!options_.oop_support) return TaintValue::clean();
-    return dispatch_new(expr, args, scope);
-}
-
-TaintValue Engine::dispatch_new(const php::New& expr,
-                                std::vector<TaintValue>& args, Scope& scope) {
     TaintValue out;
     if (expr.class_name.empty()) return out;
     const std::string cls =
@@ -1940,7 +1740,7 @@ FunctionSummary& Engine::summarize(const php::FunctionRef& ref,
         fn_scope.vars[this_sym_] = std::move(self);
     }
 
-    run_body(ref.decl->body, fn_scope);
+    exec_stmts(ref.decl->body, fn_scope);
 
     // Capture the final taint of by-reference parameters for write-back at
     // call sites.
@@ -1979,7 +1779,7 @@ void Engine::eval_closure_body(const php::Closure& closure, Scope& scope) {
     // that even reaches a closure is not reusable. Function frames need no
     // extra handling here: a closure shared across bodies is only reachable
     // through an include, which already disqualifies them in
-    // finish_include.
+    // eval_include.
     for (CaptureFrame& frame : capture_stack_)
         if (frame.entry) frame.reusable = false;
     if (!analyzed_closures_.insert(&closure).second) return;
@@ -1999,16 +1799,12 @@ void Engine::eval_closure_body(const php::Closure& closure, Scope& scope) {
     }
     if (const TaintValue* self = scope.vars.find(this_sym_))
         body_scope.vars[this_sym_] = *self;
-    run_body(closure.body, body_scope);
+    exec_stmts(closure.body, body_scope);
 }
 
 TaintValue Engine::eval_include(const php::IncludeExpr& inc, Scope& scope) {
     if (!inc.path) return TaintValue::clean();
     eval(*inc.path, scope);
-    return finish_include(inc, scope);
-}
-
-TaintValue Engine::finish_include(const php::IncludeExpr& inc, Scope& scope) {
     const std::string hint = static_path_hint(*inc.path);
     const php::ParsedFile* resolved = project_->resolve_include(hint);
     if (!hint.empty())
@@ -2057,7 +1853,7 @@ TaintValue Engine::finish_include(const php::IncludeExpr& inc, Scope& scope) {
     ++obs::tls().includes_followed;
     const std::string saved_file = scope.file;
     scope.file = resolved->source->name();
-    run_body(resolved->unit.statements, scope);
+    exec_stmts(resolved->unit.statements, scope);
     scope.file = saved_file;
     include_stack_.pop_back();
     if (outermost) include_cpu_seconds_ += thread_cpu_seconds() - include_start;

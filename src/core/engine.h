@@ -13,7 +13,6 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -29,39 +28,6 @@
 #include "util/interner.h"
 
 namespace phpsafe {
-
-namespace ir {
-struct Body;
-class Module;
-}  // namespace ir
-
-/// Which execution substrate runs taint propagation.
-///
-///   kAst          — recursive evaluation over the AST (the original
-///                   engine; the semantic oracle).
-///   kIr           — each body is lowered once into the flat dataflow IR
-///                   (core/ir.h) and executed as a linear instruction
-///                   stream over dense value slots. Findings are
-///                   byte-identical to kAst; bodies the lowering cannot
-///                   prove truncation-free fall back to the AST path.
-///   kDifferential — runs both, returns the AST result, and raises an
-///                   error diagnostic (kBackendMismatchMarker) when the IR
-///                   result is not byte-identical. The fuzz battery and the
-///                   differential test suite run in this mode.
-enum class EngineBackend { kAst, kIr, kDifferential };
-
-std::string_view to_string(EngineBackend backend) noexcept;
-/// Parses "ast" | "ir" | "differential"; false (out untouched) otherwise.
-bool backend_from_string(std::string_view text, EngineBackend& out) noexcept;
-/// Process-wide default: EngineBackend::kAst unless the PHPSAFE_BACKEND
-/// environment variable selects another backend (read once, cached). An
-/// unparseable value warns on stderr once and falls back to kAst.
-EngineBackend default_engine_backend();
-
-/// Substring present in the diagnostic raised by a kDifferential run whose
-/// two backends disagreed — the marker the fuzz no-crash oracle greps for.
-inline constexpr std::string_view kBackendMismatchMarker =
-    "engine backend mismatch";
 
 struct AnalysisOptions {
     std::string tool_name = "phpSAFE";
@@ -129,17 +95,9 @@ struct AnalysisOptions {
     /// function of file content + replayed globals).
     bool capture_entry_files = false;
 
-    /// Taint-propagation substrate (see EngineBackend). Defaults to the
-    /// process default (kAst unless PHPSAFE_BACKEND overrides), so the
-    /// whole test suite can be flipped onto the IR path from the
-    /// environment without touching call sites.
-    EngineBackend engine_backend = default_engine_backend();
-
     /// Stable key of every field that changes analysis semantics. Two
     /// engines with equal fingerprints produce identical results on equal
     /// input — the analysis-preset component of the service's cache keys.
-    /// The backend participates: kIr and kAst are byte-identical by
-    /// construction, but a cache key must never assert that equivalence.
     std::string fingerprint() const;
 
     /// Fluent construction (see Builder below). `AnalysisOptions` values
@@ -189,7 +147,6 @@ public:
     Builder& analyze_closures(bool v) { options_.analyze_closures = v; return *this; }
     Builder& hermetic_summaries(bool v) { options_.hermetic_summaries = v; return *this; }
     Builder& capture_entry_files(bool v) { options_.capture_entry_files = v; return *this; }
-    Builder& engine_backend(EngineBackend v) { options_.engine_backend = v; return *this; }
 
     AnalysisOptions build() const { return options_; }
 
@@ -228,7 +185,6 @@ public:
     };
 
     Engine(const KnowledgeBase& kb, AnalysisOptions options = {});
-    ~Engine();
 
     /// Analyzes a whole plugin. Repeatable: all run state is reset.
     AnalysisResult analyze(const php::Project& project);
@@ -269,27 +225,10 @@ private:
     };
 
     // -- drivers -------------------------------------------------------------
-    /// kDifferential driver: runs the IR and AST backends on the same input
-    /// and compares their result signatures (core/finding.h).
-    AnalysisResult analyze_differential(const php::Project& project,
-                                        const SummaryExchange& exchange);
     void analyze_entry_file(const php::ParsedFile& file);
     void summarize_uncalled();
     void summarize_all_declared();
     bool file_uses_oop(const php::ParsedFile& file) const;
-
-    // -- body execution seam ---------------------------------------------------
-    /// Every body entry point (entry files, function bodies, closures,
-    /// included files) runs through here. The AST backend recurses through
-    /// exec_stmts; the IR backend lowers the body once (cached per run) and
-    /// executes the flat instruction stream — falling back to the AST path
-    /// for bodies whose static expression depth could hit the eval()
-    /// truncation guard, where only the recursive evaluator reproduces the
-    /// truncation diagnostics byte-for-byte.
-    void run_body(const ArenaVector<php::StmtPtr>& stmts, Scope& scope);
-    /// The IR interpreter (core/ir_taint.cpp): linear walk over the body's
-    /// instruction stream with dense per-instruction TaintValue slots.
-    void run_ir_body(const ir::Body& body, Scope& scope);
 
     // -- cross-run summary capture ---------------------------------------------
     /// Records a project observation on every active capture (no-op when the
@@ -327,12 +266,17 @@ private:
     // -- statements ----------------------------------------------------------
     void exec_stmts(const ArenaVector<php::StmtPtr>& stmts, Scope& scope);
     void exec_stmt(const php::Stmt& stmt, Scope& scope);
+    void exec_unset(const php::UnsetStmt& stmt, Scope& scope);
+    /// Folds a return (or __yield) value into the enclosing summary.
+    void finish_return(const TaintValue& value, Scope& scope);
 
     // -- expressions ---------------------------------------------------------
     TaintValue eval(const php::Expr& expr, Scope& scope);
     TaintValue eval_variable(const php::Variable& var, Scope& scope);
     TaintValue eval_array_access(const php::ArrayAccess& access, Scope& scope);
     TaintValue eval_property_access(const php::PropertyAccess& access, Scope& scope);
+    TaintValue read_static_property(const php::StaticPropertyAccess& access,
+                                    Scope& scope);
     TaintValue eval_function_call(const php::FunctionCall& call, Scope& scope);
     TaintValue eval_method_call(const php::MethodCall& call, Scope& scope);
     TaintValue eval_static_call(const php::StaticCall& call, Scope& scope);
@@ -340,45 +284,9 @@ private:
     TaintValue eval_assign(const php::Assign& assign, Scope& scope);
     TaintValue eval_include(const php::IncludeExpr& inc, Scope& scope);
     void eval_closure_body(const php::Closure& closure, Scope& scope);
-
-    // -- dispatch/finish helpers ----------------------------------------------
-    // The operand-free second halves of the eval_* methods above. Both
-    // backends call exactly these (the AST path after recursively
-    // evaluating operands, the IR path after reading operand value slots),
-    // which is what makes IR findings byte-identical to AST findings.
-    TaintValue dispatch_function_call(const php::FunctionCall& call,
-                                      std::vector<TaintValue>& args, Scope& scope);
-    TaintValue dispatch_method_call(const php::MethodCall& call,
-                                    const TaintValue& object,
-                                    std::vector<TaintValue>& args, Scope& scope);
-    TaintValue dispatch_static_call(const php::StaticCall& call,
-                                    std::vector<TaintValue>& args, Scope& scope);
-    TaintValue dispatch_new(const php::New& expr, std::vector<TaintValue>& args,
-                            Scope& scope);
-    /// $a =& $b alias binding — everything in eval_assign's by-ref branch
-    /// before the value is (re)evaluated.
-    void bind_ref_alias(const php::Assign& assign, Scope& scope);
-    TaintValue finish_property_read(const php::PropertyAccess& access,
-                                    const TaintValue& object, Scope& scope);
-    TaintValue read_static_property(const php::StaticPropertyAccess& access,
-                                    Scope& scope);
     /// Taint introduction for a superglobal read ($_GET or $_GET['k']).
     TaintValue superglobal_source(const SuperglobalInfo& sg, SourceLocation loc,
                                   std::string_view name, const php::Expr* index);
-    TaintValue apply_cast(const php::Cast& cast, TaintValue value, Scope& scope);
-    /// Folds a return (or __yield) value into the enclosing summary.
-    void finish_return(const TaintValue& value, Scope& scope);
-    TaintValue make_closure_value(const php::Closure& closure, Scope& scope);
-    /// Everything eval_include does after evaluating the path expression.
-    TaintValue finish_include(const php::IncludeExpr& inc, Scope& scope);
-    void check_echo_arg(const php::EchoStmt& echo, const php::Expr& arg,
-                        const TaintValue& value, Scope& scope);
-    /// Adds the foreach trace step to the iterable's value.
-    TaintValue foreach_prepare(const php::ForeachStmt& stmt, TaintValue iterable,
-                               Scope& scope);
-    void exec_global_decl(const php::GlobalStmt& stmt, Scope& scope);
-    void exec_unset(const php::UnsetStmt& stmt, Scope& scope);
-    void bind_catch_var(const php::CatchClause& clause, Scope& scope);
 
     // -- calls ---------------------------------------------------------------
     std::vector<TaintValue> eval_args(const ArenaVector<php::Argument>& args,
@@ -485,10 +393,6 @@ private:
     bool current_file_failed_ = false;
     AnalysisStats stats_;
     double include_cpu_seconds_ = 0;  ///< CPU spent executing included files
-    double lower_cpu_seconds_ = 0;    ///< CPU spent lowering bodies to IR
-    /// Per-run lowering cache (IR/differential backends only): statement
-    /// list → flat body, arena-backed, built on first execution.
-    std::unique_ptr<ir::Module> ir_module_;
 
     // -- cross-run summary exchange state ---------------------------------------
     /// One frame per summarize() call currently on the stack while capture is

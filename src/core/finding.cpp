@@ -69,23 +69,6 @@ bool finding_less(const Finding& a, const Finding& b) {
 
 }  // namespace
 
-std::string result_signature(const AnalysisResult& result) {
-    std::ostringstream os;
-    os << "tool=" << result.tool << " plugin=" << result.plugin
-       << " files_failed=" << result.files_failed
-       << " error_messages=" << result.error_messages << '\n';
-    for (const Finding& f : result.findings) {
-        os << to_string(f) << '\n';
-        for (const TaintStep& step : f.trace)
-            os << "  " << to_string(step.location) << ' ' << step.description
-               << '\n';
-    }
-    for (const Diagnostic& d : result.diagnostics)
-        os << to_string(d.severity) << ' ' << to_string(d.location) << ' '
-           << d.message << '\n';
-    return os.str();
-}
-
 void deduplicate(std::vector<Finding>& findings) {
     std::stable_sort(findings.begin(), findings.end(), finding_less);
     std::set<std::string> seen;

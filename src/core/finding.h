@@ -19,8 +19,8 @@ namespace phpsafe {
 /// authors confirmed reports by executing the attack; validate/ automates
 /// that). kUnchecked means the validation pipeline never ran — the state
 /// every engine-produced finding starts in. Deliberately NOT part of a
-/// finding's analysis identity: dedup_key(), result_signature() and the
-/// deduplicate() total order ignore it, so tiering a result never changes
+/// finding's analysis identity: dedup_key() and the deduplicate() total
+/// order ignore it, so tiering a result never changes
 /// which findings it contains or their order.
 enum class Confidence : uint8_t {
     kUnchecked = 0,   ///< dynamic validation was not attempted
@@ -72,10 +72,6 @@ struct AnalysisResult {
     /// CPU spent inside included files (subset of cpu_seconds; filled by the
     /// engine so the evaluation driver can attribute the include stage).
     double include_cpu_seconds = 0.0;
-    /// CPU spent lowering bodies to the flat IR (subset of cpu_seconds;
-    /// zero on the AST backend). Lets the evaluation driver split the
-    /// analyze stage into lowering vs propagation.
-    double lower_cpu_seconds = 0.0;
     AnalysisStats stats;
     /// Observability counters captured around the run (filled by run_tool).
     obs::Counters counters;
@@ -87,13 +83,5 @@ struct AnalysisResult {
 /// Sorts findings into a total order (every field participates, so the
 /// result is independent of discovery order) and removes duplicates.
 void deduplicate(std::vector<Finding>& findings);
-
-/// Canonical byte rendering of everything analysis semantics determine:
-/// findings (every field, including the full trace), failure counts and
-/// diagnostics. Two results with equal signatures are byte-identical for
-/// reporting purposes — the comparison the differential backend and the
-/// IR-vs-AST test suite are built on. Deliberately excludes timings and
-/// counters (they measure the run, not the analysis).
-std::string result_signature(const AnalysisResult& result);
 
 }  // namespace phpsafe

@@ -119,12 +119,6 @@ void OracleRunner::run_no_crash(const FuzzCase& c, const AnalysisResult& result,
             {Oracle::kNoCrash,
              "engine result covers " + std::to_string(result.files_total) +
                  " of " + std::to_string(c.files.size()) + " input files"});
-    // Under the differential backend an IR/AST divergence is reported as a
-    // diagnostic rather than a crash; promote it to a violation so the
-    // fuzzer keeps (and reduces) the diverging case.
-    for (const Diagnostic& diag : result.diagnostics)
-        if (diag.message.find(kBackendMismatchMarker) != std::string::npos)
-            out.push_back({Oracle::kNoCrash, diag.message});
 }
 
 void OracleRunner::ensure_services() {

@@ -266,12 +266,8 @@ ProjectGraph ProjectGraph::build(std::vector<FileFacts> facts) {
                 const auto candidates = basename_index.find(basename_of(path));
                 if (candidates != basename_index.end()) {
                     for (const FileId c : candidates->second) {
-                        const std::string_view name =
-                            g.files_[static_cast<size_t>(c)].name;
-                        if (!ends_with(name, path)) continue;
-                        // Segment boundary: "b.php" must not claim "ab.php".
-                        if (name.size() > path.size() && path.front() != '/' &&
-                            name[name.size() - path.size() - 1] != '/')
+                        if (!php::ends_with_path(
+                                g.files_[static_cast<size_t>(c)].name, path))
                             continue;
                         to = c;
                         break;

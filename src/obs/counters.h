@@ -69,14 +69,7 @@ namespace phpsafe::obs {
     X(alloc_string_bytes, "string bytes copied into arenas (decoded escapes, "  \
                           "folded keywords, synthesized names)")                \
     X(alloc_string_bytes_saved, "string bytes served zero-copy as views into "  \
-                                "the retained source text")                     \
-    X(ir_bodies_lowered, "bodies compiled into the flat dataflow IR")           \
-    X(ir_insts_lowered, "IR instructions emitted by lowering")                  \
-    X(ir_blocks_lowered, "IR basic blocks derived by lowering")                 \
-    X(ir_body_runs, "body executions on the IR backend")                        \
-    X(ir_fallbacks, "bodies run on the AST path because the lowered "           \
-                    "depth could hit the eval() truncation guard")              \
-    X(ir_mismatches, "differential runs where IR and AST findings diverged")
+                                "the retained source text")
 
 /// One block of stage counters. Plain additive uint64 fields only, so the
 /// struct is trivially copyable and two blocks compare/merge field-wise.

@@ -168,10 +168,13 @@ bool Parser::enter_depth() {
 }
 
 void Parser::error_here(const std::string& message) {
+    // Once aborted, the parse is unwinding: every enclosing construct would
+    // report its missing closer, one error per nesting level.
+    if (aborted_) return;
     ++error_count_;
     ++obs::tls().parse_errors;
     sink_.add(Severity::kError, loc_here(), message);
-    if (options_.max_errors > 0 && error_count_ >= options_.max_errors && !aborted_) {
+    if (options_.max_errors > 0 && error_count_ >= options_.max_errors) {
         aborted_ = true;
         sink_.add(Severity::kFatal, {file_.name(), current().line},
                   "too many parse errors; aborting analysis of this file");

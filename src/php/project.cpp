@@ -12,6 +12,12 @@ namespace phpsafe::php {
 
 uint64_t content_hash(std::string_view text) noexcept { return fnv1a64(text); }
 
+bool ends_with_path(std::string_view name, std::string_view path) noexcept {
+    if (path.empty() || !ends_with(name, path)) return false;
+    return name.size() == path.size() || path.front() == '/' ||
+           name[name.size() - path.size() - 1] == '/';
+}
+
 std::string FunctionRef::qualified_name() const {
     if (!decl) return "<null>";
     if (owner) {
@@ -424,7 +430,7 @@ const ParsedFile* Project::resolve_include(std::string_view path) const {
     for (const auto& pf : files_)
         if (pf->source->name() == path) return pf.get();
     for (const auto& pf : files_)
-        if (ends_with(pf->source->name(), path)) return pf.get();
+        if (ends_with_path(pf->source->name(), path)) return pf.get();
     // Basename match as last resort.
     const size_t slash = path.rfind('/');
     const std::string_view base =

@@ -50,6 +50,10 @@ struct ParsedFile {
 /// entry in the incremental service's cache.
 uint64_t content_hash(std::string_view text) noexcept;
 
+/// Include suffix match at a path-segment boundary: "x/b.php" ends with
+/// "b.php", "ab.php" does not.
+bool ends_with_path(std::string_view name, std::string_view path) noexcept;
+
 /// Where a function/method declaration lives. `file` is a view of the
 /// declaring ParsedFile's unit.file_name — valid as long as the Project
 /// (which pins every ParsedFile by shared_ptr) is alive, and copying a
@@ -163,7 +167,8 @@ public:
     std::vector<FunctionRef> uncalled_functions() const;
 
     /// Resolves an include path literal to a parsed file of this project,
-    /// matching by exact name, then suffix, then basename. Returns null for
+    /// matching by exact name, then path suffix (ends_with_path), then
+    /// basename. Returns null for
     /// external (CMS / PHP library) includes.
     const ParsedFile* resolve_include(std::string_view path) const;
 

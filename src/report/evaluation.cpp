@@ -134,7 +134,6 @@ Evaluation run_corpus_evaluation(const std::vector<Tool>& tools,
                 const AnalysisResult repeat = run_tool(tools[t], project);
                 result.cpu_seconds += repeat.cpu_seconds;
                 result.include_cpu_seconds += repeat.include_cpu_seconds;
-                result.lower_cpu_seconds += repeat.lower_cpu_seconds;
             }
             if (tool_span.active()) {
                 tool_span.note("findings", std::to_string(result.findings.size()));
@@ -146,7 +145,6 @@ Evaluation run_corpus_evaluation(const std::vector<Tool>& tools,
             outcome.stages.include = result.include_cpu_seconds / reps;
             outcome.stages.analyze =
                 result.cpu_seconds / reps - outcome.stages.include;
-            outcome.stages.lower = result.lower_cpu_seconds / reps;
             // Counters from the first repetition only (repetitions re-run
             // identical work; summing them would make the totals depend on
             // the timing configuration), plus the shared model counters —

@@ -28,17 +28,11 @@ struct StageBreakdown {
     double parse = 0.0;    ///< tree building + declaration indexing
     double include = 0.0;  ///< executing included files during analysis
     double analyze = 0.0;  ///< taint analysis outside includes
-    /// IR lowering share of `analyze` (a sub-split, not an addend: always
-    /// 0 on the AST backend, where no lowering happens). The propagation
-    /// share is propagate().
-    double lower = 0.0;
 
     /// Model-construction share (what the old parse_seconds reported).
     double model() const noexcept { return lex + parse; }
     /// Taint-analysis share.
     double analysis() const noexcept { return include + analyze; }
-    /// Taint propagation proper: analysis outside includes and lowering.
-    double propagate() const noexcept { return analyze - lower; }
     /// Whole-run CPU (what the old cpu_seconds reported).
     double total() const noexcept { return model() + analysis(); }
 
@@ -47,7 +41,6 @@ struct StageBreakdown {
         parse += other.parse;
         include += other.include;
         analyze += other.analyze;
-        lower += other.lower;
         return *this;
     }
 };

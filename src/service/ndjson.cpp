@@ -61,17 +61,6 @@ bool load_directory(const std::string& root,
 bool build_request(const JsonValue& request, ScanRequest& scan,
                    std::string& error) {
     scan.preset = request.string_or("preset", "phpsafe");
-    scan.backend = request.string_or("backend", "");
-    if (!scan.backend.empty()) {
-        // Validate at the protocol boundary so a typo'd backend is one
-        // structured error line, not a queued scan that fails later.
-        EngineBackend backend = EngineBackend::kAst;
-        if (!backend_from_string(scan.backend, backend)) {
-            error = "unknown backend \"" + scan.backend +
-                    "\" (expected ast, ir or differential)";
-            return false;
-        }
-    }
     scan.priority = static_cast<int>(request.int_or("priority", 0));
     const std::string path = request.string_or("path", "");
     if (!path.empty()) {
@@ -200,17 +189,14 @@ NdjsonRequest parse_ndjson_request(const std::string& line) {
     }
     static const char* const kBareKeys[] = {"op", nullptr};
     static const char* const kScanKeys[] = {
-        "op", "path", "files", "plugin", "preset",
-        "backend", "priority", "slot", nullptr};
+        "op", "path", "files", "plugin", "preset", "priority", "slot", nullptr};
     static const char* const kWatchKeys[] = {
-        "op", "path", "files", "plugin", "preset",
-        "backend", "priority", nullptr};
+        "op", "path", "files", "plugin", "preset", "priority", nullptr};
     static const char* const kEditKeys[] = {"op", "files", "remove", nullptr};
     static const char* const kGraphKeys[] = {
         "op", "path", "files", "plugin", "detail", nullptr};
     static const char* const kValidateKeys[] = {
-        "op", "path", "files", "plugin", "preset",
-        "backend", "priority", nullptr};
+        "op", "path", "files", "plugin", "preset", "priority", nullptr};
 
     const std::string op = json.string_or("op", "");
     if (op == "quit" || op == "shutdown") {

@@ -5,9 +5,6 @@
 //   {"op":"scan","path":"/plugin/dir"}            scan *.php under a directory
 //   {"op":"scan","plugin":"p","files":[{"name":"a.php","text":"<?php ..."}]}
 //   {"op":"scan",...,"preset":"rips"}             preset: phpsafe|rips|pixy
-//   {"op":"scan",...,"backend":"ir"}              taint backend: ast|ir|
-//                                                 differential (default:
-//                                                 the preset's backend)
 //   {"op":"scan",...,"priority":5}                higher dispatches sooner
 //   {"op":"scan",...,"slot":"editor"}             supersedes the slot's
 //                                                 previous still-queued scan

@@ -34,7 +34,6 @@ uint64_t AnalysisService::request_fingerprint(const ScanRequest& request) {
     h = fnv1a64("\x1f", h);
     h = fnv1a64(request.preset, h);
     h = fnv1a64("\x1f", h);
-    h = fnv1a64(request.backend, h);
     for (const SourceFileSpec& file : request.files) {
         h = fnv1a64("\x1f", h);
         h = fnv1a64(file.name, h);
@@ -179,21 +178,15 @@ ValidateResponse AnalysisService::validate(const ScanRequest& request) {
     DiagnosticSink sink;
     project.parse_all(sink);
 
-    // Same preset + backend resolution as perform_scan, so the analyzer
-    // configuration fix verification re-runs is exactly the one that
-    // produced the findings.
+    // Same preset resolution as perform_scan, so the analyzer configuration
+    // fix verification re-runs is exactly the one that produced the
+    // findings.
     const auto preset_it = presets_.find(request.preset);
     const Tool& tool =
         preset_it != presets_.end() ? preset_it->second : presets_.at("phpsafe");
-    AnalysisOptions options = tool.options;
-    if (!request.backend.empty()) {
-        EngineBackend backend = EngineBackend::kAst;
-        if (backend_from_string(request.backend, backend))
-            options = options.to_builder().engine_backend(backend).build();
-    }
 
     validate::ValidateOptions vopts;  // workers auto: PHPSAFE_JOBS aware
-    response.report = validate::validate_result(project, tool.kb, options,
+    response.report = validate::validate_result(project, tool.kb, tool.options,
                                                 response.scan.result, vopts);
     response.tiered = response.scan.result;
     validate::apply_confidence(response.tiered, response.report);
@@ -314,23 +307,7 @@ ScanResponse AnalysisService::perform_scan(PendingScan& scan) {
     const auto preset_it = presets_.find(scan.request.preset);
     const Tool& tool =
         preset_it != presets_.end() ? preset_it->second : presets_.at("phpsafe");
-    // Per-request backend override. The effective options' fingerprint keys
-    // the summary and result pools, so an "ir" scan never serves (or seeds)
-    // an "ast" scan's cached artifacts.
-    AnalysisOptions options = tool.options;
-    if (!scan.request.backend.empty()) {
-        EngineBackend backend = EngineBackend::kAst;
-        if (!backend_from_string(scan.request.backend, backend)) {
-            response.result.plugin = scan.request.plugin;
-            response.result.diagnostics.push_back(Diagnostic{
-                Severity::kFatal, SourceLocation{},
-                "unknown backend \"" + scan.request.backend +
-                    "\" (expected ast, ir or differential)"});
-            response.wall_seconds = wall_seconds() - wall_start;
-            return response;
-        }
-        options = options.to_builder().engine_backend(backend).build();
-    }
+    const AnalysisOptions& options = tool.options;
     const std::string preset_fp = options.fingerprint();
 
     // Path 1: the exact (content, preset) pair was scanned before.

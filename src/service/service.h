@@ -105,13 +105,6 @@ struct ScanRequest {
     /// hermetic_summaries on. Summary seeding applies only to presets that
     /// analyze uncalled functions ("pixy" gets AST caching only).
     std::string preset = "phpsafe";
-    /// Taint-propagation backend override: "" keeps the preset's backend
-    /// (the process default), otherwise "ast" | "ir" | "differential" (see
-    /// EngineBackend). Part of the request fingerprint — the backend is an
-    /// analysis-semantics key, so different backends never coalesce and
-    /// never share result-pool entries. An unknown value yields a scan
-    /// response carrying a kFatal diagnostic, not a crash.
-    std::string backend;
     /// Scheduling priority: higher runs sooner; never affects results or
     /// the request fingerprint (identical content at different priorities
     /// still coalesces).
@@ -214,7 +207,7 @@ public:
     AnalysisCache& cache() { return cache_; }
 
     /// Stable fingerprint of a request's analysis input (plugin name,
-    /// preset, backend, file names and per-file content hashes) — the
+    /// preset, file names and per-file content hashes) — the
     /// result-pool / dedup key. Hashing content hashes rather than full
     /// texts keeps the fingerprint identical across the three
     /// SourceFileSpec forms (text, pre-hashed, pinned AST) and makes

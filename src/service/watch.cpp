@@ -164,6 +164,11 @@ WatchDelta WatchSession::edit(const WatchEditBatch& batch) {
     // Apply the batch.
     for (const SourceFileSpec& spec : batch.upserts) {
         FileState state;
+        // The previous facts stay until refresh_state compares the edited
+        // file's fresh facts against them: an edit that keeps the file's
+        // structure reuses the linked graph instead of relinking it.
+        if (const auto it = files_.find(spec.name); it != files_.end())
+            state.facts = std::move(it->second.facts);
         state.hash = AnalysisService::spec_content_hash(spec);
         state.parsed = spec.parsed;
         state.text = spec.text;

@@ -26,7 +26,7 @@
 // updated file set through the same AnalysisService::perform_scan path as
 // a cold scan, so delta findings are byte-identical to the diff of two
 // full cold re-scans by the service's standing warm==cold invariant — at
-// any PHPSAFE_JOBS, any cache state, any backend. What the cone bounds is
+// any PHPSAFE_JOBS, any cache state. What the cone bounds is
 // *cost*, not correctness: out-of-cone files ride through as pinned ASTs
 // with cached summaries whose dependency validation is memoized
 // (DepCheckMemo), so re-analysis work scales with the cone, not the tree
@@ -95,8 +95,8 @@ public:
         return baseline_;
     }
 
-    /// Snapshot of the session's current full request — plugin, preset,
-    /// backend and the complete file set with pinned ASTs. The session-
+    /// Snapshot of the session's current full request — plugin, preset
+    /// and the complete file set with pinned ASTs. The session-
     /// aware "validate" op replays this through AnalysisService::validate,
     /// fingerprint-compatible with the session's own scans. Empty (no
     /// files) before open().
@@ -123,7 +123,7 @@ private:
     void refresh_state();
 
     AnalysisService& service_;
-    ScanRequest base_;  ///< plugin/preset/backend/priority (files unused)
+    ScanRequest base_;  ///< plugin/preset/priority (files unused)
     std::map<std::string, FileState> files_;
     std::vector<Finding> baseline_;
     std::unique_ptr<graph::ProjectGraph> graph_;

@@ -28,8 +28,7 @@ struct ExecGroup {
 };
 
 /// Byte rendering of one finding for the fix-verification "nothing else
-/// regressed" gate: identity plus the full trace, like
-/// core/finding.cpp's result_signature but per finding.
+/// regressed" gate: identity plus the full trace.
 std::string finding_signature(const Finding& finding) {
     std::string sig = to_string(finding);
     sig += '\n';

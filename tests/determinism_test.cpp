@@ -166,9 +166,9 @@ TEST(DeterminismTest, SummariesSurviveParsedFileEviction) {
 
 // The batch validation + remediation pipeline must render the same
 // validation_signature (tiers, replay verdicts, verified fix edits) at any
-// worker count and under either taint backend. Run under TSan this also
-// race-checks the replay fan-out and the parallel fix verification.
-TEST(DeterminismTest, ValidationSignatureStableAcrossWorkersAndBackends) {
+// worker count. Run under TSan this also race-checks the replay fan-out and
+// the parallel fix verification.
+TEST(DeterminismTest, ValidationSignatureStableAcrossWorkers) {
     const std::string code =
         "<?php\n"
         "echo '<p>' . $_GET['msg'] . '</p>';\n"
@@ -179,33 +179,25 @@ TEST(DeterminismTest, ValidationSignatureStableAcrossWorkersAndBackends) {
         "$wpdb->query(\"DELETE FROM t WHERE id = '$id'\");\n"
         "echo $_GET['raw'];\n";
 
-    std::vector<std::string> backend_signatures;
-    for (const EngineBackend backend : {EngineBackend::kAst, EngineBackend::kIr}) {
-        Tool tool = make_phpsafe_tool();
-        tool.options =
-            tool.options.to_builder().engine_backend(backend).build();
-        php::Project project("determinism");
-        project.add_file("main.php", code);
-        DiagnosticSink sink;
-        project.parse_all(sink);
-        const AnalysisResult result =
-            Analyzer::borrowing(tool.kb, tool.options).scan(project).result;
-        ASSERT_FALSE(result.findings.empty());
+    const Tool tool = make_phpsafe_tool();
+    php::Project project("determinism");
+    project.add_file("main.php", code);
+    DiagnosticSink sink;
+    project.parse_all(sink);
+    const AnalysisResult result =
+        Analyzer::borrowing(tool.kb, tool.options).scan(project).result;
+    ASSERT_FALSE(result.findings.empty());
 
-        std::vector<std::string> signatures;
-        for (const int workers : {1, 4}) {
-            validate::ValidateOptions vopts;
-            vopts.workers = workers;
-            const validate::ValidationReport report = validate::validate_result(
-                project, tool.kb, tool.options, result, vopts);
-            signatures.push_back(validate::validation_signature(result, report));
-        }
-        EXPECT_EQ(signatures[0], signatures[1])
-            << "signature differs between 1 and 4 workers";
-        backend_signatures.push_back(signatures[0]);
+    std::vector<std::string> signatures;
+    for (const int workers : {1, 4}) {
+        validate::ValidateOptions vopts;
+        vopts.workers = workers;
+        const validate::ValidationReport report = validate::validate_result(
+            project, tool.kb, tool.options, result, vopts);
+        signatures.push_back(validate::validation_signature(result, report));
     }
-    EXPECT_EQ(backend_signatures[0], backend_signatures[1])
-        << "signature differs between ast and ir backends";
+    EXPECT_EQ(signatures[0], signatures[1])
+        << "signature differs between 1 and 4 workers";
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/analyzer.h"
 #include "corpus/generator.h"
 #include "graph/project_graph.h"
 #include "php/project.h"
@@ -126,6 +127,27 @@ TEST(ProjectGraphTest, SuffixMatchRespectsSegmentBoundary) {
                                           facts("lib/b.php")});
     const auto edges = names_of(g, g.includes_of(g.file_id("a.php")));
     EXPECT_EQ(edges, (std::vector<std::string>{"lib/b.php"}));
+}
+
+TEST(ProjectGraphTest, ProjectAndGraphAgreeOnSegmentBoundary) {
+    // `include "b.php"` inside f() must load x/b.php, never ab.php (which
+    // would echo f()'s tainted $x).
+    php::Project project("boundary");
+    project.add_file("main.php",
+                     "<?php function f() { $x = $_GET[\"q\"]; include \"b.php\"; } f();");
+    project.add_file("ab.php", "<?php echo $x;");
+    project.add_file("x/b.php", "<?php echo \"hi\";");
+    DiagnosticSink sink;
+    project.parse_all(sink);
+
+    const php::ParsedFile* resolved = project.resolve_include("b.php");
+    ASSERT_NE(resolved, nullptr);
+    EXPECT_EQ(resolved->source->name(), "x/b.php");
+    const ProjectGraph g = build_project_graph(project);
+    EXPECT_EQ(names_of(g, g.includes_of(g.file_id("main.php"))),
+              (std::vector<std::string>{"x/b.php"}));
+    for (const Finding& f : Analyzer().scan(project).result.findings)
+        EXPECT_NE(f.location.file, "ab.php") << to_string(f);
 }
 
 TEST(ProjectGraphTest, AnalyticsHubsOrphansDeadVendor) {

@@ -6,7 +6,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <fstream>
 #include <new>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -84,8 +86,20 @@ TEST(ObsCountersTest, ForEachFieldVisitsEveryCounterInOrder) {
     EXPECT_EQ(sum, c.total());
     ASSERT_GE(names.size(), 14u);
     EXPECT_EQ(names.front(), "tokens_lexed");
-    // The IR counter group (flat dataflow backend) closes the X-macro list.
-    EXPECT_EQ(names.back(), "ir_mismatches");
+    // The arena-allocation group closes the X-macro list.
+    EXPECT_EQ(names.back(), "alloc_string_bytes_saved");
+}
+
+TEST(ObsCountersTest, EveryCounterIsDocumentedInObservabilityMd) {
+    std::ifstream in(PHPSAFE_DOCS_DIR "/observability.md");
+    ASSERT_TRUE(in) << "cannot open docs/observability.md";
+    std::stringstream doc;
+    doc << in.rdbuf();
+    obs::Counters().for_each_field([&](const char* name, uint64_t) {
+        EXPECT_NE(doc.str().find("`" + std::string(name) + "`"),
+                  std::string::npos)
+            << name << " is not documented in docs/observability.md";
+    });
 }
 
 TEST(ObsCountersTest, DeltaCapturesOnlyThisThreadsIncrements) {

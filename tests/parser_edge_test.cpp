@@ -3,6 +3,8 @@
 // casts vs parens, and precedence corners.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -337,6 +339,21 @@ TEST(ParserEdgeTest, DeepUnaryChainEmitsRecursionDiagnostic) {
     code.append(5000, '!');
     code += "$y;";
     EXPECT_TRUE(any_diag_contains(parse_diags(code), "nesting deeper than"));
+}
+
+TEST(ParserEdgeTest, AbortedParseReportsNoErrorsWhileUnwinding) {
+    std::string code = "<?php $a = ";
+    code.append(5000, '[');
+    code.append(5000, ']');
+    code += ';';
+    const auto diags = parse_diags(code);
+    const auto fatal = std::find_if(diags.begin(), diags.end(), [](const auto& d) {
+        return d.severity == Severity::kFatal;
+    });
+    ASSERT_NE(fatal, diags.end());
+    EXPECT_NE(fatal->message.find("nesting deeper than"), std::string::npos);
+    // The fatal is the last word: no error for each unclosed '['.
+    EXPECT_EQ(std::distance(fatal + 1, diags.end()), 0);
 }
 
 TEST(ParserEdgeTest, MaxDepthOptionIsConfigurable) {

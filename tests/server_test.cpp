@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/counters.h"
 #include "report/export.h"
 #include "service/cache.h"
 #include "service/ndjson.h"
@@ -484,9 +485,9 @@ void cold_diff(const std::vector<Finding>& before,
 }
 
 /// Watch-mode byte-identity: the delta an edit answers must equal the diff
-/// of two *cold* scans on fresh services — at any worker count and any
-/// backend, with a mixed upsert + remove batch.
-void expect_delta_matches_cold_rescan(int workers, const std::string& backend) {
+/// of two *cold* scans on fresh services — at any worker count, with a
+/// mixed upsert + remove batch.
+void expect_delta_matches_cold_rescan(int workers) {
     using FileSet = std::vector<std::pair<std::string, std::string>>;
     const FileSet before = {
         {"app.php",
@@ -506,7 +507,6 @@ void expect_delta_matches_cold_rescan(int workers, const std::string& backend) {
         AnalysisService fresh(so);
         ScanRequest request;
         request.plugin = "delta";
-        request.backend = backend;
         for (const auto& [name, text] : files)
             request.files.push_back({name, text});
         return fresh.scan(request).result.findings;
@@ -524,7 +524,6 @@ void expect_delta_matches_cold_rescan(int workers, const std::string& backend) {
     service::WatchSession watch(service);
     ScanRequest open;
     open.plugin = "delta";
-    open.backend = backend;
     for (const auto& [name, text] : before)
         open.files.push_back({name, text});
     const ScanResponse opened = watch.open(std::move(open));
@@ -547,15 +546,75 @@ void expect_delta_matches_cold_rescan(int workers, const std::string& backend) {
 }
 
 TEST(WatchModeTest, DeltaMatchesColdRescanDiffSerial) {
-    expect_delta_matches_cold_rescan(1, "");
+    expect_delta_matches_cold_rescan(1);
 }
 
 TEST(WatchModeTest, DeltaMatchesColdRescanDiffParallel) {
-    expect_delta_matches_cold_rescan(4, "");
+    expect_delta_matches_cold_rescan(4);
 }
 
-TEST(WatchModeTest, DeltaMatchesColdRescanDiffIrBackend) {
-    expect_delta_matches_cold_rescan(4, "ir");
+/// Applies one upsert to a watch session opened on `before`, checks the
+/// delta against the diff of two cold scans, and returns how many project
+/// graphs the edit linked.
+uint64_t graph_builds_for_edit(
+    const std::vector<std::pair<std::string, std::string>>& before,
+    const std::string& name, const std::string& text) {
+    auto after = before;
+    for (auto& [file, body] : after)
+        if (file == name) body = text;
+    auto cold_scan = [](const std::vector<std::pair<std::string, std::string>>& files) {
+        ServiceOptions so;
+        so.workers = 1;
+        AnalysisService fresh(so);
+        ScanRequest request;
+        request.plugin = "relink";
+        for (const auto& [file, body] : files) request.files.push_back({file, body});
+        return fresh.scan(request).result.findings;
+    };
+    std::vector<std::string> want_added, want_removed;
+    cold_diff(cold_scan(before), cold_scan(after), want_added, want_removed);
+
+    ServiceOptions so;
+    so.workers = 1;
+    AnalysisService service(so);
+    service::WatchSession watch(service);
+    ScanRequest open;
+    open.plugin = "relink";
+    for (const auto& [file, body] : before) open.files.push_back({file, body});
+    EXPECT_FALSE(watch.open(std::move(open)).rejected);
+
+    service::WatchEditBatch batch;
+    batch.upserts.push_back({name, text});
+    const obs::CounterDelta counters;
+    const service::WatchDelta delta = watch.edit(batch);
+    const uint64_t builds = counters.take().graph_builds;
+    EXPECT_TRUE(delta.ok) << delta.error;
+    EXPECT_EQ(finding_keys(delta.added), want_added);
+    EXPECT_EQ(finding_keys(delta.removed), want_removed);
+    return builds;
+}
+
+const std::vector<std::pair<std::string, std::string>> kRelinkFiles = {
+    {"app.php", "<?php include 'lib.php'; echo wrap($_GET['q']);"},
+    {"lib.php", "<?php function wrap($x) { return htmlentities($x); }"},
+    {"other.php", "<?php echo 'static';"},
+};
+
+TEST(WatchModeTest, BodyOnlyEditReusesTheLinkedGraph) {
+    // Same declarations, calls and includes; only the body's data flow
+    // changes (the wrapper now leaks its argument).
+    EXPECT_EQ(graph_builds_for_edit(
+                  kRelinkFiles, "lib.php",
+                  "<?php function wrap($x) { $y = $x; return htmlentities($x) . $y; }"),
+              0u);
+}
+
+TEST(WatchModeTest, IncludeEditRelinksTheGraph) {
+    EXPECT_EQ(graph_builds_for_edit(
+                  kRelinkFiles, "app.php",
+                  "<?php include 'lib.php'; include 'other.php'; "
+                  "echo wrap($_GET['q']);"),
+              1u);
 }
 
 TEST(ServerSessionTest, PipelinedWatchSessionMatchesSerialLoopByteForByte) {

@@ -7,7 +7,6 @@
 //   phpsafe_fuzz [--iterations N] [--seed S] [--corpus DIR]
 //                [--byte-percent P] [--replay-only] [--no-write]
 //                [--concurrency] [--quickfix]
-//                [--backend ast|ir|differential]
 //
 // --concurrency additionally runs the multi-client interleaving oracle on
 // every case (3 client threads against a shared 4-worker service) — slower
@@ -17,12 +16,6 @@
 // (full validation pipeline + an independent rescan per emitted fix) —
 // likewise opt-in for dedicated CI stages.
 //
-// --backend sets PHPSAFE_BACKEND for the whole process before any engine
-// is built, so every oracle (including the service-backed ones) runs its
-// phpSAFE scans on the chosen taint backend. `differential` turns each
-// case into an IR-vs-AST byte-identity check: a divergence surfaces as a
-// no-crash violation and is minimized into the corpus like any other.
-//
 // Exit status: 0 = clean, 1 = oracle violations, 2 = usage error.
 #include <cstdint>
 #include <cstdlib>
@@ -30,7 +23,6 @@
 #include <iostream>
 #include <string>
 
-#include "core/engine.h"
 #include "fuzz/fuzzer.h"
 
 namespace {
@@ -39,8 +31,7 @@ int usage(const char* argv0) {
     std::cerr << "usage: " << argv0
               << " [--iterations N] [--seed S] [--corpus DIR]"
                  " [--byte-percent P] [--replay-only] [--no-write]"
-                 " [--concurrency] [--quickfix]"
-                 " [--backend ast|ir|differential]\n";
+                 " [--concurrency] [--quickfix]\n";
     return 2;
 }
 
@@ -48,20 +39,6 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
     using namespace phpsafe::fuzz;
-
-    // --backend must win before the first default_engine_backend() call
-    // caches the env var, i.e. before any AnalysisOptions is constructed.
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--backend" && i + 1 < argc) {
-            phpsafe::EngineBackend backend;
-            if (!phpsafe::backend_from_string(argv[i + 1], backend)) {
-                std::cerr << "unknown backend '" << argv[i + 1]
-                          << "' (expected ast, ir or differential)\n";
-                return 2;
-            }
-            setenv("PHPSAFE_BACKEND", argv[i + 1], /*overwrite=*/1);
-        }
-    }
 
     FuzzOptions options;
     options.corpus_dir = "tests/fuzz_corpus/regressions";
@@ -88,8 +65,6 @@ int main(int argc, char** argv) {
             const char* v = next();
             if (!v) return usage(argv[0]);
             options.byte_percent = std::atoi(v);
-        } else if (arg == "--backend") {
-            if (!next()) return usage(argv[0]);  // value consumed above
         } else if (arg == "--concurrency") {
             options.oracles.check_concurrency = true;
         } else if (arg == "--quickfix") {
