@@ -73,6 +73,10 @@ struct SourceCase {
     InputVector vector;
 };
 
+// Print parameters by their text: the default byte dump shows pointer values,
+// which change from build to build and would rename the discovered tests.
+void PrintTo(const SourceCase& c, std::ostream* os) { *os << c.expr; }
+
 class SourceSweep : public ::testing::TestWithParam<SourceCase> {};
 
 TEST_P(SourceSweep, ReachesEcho) {
@@ -151,6 +155,10 @@ struct RevertCase {
     VulnKind kind;
     const char* sink;  ///< statement template using $w
 };
+
+void PrintTo(const RevertCase& c, std::ostream* os) {
+    *os << c.revert << "(" << c.sanitizer << "(...))";
+}
 
 class RevertSweep : public ::testing::TestWithParam<RevertCase> {};
 
