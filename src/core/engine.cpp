@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/counters.h"
-#include "php/walk.h"
 #include "util/strings.h"
 #include "util/timing.h"
 
@@ -205,7 +204,7 @@ AnalysisResult Engine::analyze(const php::Project& project,
             if (observer_) observer_->on_file_end(file, /*failed=*/true);
             continue;
         }
-        if (options_.fail_on_oop_file && file_uses_oop(file)) {
+        if (options_.fail_on_oop_file && file.facts.uses_oop) {
             diagnostics_.add(Severity::kFatal, {file.source->name(), 1},
                              "cannot analyze file: object-oriented constructs "
                              "are not supported by this tool");
@@ -500,32 +499,6 @@ void Engine::finish_capture(const std::string& key,
         exchange_.capture->insert_or_assign(key, std::move(frame.artifact));
     run_artifacts_[key] = &it->second;
     (void)inserted;
-}
-
-bool Engine::file_uses_oop(const php::ParsedFile& file) const {
-    bool uses = false;
-    auto expr_visitor = [&](const php::Expr& e) {
-        switch (e.kind) {
-            case NodeKind::kMethodCall:
-            case NodeKind::kStaticCall:
-            case NodeKind::kNew:
-            case NodeKind::kPropertyAccess:
-            case NodeKind::kStaticPropertyAccess:
-                uses = true;
-                break;
-            default:
-                break;
-        }
-    };
-    auto stmt_visitor = [&](const php::Stmt& s) {
-        if (s.kind == NodeKind::kClassDecl) uses = true;
-    };
-    for (const php::StmtPtr& stmt : file.unit.statements) {
-        if (!stmt) continue;
-        php::walk_stmt(*stmt, expr_visitor, stmt_visitor);
-        if (uses) return true;
-    }
-    return false;
 }
 
 void Engine::analyze_entry_file(const php::ParsedFile& file) {

@@ -228,7 +228,6 @@ private:
     void analyze_entry_file(const php::ParsedFile& file);
     void summarize_uncalled();
     void summarize_all_declared();
-    bool file_uses_oop(const php::ParsedFile& file) const;
 
     // -- cross-run summary capture ---------------------------------------------
     /// Records a project observation on every active capture (no-op when the

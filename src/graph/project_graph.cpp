@@ -1,10 +1,10 @@
 #include "graph/project_graph.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <sstream>
 
-#include "php/walk.h"
 #include "util/json_reader.h"
 #include "util/json_writer.h"
 #include "util/strings.h"
@@ -23,11 +23,6 @@ void sort_unique_ids(std::vector<ProjectGraph::FileId>& v) {
     v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
-bool is_self_reference(std::string_view class_name) {
-    return iequals(class_name, "self") || iequals(class_name, "static") ||
-           iequals(class_name, "parent");
-}
-
 std::string_view basename_of(std::string_view path) {
     const size_t slash = path.rfind('/');
     return slash == std::string_view::npos ? path : path.substr(slash + 1);
@@ -36,21 +31,6 @@ std::string_view basename_of(std::string_view path) {
 std::string_view top_dir_of(std::string_view path) {
     const size_t slash = path.find('/');
     return slash == std::string_view::npos ? std::string_view() : path.substr(0, slash);
-}
-
-/// The trailing string literal of an include path expression, if any:
-/// handles plain literals and the `dirname(__FILE__) . '/x.php'` /
-/// `PLUGIN_DIR . 'inc/x.php'` concat idioms by descending the right spine.
-std::string_view include_literal(const php::Expr* path) {
-    while (path && path->kind == php::NodeKind::kBinary) {
-        const auto& binary = static_cast<const php::Binary&>(*path);
-        if (binary.op != php::BinaryOp::kConcat) return {};
-        path = binary.rhs;
-    }
-    if (!path || path->kind != php::NodeKind::kLiteral) return {};
-    const auto& literal = static_cast<const php::Literal&>(*path);
-    if (literal.type != php::Literal::Type::kString) return {};
-    return literal.value;
 }
 
 uint64_t parse_hex64(std::string_view hex, bool& ok) {
@@ -98,74 +78,33 @@ FileFacts extract_file_facts(const php::ParsedFile& file) {
     facts.name = file.unit.file_name;
     facts.content_hash = file.content_hash;
     facts.parse_failed = file.parse_failed;
-
-    const php::ExprVisitor on_expr = [&](const php::Expr& e) {
-        switch (e.kind) {
-            case php::NodeKind::kFunctionCall: {
-                const auto& call = static_cast<const php::FunctionCall&>(e);
-                if (!call.name.empty())
-                    facts.called_functions.push_back(ascii_lower(call.name));
-                break;
-            }
-            case php::NodeKind::kMethodCall: {
-                const auto& call = static_cast<const php::MethodCall&>(e);
-                if (!call.method.empty())
-                    facts.called_methods.push_back(ascii_lower(call.method));
-                break;
-            }
-            case php::NodeKind::kStaticCall: {
-                const auto& call = static_cast<const php::StaticCall&>(e);
-                if (!call.method.empty())
-                    facts.called_methods.push_back(ascii_lower(call.method));
-                if (!call.class_name.empty() && !is_self_reference(call.class_name))
-                    facts.used_classes.push_back(ascii_lower(call.class_name));
-                break;
-            }
-            case php::NodeKind::kNew: {
-                const auto& n = static_cast<const php::New&>(e);
-                if (!n.class_name.empty() && !is_self_reference(n.class_name))
-                    facts.used_classes.push_back(ascii_lower(n.class_name));
-                break;
-            }
-            case php::NodeKind::kIncludeExpr: {
-                const auto& inc = static_cast<const php::IncludeExpr&>(e);
-                const std::string_view path = include_literal(inc.path);
-                if (!path.empty())
-                    facts.include_paths.emplace_back(path);
-                break;
-            }
-            default:
-                break;
-        }
+    const php::FactsBlock& block = file.facts;
+    for (const php::FunctionDecl* fn : block.functions)
+        if (!fn->name.empty())
+            facts.declared_functions.push_back(ascii_lower(fn->name));
+    for (const php::ClassDecl* cls : block.classes) {
+        if (cls->name.empty()) continue;
+        const std::string class_lower = ascii_lower(cls->name);
+        facts.declared_classes.push_back(class_lower);
+        for (const php::FunctionDecl* method : cls->methods)
+            if (method && !method->name.empty())
+                facts.declared_methods.push_back(class_lower + "::" +
+                                                 ascii_lower(method->name));
+    }
+    // The block's name lists are already folded, sorted and unique.
+    const auto copy = [](std::span<const std::string_view> from,
+                         std::vector<std::string>& to) {
+        to.reserve(from.size());
+        for (const std::string_view name : from)
+            if (!name.empty()) to.emplace_back(name);
     };
-    const php::StmtVisitor on_stmt = [&](const php::Stmt& s) {
-        if (s.kind == php::NodeKind::kFunctionDecl) {
-            const auto& fn = static_cast<const php::FunctionDecl&>(s);
-            if (!fn.is_method && !fn.name.empty())
-                facts.declared_functions.push_back(ascii_lower(fn.name));
-        } else if (s.kind == php::NodeKind::kClassDecl) {
-            const auto& cls = static_cast<const php::ClassDecl&>(s);
-            if (cls.name.empty()) return;
-            const std::string class_lower = ascii_lower(cls.name);
-            facts.declared_classes.push_back(class_lower);
-            if (!cls.parent.empty() && !is_self_reference(cls.parent))
-                facts.used_classes.push_back(ascii_lower(cls.parent));
-            for (const php::FunctionDecl* method : cls.methods)
-                if (method && !method->name.empty())
-                    facts.declared_methods.push_back(class_lower + "::" +
-                                                     ascii_lower(method->name));
-        }
-    };
-    for (const php::StmtPtr& stmt : file.unit.statements)
-        if (stmt) php::walk_stmt(*stmt, on_expr, on_stmt);
-
+    copy(block.called_functions, facts.called_functions);
+    copy(block.called_methods, facts.called_methods);
+    copy(block.used_classes, facts.used_classes);
+    copy(block.include_paths, facts.include_paths);
     sort_unique(facts.declared_functions);
     sort_unique(facts.declared_classes);
     sort_unique(facts.declared_methods);
-    sort_unique(facts.called_functions);
-    sort_unique(facts.called_methods);
-    sort_unique(facts.used_classes);
-    sort_unique(facts.include_paths);
     return facts;
 }
 
@@ -185,8 +124,15 @@ std::string_view ProjectGraph::intern(std::string_view s) {
 }
 
 ProjectGraph::FileId ProjectGraph::file_id(std::string_view name) const {
-    const auto it = file_index_.find(name);
-    return it == file_index_.end() ? kNoFile : it->second;
+    const size_t pos = file_index_.find(name);
+    return pos == php::IncludeIndex::npos ? kNoFile : static_cast<FileId>(pos);
+}
+
+void ProjectGraph::index_files() {
+    std::vector<std::string_view> names;
+    names.reserve(files_.size());
+    for (const FileNode& node : files_) names.push_back(node.name);
+    file_index_ = php::IncludeIndex(names);
 }
 
 void ProjectGraph::finish_edges() {
@@ -220,7 +166,6 @@ ProjectGraph ProjectGraph::build(std::vector<FileFacts> facts) {
     std::map<std::string_view, FileId> function_file;
     std::map<std::string_view, FileId> class_file;
     std::map<std::string_view, std::vector<FileId>> method_files;
-    std::map<std::string_view, std::vector<FileId>> basename_index;
     for (const FileFacts& f : facts) {
         const FileId id = static_cast<FileId>(g.files_.size());
         FileNode node;
@@ -228,8 +173,6 @@ ProjectGraph ProjectGraph::build(std::vector<FileFacts> facts) {
         node.hash = f.content_hash;
         node.parse_failed = f.parse_failed;
         g.files_.push_back(std::move(node));
-        g.file_index_.emplace(g.files_.back().name, id);
-        basename_index[basename_of(g.files_.back().name)].push_back(id);
 
         for (const std::string& fn : f.declared_functions) {
             const FuncId fid = static_cast<FuncId>(g.functions_.size());
@@ -250,33 +193,16 @@ ProjectGraph ProjectGraph::build(std::vector<FileFacts> facts) {
         }
     }
 
-    // Pass 2: edges. Include paths resolve like Project::resolve_include
-    // (exact name, then suffix, then basename — file order breaks ties),
-    // accelerated through the basename index: every suffix or basename
-    // match shares the path's final segment.
+    // Pass 2: edges. Include paths resolve through the same index
+    // php::Project::resolve_include uses.
+    g.index_files();
     for (size_t i = 0; i < facts.size(); ++i) {
         const FileId from = static_cast<FileId>(i);
         FileNode& node = g.files_[i];
-        for (const std::string& raw : facts[i].include_paths) {
-            std::string_view path = raw;
-            while (starts_with(path, "./")) path.remove_prefix(2);
-            if (path.empty()) continue;
-            FileId to = g.file_id(path);
-            if (to == kNoFile) {
-                const auto candidates = basename_index.find(basename_of(path));
-                if (candidates != basename_index.end()) {
-                    for (const FileId c : candidates->second) {
-                        if (!php::ends_with_path(
-                                g.files_[static_cast<size_t>(c)].name, path))
-                            continue;
-                        to = c;
-                        break;
-                    }
-                    if (to == kNoFile && !candidates->second.empty())
-                        to = candidates->second.front();  // basename fallback
-                }
-            }
-            if (to != kNoFile) node.includes.push_back(to);
+        for (const std::string& path : facts[i].include_paths) {
+            const size_t to = g.file_index_.resolve(path);
+            if (to != php::IncludeIndex::npos)
+                node.includes.push_back(static_cast<FileId>(to));
         }
         const auto link_use = [&](const FileId to) {
             if (to != kNoFile && to != from) node.uses.push_back(to);
@@ -531,10 +457,9 @@ bool ProjectGraph::from_json(std::string_view text, ProjectGraph& out,
         node.name = g.intern(name->string);
         node.hash = hash;
         node.parse_failed = failed && failed->is_bool() && failed->boolean;
-        const FileId id = static_cast<FileId>(g.files_.size());
         g.files_.push_back(std::move(node));
-        g.file_index_.emplace(g.files_.back().name, id);
     }
+    g.index_files();
     const int64_t file_count = static_cast<int64_t>(g.files_.size());
     for (const JsonValue& fn : functions->array) {
         const JsonValue* name = fn.get("name");

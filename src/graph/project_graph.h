@@ -1,7 +1,7 @@
 // ProjectGraph: an explicit, queryable program graph for one scan request.
 // The include/call relationships phpSAFE relies on exist implicitly — as
 // resolution tables inside php::Project and as dependency records inside
-// AnalysisCache::validate_deps. This subsystem materializes them once per
+// service::DepCheckMemo. This subsystem materializes them once per
 // scan into a dense graph artifact:
 //
 //   nodes  - files (every source file of the request) and functions (every
@@ -9,14 +9,15 @@
 //            file). Node names are interned into an arena; all public
 //            surfaces traffic in dense integer ids (FileId / FuncId).
 //   edges  - include edges (a file's include/require literals, resolved
-//            with the same exact → suffix → basename rules as
-//            php::Project::resolve_include) and use edges (a file calling
-//            a function, using a class, or extending a parent declared in
-//            another file). Both directions are stored, so reverse
-//            reachability is one adjacency walk.
+//            by php::IncludeIndex — the resolver php::Project uses, so the
+//            graph, the engine and the interpreter pick the same file) and
+//            use edges (a file calling a function, using a class, or
+//            extending a parent declared in another file). Both directions
+//            are stored, so reverse reachability is one adjacency walk.
 //
-// The graph is built from per-file FileFacts — a cheap, AST-walk summary
-// of what a file declares, calls and includes. Facts are independent per
+// The graph is built from per-file FileFacts — a detached copy of the facts
+// block php::Project::parse_file records for each file (what it declares,
+// calls and includes), so no AST is walked here. Facts are independent per
 // file, which is what makes the watch mode's incremental rebuild possible:
 // an edit re-extracts facts for the changed files only and re-links the
 // graph (linking is O(V+E) string-map work, orders of magnitude below
@@ -36,7 +37,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -64,10 +64,10 @@ struct FileFacts {
                                                   ///< literal concat) paths
 };
 
-/// Extracts facts from one parsed file (one pre-order AST walk). An
-/// include path built by concatenation keeps its trailing string literal —
-/// the `dirname(__FILE__) . '/x.php'` idiom resolves through the same
-/// suffix match the engine uses.
+/// Copies one parsed file's facts block (php::FactsBlock) into detached
+/// FileFacts; walks no AST. An include path built by concatenation keeps
+/// its trailing string literal — the `dirname(__FILE__) . '/x.php'` idiom
+/// resolves through the same suffix match the engine uses.
 FileFacts extract_file_facts(const php::ParsedFile& file);
 
 /// True when two facts would produce the same graph nodes and edges —
@@ -105,7 +105,7 @@ public:
     /// php::Project: first declaration wins for functions and classes,
     /// method names link to every class declaring them (a conservative
     /// superset — the receiver class is not re-inferred here), include
-    /// paths resolve exact → suffix → basename in file order.
+    /// paths resolve through php::IncludeIndex over the facts' file order.
     static ProjectGraph build(std::vector<FileFacts> facts);
 
     // -- nodes ---------------------------------------------------------------
@@ -193,12 +193,14 @@ private:
     };
 
     std::string_view intern(std::string_view s);
+    /// Rebuilds file_index_ over the file nodes' names.
+    void index_files();
     void finish_edges();
 
     Arena names_;  ///< backs every node name; nodes hold views
     std::vector<FileNode> files_;
     std::vector<FuncNode> functions_;
-    std::map<std::string_view, FileId> file_index_;
+    php::IncludeIndex file_index_;  ///< over node names, in id order
     int include_edges_ = 0;
     int use_edges_ = 0;
 };

@@ -1,6 +1,8 @@
 #include "php/project.h"
 
 #include <algorithm>
+#include <array>
+#include <memory_resource>
 
 #include "obs/counters.h"
 #include "php/parser.h"
@@ -10,12 +12,262 @@
 
 namespace phpsafe::php {
 
+namespace {
+
+std::string_view basename_of(std::string_view path) {
+    const size_t slash = path.rfind('/');
+    return slash == std::string_view::npos ? path : path.substr(slash + 1);
+}
+
+bool is_self_reference(std::string_view class_name) {
+    return iequals(class_name, "self") || iequals(class_name, "static") ||
+           iequals(class_name, "parent");
+}
+
+/// Callback registration APIs make the named function "called":
+/// add_action('init', 'my_handler') etc. keep handlers reachable.
+bool is_callback_api(std::string_view name) {
+    static constexpr std::string_view kCallbackApis[] = {
+        "add_action", "add_filter", "register_activation_hook",
+        "register_deactivation_hook", "add_shortcode", "call_user_func",
+        "call_user_func_array", "array_map", "array_filter", "usort",
+    };
+    for (const std::string_view api : kCallbackApis)
+        if (iequals(name, api)) return true;
+    return false;
+}
+
+/// The trailing string literal of an include path expression, if any:
+/// handles plain literals and the `dirname(__FILE__) . '/x.php'` /
+/// `PLUGIN_DIR . 'inc/x.php'` concat idioms by descending the right spine.
+std::string_view include_literal(const Expr* path) {
+    while (path && path->kind == NodeKind::kBinary) {
+        const auto& binary = static_cast<const Binary&>(*path);
+        if (binary.op != BinaryOp::kConcat) return {};
+        path = binary.rhs;
+    }
+    if (!path || path->kind != NodeKind::kLiteral) return {};
+    const auto& literal = static_cast<const Literal&>(*path);
+    if (literal.type != Literal::Type::kString) return {};
+    return literal.value;
+}
+
+/// First-block sizing for a file's arena: AST nodes, child lists and the
+/// facts block take 4.5-5.6 arena bytes per byte of source on the
+/// generated corpus and monorepo.
+constexpr size_t kArenaBytesPerSourceByte = 5;
+
+template <typename Names>
+void sort_unique(Names& names) {
+    std::sort(names.begin(), names.end());
+    names.erase(std::unique(names.begin(), names.end()), names.end());
+}
+
+/// The facts walk's working lists, before they are frozen into the arena.
+/// They draw on a caller-provided memory resource — a stack buffer that a
+/// typical file never outgrows — so recording facts leaves nothing
+/// long-lived on the heap.
+struct FactsScratch {
+    template <typename T>
+    using List = std::pmr::vector<T>;
+
+    explicit FactsScratch(std::pmr::memory_resource* memory)
+        : classes(memory), functions(memory), called_functions(memory),
+          callback_functions(memory), called_methods(memory),
+          callback_methods(memory), used_classes(memory),
+          include_paths(memory), fold_buffer(memory) {}
+
+    bool uses_oop = false;
+    List<const ClassDecl*> classes;
+    List<const FunctionDecl*> functions;
+    List<std::string_view> called_functions;
+    List<std::string_view> callback_functions;
+    List<std::string_view> called_methods;
+    List<std::string_view> callback_methods;
+    List<std::string_view> used_classes;
+    List<std::string_view> include_paths;
+    std::pmr::string fold_buffer;
+
+    void record_stmt(const Stmt& s) {
+        if (s.kind == NodeKind::kClassDecl) {
+            const auto& cls = static_cast<const ClassDecl&>(s);
+            classes.push_back(&cls);
+            uses_oop = true;
+            if (!cls.name.empty() && !cls.parent.empty() &&
+                !is_self_reference(cls.parent))
+                used_classes.push_back(cls.parent);
+        } else if (s.kind == NodeKind::kFunctionDecl) {
+            const auto& fn = static_cast<const FunctionDecl&>(s);
+            if (!fn.is_method) functions.push_back(&fn);
+        }
+    }
+
+    void record_expr(const Expr& e) {
+        switch (e.kind) {
+            case NodeKind::kFunctionCall: {
+                const auto& call = static_cast<const FunctionCall&>(e);
+                if (call.name.empty()) break;
+                called_functions.push_back(call.name);
+                if (!is_callback_api(call.name)) break;
+                for (const Argument& arg : call.args) {
+                    if (!arg.value) continue;
+                    if (arg.value->kind == NodeKind::kLiteral) {
+                        const auto& lit = static_cast<const Literal&>(*arg.value);
+                        if (lit.type == Literal::Type::kString && !lit.value.empty())
+                            callback_functions.push_back(lit.value);
+                    }
+                    // array($obj, 'method') / array('Class', 'method')
+                    if (arg.value->kind == NodeKind::kArrayLiteral) {
+                        const auto& arr = static_cast<const ArrayLiteral&>(*arg.value);
+                        if (arr.items.size() == 2 && arr.items[1].value &&
+                            arr.items[1].value->kind == NodeKind::kLiteral) {
+                            const auto& lit =
+                                static_cast<const Literal&>(*arr.items[1].value);
+                            if (lit.type == Literal::Type::kString)
+                                callback_methods.push_back(lit.value);
+                        }
+                    }
+                }
+                break;
+            }
+            case NodeKind::kMethodCall: {
+                const auto& call = static_cast<const MethodCall&>(e);
+                uses_oop = true;
+                if (!call.method.empty()) called_methods.push_back(call.method);
+                break;
+            }
+            case NodeKind::kStaticCall: {
+                const auto& call = static_cast<const StaticCall&>(e);
+                uses_oop = true;
+                called_methods.push_back(call.method);
+                if (!call.class_name.empty() && !is_self_reference(call.class_name))
+                    used_classes.push_back(call.class_name);
+                break;
+            }
+            case NodeKind::kNew: {
+                const auto& n = static_cast<const New&>(e);
+                uses_oop = true;
+                if (!n.class_name.empty() && !is_self_reference(n.class_name))
+                    used_classes.push_back(n.class_name);
+                break;
+            }
+            case NodeKind::kPropertyAccess:
+            case NodeKind::kStaticPropertyAccess:
+                uses_oop = true;
+                break;
+            case NodeKind::kIncludeExpr: {
+                const auto& inc = static_cast<const IncludeExpr&>(e);
+                const std::string_view path = include_literal(inc.path);
+                if (!path.empty()) include_paths.push_back(path);
+                break;
+            }
+            default:
+                break;
+        }
+    }
+
+    /// Folds, sorts and dedupes `names`; only names case folding changes
+    /// are copied into the arena.
+    std::span<const std::string_view> freeze_folded(
+        Arena& arena, List<std::string_view>& names) {
+        std::sort(names.begin(), names.end(), FoldedLess{});
+        names.erase(std::unique(names.begin(), names.end(),
+                                [](std::string_view a, std::string_view b) {
+                                    return folded_compare(a, b) == 0;
+                                }),
+                    names.end());
+        for (std::string_view& name : names) {
+            if (std::none_of(name.begin(), name.end(),
+                             [](char c) { return c >= 'A' && c <= 'Z'; }))
+                continue;
+            fold_buffer.clear();
+            append_folded(fold_buffer, name);
+            name = arena.store(fold_buffer);
+        }
+        return freeze(arena, names);
+    }
+
+    /// Copies a finished list into the arena.
+    template <typename T>
+    static std::span<const T> freeze(Arena& arena, const List<T>& items) {
+        if (items.empty()) return {};
+        T* out = static_cast<T*>(
+            arena.allocate(items.size() * sizeof(T), alignof(T)));
+        std::uninitialized_copy(items.begin(), items.end(), out);
+        return {out, items.size()};
+    }
+};
+
+/// Records `file`'s facts block: one walk over its fresh AST.
+void record_facts(ParsedFile& file) {
+    std::array<std::byte, 16 * 1024> buffer;
+    std::pmr::monotonic_buffer_resource memory(buffer.data(), buffer.size());
+    FactsScratch scratch(&memory);
+    // One walk (php/walk.h: explicit stack) visits every statement outside
+    // closure bodies and every expression.
+    const ExprVisitor on_expr = [&](const Expr& e) { scratch.record_expr(e); };
+    const StmtVisitor on_stmt = [&](const Stmt& s) { scratch.record_stmt(s); };
+    for (const StmtPtr& stmt : file.unit.statements)
+        if (stmt) walk_stmt(*stmt, on_expr, on_stmt);
+    Arena& arena = file.arena;
+    FactsBlock& facts = file.facts;
+    facts.classes = FactsScratch::freeze(arena, scratch.classes);
+    facts.functions = FactsScratch::freeze(arena, scratch.functions);
+    facts.called_functions = scratch.freeze_folded(arena, scratch.called_functions);
+    facts.callback_functions =
+        scratch.freeze_folded(arena, scratch.callback_functions);
+    facts.called_methods = scratch.freeze_folded(arena, scratch.called_methods);
+    facts.callback_methods = scratch.freeze_folded(arena, scratch.callback_methods);
+    facts.used_classes = scratch.freeze_folded(arena, scratch.used_classes);
+    sort_unique(scratch.include_paths);
+    facts.include_paths = FactsScratch::freeze(arena, scratch.include_paths);
+    facts.uses_oop = scratch.uses_oop;
+}
+
+bool contains_folded(const std::vector<std::string_view>& sorted_folded,
+                     std::string_view name) {
+    return std::binary_search(sorted_folded.begin(), sorted_folded.end(), name,
+                              FoldedLess{});
+}
+
+}  // namespace
+
 uint64_t content_hash(std::string_view text) noexcept { return fnv1a64(text); }
 
 bool ends_with_path(std::string_view name, std::string_view path) noexcept {
     if (path.empty() || !ends_with(name, path)) return false;
     return name.size() == path.size() || path.front() == '/' ||
            name[name.size() - path.size() - 1] == '/';
+}
+
+IncludeIndex::IncludeIndex(const std::vector<std::string_view>& names) {
+    by_name_.reserve(names.size());
+    by_basename_.reserve(names.size());
+    for (size_t pos = 0; pos < names.size(); ++pos) {
+        by_name_.push_back({names[pos], names[pos], pos});
+        by_basename_.push_back({basename_of(names[pos]), names[pos], pos});
+    }
+    const auto by_key = [](const Entry& a, const Entry& b) {
+        return a.key != b.key ? a.key < b.key : a.pos < b.pos;
+    };
+    std::sort(by_name_.begin(), by_name_.end(), by_key);
+    std::sort(by_basename_.begin(), by_basename_.end(), by_key);
+}
+
+size_t IncludeIndex::find(std::string_view name) const {
+    const auto it = std::ranges::lower_bound(by_name_, name, {}, &Entry::key);
+    return it != by_name_.end() && it->key == name ? it->pos : npos;
+}
+
+size_t IncludeIndex::resolve(std::string_view path) const {
+    while (starts_with(path, "./")) path.remove_prefix(2);
+    if (path.empty()) return npos;
+    if (const size_t exact = find(path); exact != npos) return exact;
+    const auto bucket = std::ranges::equal_range(by_basename_, basename_of(path),
+                                                 {}, &Entry::key);
+    for (const Entry& entry : bucket)
+        if (ends_with_path(entry.name, path)) return entry.pos;
+    return bucket.empty() ? npos : bucket.front().pos;  // basename fallback
 }
 
 std::string FunctionRef::qualified_name() const {
@@ -50,12 +302,14 @@ std::shared_ptr<const ParsedFile> Project::parse_file(std::string name,
     auto pf = std::make_shared<ParsedFile>();
     pf->content_hash = content_hash(text);
     pf->text_bytes = text.size();
+    pf->arena = Arena::sized_for(kArenaBytesPerSourceByte * text.size());
     pf->source = std::make_unique<SourceFile>(name, std::move(text));
     const obs::CounterDelta delta;
     Parser parser(*pf->source, pf->arena, sink);
     pf->unit = parser.parse();
     pf->ast_nodes = delta.take().ast_nodes;
     lex_seconds += parser.lex_cpu_seconds();
+    record_facts(*pf);
     ++obs::tls().files_parsed;
     obs::tls().alloc_arena_bytes += pf->arena.bytes_allocated();
     obs::tls().alloc_arena_blocks += pf->arena.block_count();
@@ -74,21 +328,11 @@ void Project::parse_all(DiagnosticSink& sink) {
                                           lex_seconds);
     }
     pending_.clear();
-
-    file_calls_.assign(files_.size(), FileCalls{});
-    for (size_t i = 0; i < files_.size(); ++i) {
-        const std::shared_ptr<const ParsedFile>& pf = files_[i];
-        index_statements(pf->unit.statements, pf->unit.file_name);
-        current_calls_ = &file_calls_[i];
-        for (const StmtPtr& s : pf->unit.statements)
-            if (s) record_calls_stmt(*s);
-    }
-    current_calls_ = nullptr;
-    merge_calls();
+    merge_facts();
 
     // Stage attribution: lex time is measured inside the parser; everything
-    // else in this call (parsing proper plus declaration indexing) counts as
-    // the parse stage of model construction.
+    // else in this call (parsing proper, the facts walk and the merge)
+    // counts as the parse stage of model construction.
     build_stats_.lex_cpu_seconds += lex_seconds;
     build_stats_.parse_cpu_seconds +=
         thread_cpu_seconds() - build_start - lex_seconds;
@@ -96,123 +340,74 @@ void Project::parse_all(DiagnosticSink& sink) {
 
 std::optional<Project> Project::fork_with_replacement(
     std::string_view file_name, std::string text, DiagnosticSink& sink) const {
-    size_t slot = files_.size();
-    for (size_t i = 0; i < files_.size(); ++i)
-        if (files_[i] && files_[i]->unit.file_name == file_name) {
-            slot = i;
-            break;
-        }
-    // Refuse when the file is unknown or this project was never fully built
-    // (unparsed pending files, or no per-file call provenance to subtract).
-    if (slot == files_.size() || !pending_.empty() ||
-        file_calls_.size() != files_.size())
-        return std::nullopt;
+    // An unbuilt project (pending files) has an empty include index, so an
+    // unknown file and a project that was never parsed both refuse here.
+    const size_t slot = include_index_.find(file_name);
+    if (slot == IncludeIndex::npos || !pending_.empty()) return std::nullopt;
 
     Project fork(name_);
     const double build_start = thread_cpu_seconds();
     double lex_seconds = 0;
     fork.files_ = files_;
-    const std::shared_ptr<const ParsedFile> replacement =
+    fork.files_[slot] =
         parse_file(std::string(file_name), std::move(text), sink, lex_seconds);
-    fork.files_[slot] = replacement;
     fork.build_stats_.files_reused = static_cast<int>(files_.size()) - 1;
-
-    // Index the replacement alone, then capture its entries for splicing.
-    fork.index_statements(replacement->unit.statements,
-                          replacement->unit.file_name);
-    const std::vector<FunctionRef> repl_functions =
-        std::move(fork.function_list_);
-    const std::vector<std::pair<const ClassDecl*, const std::string*>>
-        repl_classes = std::move(fork.class_list_);
-    fork.functions_.clear();
-    fork.methods_.clear();
-    fork.classes_.clear();
-    fork.class_files_.clear();
-    fork.function_list_.clear();
-    fork.class_list_.clear();
-
-    // Splice declaration order: parse_all() indexes file by file, so each
-    // list is a sequence of per-file blocks in registration order. Keep the
-    // unchanged files' blocks (their views stay valid — the fork shares
-    // those ParsedFiles), drop the replaced file's, and put the
-    // replacement's block where the old one was.
-    std::map<std::string_view, size_t> file_order;
-    for (size_t i = 0; i < files_.size(); ++i)
-        file_order.emplace(files_[i]->unit.file_name, i);
-    const auto order_of = [&](std::string_view file) {
-        const auto it = file_order.find(file);
-        return it == file_order.end() ? files_.size() : it->second;
-    };
-    bool fn_spliced = false;
-    for (const FunctionRef& ref : function_list_) {
-        const size_t ord = order_of(ref.file);
-        if (ord == slot) continue;
-        if (!fn_spliced && ord > slot) {
-            fork.function_list_.insert(fork.function_list_.end(),
-                                       repl_functions.begin(),
-                                       repl_functions.end());
-            fn_spliced = true;
-        }
-        fork.function_list_.push_back(ref);
-    }
-    if (!fn_spliced)
-        fork.function_list_.insert(fork.function_list_.end(),
-                                   repl_functions.begin(),
-                                   repl_functions.end());
-    bool cls_spliced = false;
-    for (const auto& entry : class_list_) {
-        const size_t ord = order_of(*entry.second);
-        if (ord == slot) continue;
-        if (!cls_spliced && ord > slot) {
-            fork.class_list_.insert(fork.class_list_.end(),
-                                    repl_classes.begin(), repl_classes.end());
-            cls_spliced = true;
-        }
-        fork.class_list_.push_back(entry);
-    }
-    if (!cls_spliced)
-        fork.class_list_.insert(fork.class_list_.end(), repl_classes.begin(),
-                                repl_classes.end());
-
-    // Rebuild the lookup maps from the spliced lists. Iterating in
-    // declaration order reproduces parse_all()'s emplace order exactly, so
-    // duplicate declarations resolve to the same winners a full rebuild of
-    // the patched file set would pick.
-    for (const FunctionRef& ref : fork.function_list_) {
-        if (ref.owner)
-            fork.methods_.emplace(MethodKey{ref.owner->name, ref.decl->name},
-                                  ref);
-        else
-            fork.functions_.emplace(ref.decl->name, ref);
-    }
-    for (const auto& [decl, file] : fork.class_list_) {
-        fork.classes_.emplace(decl->name, decl);
-        fork.class_files_.emplace(decl->name, file);
-    }
-
-    // Called-name sets: keep the unchanged files' per-file contributions,
-    // re-record only the replacement's, and re-merge.
-    fork.file_calls_ = file_calls_;
-    fork.file_calls_[slot] = FileCalls{};
-    fork.current_calls_ = &fork.file_calls_[slot];
-    for (const StmtPtr& s : replacement->unit.statements)
-        if (s) fork.record_calls_stmt(*s);
-    fork.current_calls_ = nullptr;
-    fork.merge_calls();
-
+    fork.merge_facts();
     fork.build_stats_.lex_cpu_seconds = lex_seconds;
     fork.build_stats_.parse_cpu_seconds =
         thread_cpu_seconds() - build_start - lex_seconds;
     return fork;
 }
 
+void Project::merge_facts() {
+    functions_.clear();
+    classes_.clear();
+    methods_.clear();
+    function_list_.clear();
+    called_functions_.clear();
+    called_methods_.clear();
+    std::vector<std::string_view> names;
+    names.reserve(files_.size());
+    for (const std::shared_ptr<const ParsedFile>& pf : files_) {
+        // Keys are views of the declaration names in the file's arena; the
+        // file is the stable unit.file_name of the declaring ParsedFile.
+        const std::string& file = pf->unit.file_name;
+        names.emplace_back(file);
+        const FactsBlock& facts = pf->facts;
+        for (const ClassDecl* cls : facts.classes) {
+            classes_.emplace(cls->name, ClassEntry{cls, &file});
+            for (const FunctionDecl* method : cls->methods) {
+                const FunctionRef ref{method, cls, file};
+                methods_.emplace(MethodKey{cls->name, method->name}, ref);
+                function_list_.push_back(ref);
+            }
+        }
+        for (const FunctionDecl* fn : facts.functions) {
+            const FunctionRef ref{fn, nullptr, file};
+            functions_.emplace(fn->name, ref);
+            function_list_.push_back(ref);
+        }
+        for (const auto list : {facts.called_functions, facts.callback_functions})
+            called_functions_.insert(called_functions_.end(), list.begin(),
+                                     list.end());
+        for (const auto list : {facts.called_methods, facts.callback_methods})
+            called_methods_.insert(called_methods_.end(), list.begin(),
+                                   list.end());
+    }
+    sort_unique(called_functions_);
+    sort_unique(called_methods_);
+    include_index_ = IncludeIndex(names);
+}
+
 std::string Project::declaration_fingerprint(std::string_view file) const {
     std::string fp;
-    for (const auto& [decl, from] : class_list_) {
-        if (*from != file) continue;
-        fp += "class ";
-        fp += decl->name;
-        fp += ';';
+    for (const auto& pf : files_) {
+        if (pf->unit.file_name != file) continue;
+        for (const ClassDecl* cls : pf->facts.classes) {
+            fp += "class ";
+            fp += cls->name;
+            fp += ';';
+        }
     }
     for (const FunctionRef& ref : function_list_) {
         if (ref.file != file) continue;
@@ -229,137 +424,13 @@ int Project::total_lines() const noexcept {
 }
 
 const ParsedFile* Project::file_named(std::string_view name) const {
-    for (const auto& pf : files_)
-        if (pf && pf->source->name() == name) return pf.get();
-    return nullptr;
+    const size_t pos = include_index_.find(name);
+    return pos == IncludeIndex::npos ? nullptr : files_[pos].get();
 }
 
-void Project::index_statements(const ArenaVector<StmtPtr>& stmts,
-                               const std::string& file) {
-    // Pass 1: register classes and their methods. Keys are views of the
-    // declaration names in the file's arena; `file` is the stable
-    // unit.file_name of the declaring ParsedFile — indexing a declaration
-    // costs one tree-node allocation and nothing else.
-    auto visit = [&](const Stmt& s) {
-        if (s.kind != NodeKind::kClassDecl) return;
-        const auto& cls = static_cast<const ClassDecl&>(s);
-        classes_.emplace(cls.name, &cls);
-        class_files_.emplace(cls.name, &file);
-        class_list_.emplace_back(&cls, &file);
-        for (const FunctionDecl* method : cls.methods) {
-            FunctionRef ref{method, &cls, file};
-            methods_.emplace(MethodKey{cls.name, method->name}, ref);
-            function_list_.push_back(ref);
-        }
-    };
-    for (const StmtPtr& stmt : stmts)
-        if (stmt) walk_stmt(*stmt, [](const Expr&) {}, visit);
-
-    // Pass 2: free functions, wherever declared (top level, inside
-    // conditional guards, nested in other functions). walk_stmt also visits
-    // method FunctionDecls; the parser marks those with is_method.
-    auto visit_fn = [&](const Stmt& s) {
-        if (s.kind != NodeKind::kFunctionDecl) return;
-        const auto& fn = static_cast<const FunctionDecl&>(s);
-        if (fn.is_method) return;
-        FunctionRef ref{&fn, nullptr, file};
-        functions_.emplace(fn.name, ref);
-        function_list_.push_back(ref);
-    };
-    for (const StmtPtr& stmt : stmts)
-        if (stmt) walk_stmt(*stmt, [](const Expr&) {}, visit_fn);
-}
-
-void Project::record_calls_stmt(const Stmt& s) {
-    walk_stmt(
-        s, [this](const Expr& e) { record_calls_expr(e); }, [](const Stmt&) {});
-}
-
-void Project::note_called_function(std::string_view name) {
-    call_key_.clear();
-    append_folded(call_key_, name);
-    std::set<std::string>& into =
-        current_calls_ ? current_calls_->functions : called_functions_;
-    if (!into.count(call_key_)) into.insert(call_key_);
-}
-
-void Project::note_called_method(std::string_view class_name,
-                                 std::string_view method) {
-    call_key_.clear();
-    append_folded(call_key_, class_name);
-    call_key_ += "::";
-    append_folded(call_key_, method);
-    std::set<std::string>& into =
-        current_calls_ ? current_calls_->methods : called_methods_;
-    if (!into.count(call_key_)) into.insert(call_key_);
-}
-
-void Project::merge_calls() {
-    called_functions_.clear();
-    called_methods_.clear();
-    for (const FileCalls& calls : file_calls_) {
-        called_functions_.insert(calls.functions.begin(), calls.functions.end());
-        called_methods_.insert(calls.methods.begin(), calls.methods.end());
-    }
-}
-
-void Project::record_calls_expr(const Expr& e) {
-    switch (e.kind) {
-        case NodeKind::kFunctionCall: {
-            const auto& call = static_cast<const FunctionCall&>(e);
-            if (!call.name.empty()) note_called_function(call.name);
-            // Callback registration APIs make the named function "called":
-            // add_action('init', 'my_handler') etc. keep handlers reachable.
-            static const char* kCallbackApis[] = {
-                "add_action", "add_filter", "register_activation_hook",
-                "register_deactivation_hook", "add_shortcode", "call_user_func",
-                "call_user_func_array", "array_map", "array_filter", "usort",
-            };
-            for (const char* api : kCallbackApis) {
-                if (!iequals(call.name, api)) continue;
-                for (const Argument& arg : call.args) {
-                    if (!arg.value) continue;
-                    if (arg.value->kind == NodeKind::kLiteral) {
-                        const auto& lit = static_cast<const Literal&>(*arg.value);
-                        if (lit.type == Literal::Type::kString && !lit.value.empty())
-                            note_called_function(lit.value);
-                    }
-                    // array($obj, 'method') / array('Class', 'method')
-                    if (arg.value->kind == NodeKind::kArrayLiteral) {
-                        const auto& arr = static_cast<const ArrayLiteral&>(*arg.value);
-                        if (arr.items.size() == 2 && arr.items[1].value &&
-                            arr.items[1].value->kind == NodeKind::kLiteral) {
-                            const auto& lit =
-                                static_cast<const Literal&>(*arr.items[1].value);
-                            if (lit.type == Literal::Type::kString)
-                                note_called_method("", lit.value);
-                        }
-                    }
-                }
-            }
-            break;
-        }
-        case NodeKind::kMethodCall: {
-            const auto& call = static_cast<const MethodCall&>(e);
-            if (!call.method.empty())
-                note_called_method("", call.method);
-            break;
-        }
-        case NodeKind::kStaticCall: {
-            const auto& call = static_cast<const StaticCall&>(e);
-            note_called_method(call.class_name, call.method);
-            note_called_method("", call.method);
-            break;
-        }
-        case NodeKind::kNew: {
-            const auto& n = static_cast<const New&>(e);
-            if (!n.class_name.empty())
-                note_called_method(n.class_name, "__construct");
-            break;
-        }
-        default:
-            break;
-    }
+const ParsedFile* Project::resolve_include(std::string_view path) const {
+    const size_t pos = include_index_.resolve(path);
+    return pos == IncludeIndex::npos ? nullptr : files_[pos].get();
 }
 
 const FunctionRef* Project::find_function(std::string_view name) const {
@@ -369,13 +440,13 @@ const FunctionRef* Project::find_function(std::string_view name) const {
 
 const ClassDecl* Project::find_class(std::string_view name) const {
     const auto it = classes_.find(name);
-    return it == classes_.end() ? nullptr : it->second;
+    return it == classes_.end() ? nullptr : it->second.decl;
 }
 
 const std::string& Project::file_of_class(std::string_view class_name) const {
     static const std::string kEmpty;
-    const auto it = class_files_.find(class_name);
-    return it == class_files_.end() ? kEmpty : *it->second;
+    const auto it = classes_.find(class_name);
+    return it == classes_.end() ? kEmpty : *it->second.file;
 }
 
 const FunctionRef* Project::find_method(std::string_view class_name,
@@ -387,8 +458,9 @@ const FunctionRef* Project::find_method(std::string_view class_name,
         const auto it = methods_.find(MethodKey{cls, method_name});
         if (it != methods_.end()) return &it->second;
         const auto cit = classes_.find(cls);
-        if (cit == classes_.end() || cit->second->parent.empty()) return nullptr;
-        cls = cit->second->parent;
+        if (cit == classes_.end() || cit->second.decl->parent.empty())
+            return nullptr;
+        cls = cit->second.decl->parent;
     }
     return nullptr;
 }
@@ -408,42 +480,14 @@ std::vector<FunctionRef> Project::uncalled_functions() const {
     for (const FunctionRef& ref : function_list_) {
         if (!ref.decl) continue;
         if (ref.owner) {
-            const std::string method = ascii_lower(ref.decl->name);
-            if (method == "__construct") continue;  // run via `new`
-            const bool called =
-                called_methods_.count(ascii_lower(ref.owner->name) + "::" + method) ||
-                called_methods_.count("::" + method);
-            if (!called) out.push_back(ref);
-        } else {
-            if (!called_functions_.count(ascii_lower(ref.decl->name)))
+            if (iequals(ref.decl->name, "__construct")) continue;  // run via `new`
+            if (!contains_folded(called_methods_, ref.decl->name))
                 out.push_back(ref);
+        } else if (!contains_folded(called_functions_, ref.decl->name)) {
+            out.push_back(ref);
         }
     }
     return out;
-}
-
-const ParsedFile* Project::resolve_include(std::string_view path) const {
-    if (path.empty()) return nullptr;
-    // Normalize leading "./".
-    while (starts_with(path, "./")) path.remove_prefix(2);
-
-    for (const auto& pf : files_)
-        if (pf->source->name() == path) return pf.get();
-    for (const auto& pf : files_)
-        if (ends_with_path(pf->source->name(), path)) return pf.get();
-    // Basename match as last resort.
-    const size_t slash = path.rfind('/');
-    const std::string_view base =
-        slash == std::string_view::npos ? path : path.substr(slash + 1);
-    for (const auto& pf : files_) {
-        const std::string& name = pf->source->name();
-        const size_t s = name.rfind('/');
-        const std::string_view file_base =
-            s == std::string::npos ? std::string_view(name)
-                                   : std::string_view(name).substr(s + 1);
-        if (file_base == base) return pf.get();
-    }
-    return nullptr;
 }
 
 }  // namespace phpsafe::php

@@ -5,6 +5,13 @@
 // in WordPress plugins) — and records which functions are called from
 // plugin code so the engine can analyze the never-called ones too.
 //
+// Each file is indexed once, when it is parsed: one walk over the fresh AST
+// records the file's FactsBlock (declarations, called names, used classes,
+// include literals, OOP use). The project's tables are a merge of those
+// blocks in file order, and file names and includes resolve through one
+// IncludeIndex — so building a project from already-parsed files, or
+// forking one with a single file replaced, walks no AST at all.
+//
 // Incremental-analysis hooks (service/): every file carries a stable
 // content hash (fnv1a64 of its text), parsed files are held by shared
 // pointer so an immutable AST can be shared between the project that parsed
@@ -17,7 +24,7 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,16 +37,49 @@
 
 namespace phpsafe::php {
 
+/// What one file declares, calls and includes, recorded by the single walk
+/// Project::parse_file makes over the fresh AST. Every later consumer — the
+/// project's declaration tables and called-name sets, graph::FileFacts and
+/// the engine's OOP check — reads this block instead of walking the AST
+/// again. The lists live in the file's arena; names are views into the
+/// source text or the arena (an arena copy only where case folding changed
+/// a name). Statements inside closure bodies declare nothing here (PHP
+/// defines them only when the closure runs), but their expressions count.
+struct FactsBlock {
+    /// Declarations, each list in pre-order (declaration) order. A class's
+    /// methods are its ClassDecl::methods.
+    std::span<const ClassDecl* const> classes;
+    std::span<const FunctionDecl* const> functions;  ///< free functions
+    // Name lists below are sorted and unique; call names are ASCII-folded.
+    std::span<const std::string_view> called_functions;  ///< f(...)
+    /// Functions named by a callback API: add_action('init', 'f') etc.
+    std::span<const std::string_view> callback_functions;
+    std::span<const std::string_view> called_methods;  ///< $o->m(), C::m()
+    /// Methods named by an array($obj, 'm') callback.
+    std::span<const std::string_view> callback_methods;
+    /// Folded classes named by `new C`, `C::m()` or `extends C` (not
+    /// self/static/parent).
+    std::span<const std::string_view> used_classes;
+    /// include/require path literals, case kept. A concatenated path keeps
+    /// its trailing string literal, so `dirname(__FILE__) . '/x.php'`
+    /// resolves through the suffix rule.
+    std::span<const std::string_view> include_paths;
+    /// A class declaration, method call, property access, static access or
+    /// `new` anywhere in the file.
+    bool uses_oop = false;
+};
+
 /// One immutable parsed file. The AST's nodes and every string_view hanging
-/// off them point into `arena` or `source`; member order matters — `unit` is
-/// destroyed first, then the arena, then the source text, so nothing dangles
-/// during teardown. Holders of node pointers (engine scopes, summaries,
+/// off them point into `arena` or `source`; member order matters — `facts`
+/// and `unit` are destroyed first, then the arena, then the source text, so
+/// nothing dangles during teardown. Holders of node pointers (engine scopes, summaries,
 /// findings) must either keep the owning shared_ptr alive or copy/intern the
 /// strings they retain (see docs/performance.md).
 struct ParsedFile {
     std::unique_ptr<SourceFile> source;
-    Arena arena;  ///< backs all AST nodes + decoded/synthesized strings
+    Arena arena;  ///< backs all AST nodes, the facts block and copied strings
     FileUnit unit;
+    FactsBlock facts;
     bool parse_failed = false;  ///< a kFatal diagnostic was recorded
     uint64_t content_hash = 0;  ///< fnv1a64 of the source text
     uint64_t text_bytes = 0;    ///< source text size
@@ -53,6 +93,41 @@ uint64_t content_hash(std::string_view text) noexcept;
 /// Include suffix match at a path-segment boundary: "x/b.php" ends with
 /// "b.php", "ab.php" does not.
 bool ends_with_path(std::string_view name, std::string_view path) noexcept;
+
+/// The one file-name and include resolver: an exact-name index plus
+/// basename buckets over an ordered file set. Project resolves file names
+/// and include literals through it, and graph::ProjectGraph links its
+/// include edges through it, so the engine, the interpreter, the cache's
+/// dependency checks and the graph always pick the same file.
+class IncludeIndex {
+public:
+    static constexpr size_t npos = static_cast<size_t>(-1);
+
+    IncludeIndex() = default;
+    /// `names[i]` names file i; the viewed strings must outlive the index.
+    explicit IncludeIndex(const std::vector<std::string_view>& names);
+
+    /// Position of the first file named exactly `name`, or npos.
+    size_t find(std::string_view name) const;
+
+    /// Resolves an include path literal. After stripping leading "./", an
+    /// empty path resolves to nothing; otherwise the exact name wins, then
+    /// the first file whose name ends with the path at a segment boundary
+    /// (ends_with_path), then the first file with the path's basename —
+    /// "first" in file order. Every suffix match shares the path's
+    /// basename, so both fallbacks scan one basename bucket. Returns npos
+    /// for external (CMS / PHP library) includes.
+    size_t resolve(std::string_view path) const;
+
+private:
+    struct Entry {
+        std::string_view key;   ///< full name or basename
+        std::string_view name;  ///< full name
+        size_t pos = 0;
+    };
+    std::vector<Entry> by_name_;      ///< sorted by (name, pos)
+    std::vector<Entry> by_basename_;  ///< sorted by (basename, pos)
+};
 
 /// Where a function/method declaration lives. `file` is a view of the
 /// declaring ParsedFile's unit.file_name — valid as long as the Project
@@ -70,8 +145,9 @@ struct FunctionRef {
 class Project {
 public:
     /// CPU cost of model construction, split by stage. parse_all() adds to
-    /// these; lex covers tokenization, parse covers tree building plus
-    /// declaration indexing. Files injected via add_parsed() cost neither.
+    /// these; lex covers tokenization, parse covers tree building plus the
+    /// facts walk and the table merge. Files injected via add_parsed() cost
+    /// neither.
     struct BuildStats {
         double lex_cpu_seconds = 0;
         double parse_cpu_seconds = 0;
@@ -93,19 +169,19 @@ public:
     /// relative to add_file() calls; call parse_all() afterwards to index it.
     void add_parsed(std::shared_ptr<const ParsedFile> file);
 
-    /// Parses every registered file and builds the declaration tables.
+    /// Parses every registered file and merges all facts blocks into the
+    /// declaration tables, the called-name sets and the include index.
     void parse_all(DiagnosticSink& sink);
 
     /// Parses `text` as a replacement for the existing file `file_name` and
     /// returns a project equal to the one add_file()+parse_all() would build
-    /// over the patched file set — same files, same declaration tables in
-    /// the same declaration order, same called-name sets — without re-lexing
-    /// or re-walking any unchanged file. Every other ParsedFile is shared
-    /// with this project (both pin them by shared_ptr, so neither project's
-    /// lifetime depends on the other's). This is the model-construction fast
-    /// path of batch quickfix verification (validate/): a single-file patch
-    /// re-parses one file instead of re-indexing the whole plugin. Returns
-    /// nullopt when `file_name` names no file of this project.
+    /// over the patched file set. Every other ParsedFile is shared with this
+    /// project (both pin them by shared_ptr, so neither project's lifetime
+    /// depends on the other's) and contributes its facts block unchanged:
+    /// the fork lexes, parses and walks one file. This is the
+    /// model-construction fast path of batch quickfix verification
+    /// (validate/). Returns nullopt when `file_name` names no file of this
+    /// (fully built) project.
     std::optional<Project> fork_with_replacement(std::string_view file_name,
                                                  std::string text,
                                                  DiagnosticSink& sink) const;
@@ -119,7 +195,8 @@ public:
     /// Total lines across all files (the paper reports corpus KLOC).
     int total_lines() const noexcept;
 
-    /// Exact-name file lookup (used by the service's dependency validation).
+    /// Exact-name file lookup through the include index; the first file of
+    /// a duplicated name wins.
     const ParsedFile* file_named(std::string_view name) const;
 
     /// Free function lookup (case-insensitive, as in PHP).
@@ -140,7 +217,8 @@ public:
     /// paper's backward name search over the token stream).
     const FunctionRef* find_method_any(std::string_view method_name) const;
 
-    /// All declared functions and methods, in declaration order.
+    /// All declared functions and methods in declaration order: file by
+    /// file, each file's methods (class by class) before its free functions.
     const std::vector<FunctionRef>& all_functions() const noexcept {
         return function_list_;
     }
@@ -152,44 +230,38 @@ public:
     /// across a single-file patch (validate/).
     std::string declaration_fingerprint(std::string_view file) const;
 
-    /// Names of free functions called anywhere in plugin code (lowercased).
-    const std::set<std::string>& called_function_names() const noexcept {
+    /// Names of free functions called anywhere in plugin code, directly or
+    /// through a callback API (lowercased, sorted, unique).
+    const std::vector<std::string_view>& called_function_names() const noexcept {
         return called_functions_;
     }
 
-    /// "class::method" pairs called anywhere in plugin code (lowercased).
-    const std::set<std::string>& called_method_names() const noexcept {
+    /// Method names called anywhere in plugin code — through any receiver,
+    /// statically, or as an array callback (lowercased, sorted, unique).
+    const std::vector<std::string_view>& called_method_names() const noexcept {
         return called_methods_;
     }
 
     /// Functions and methods never called from plugin code (paper §III.C:
     /// these must still be analyzed — the CMS may call them directly).
+    /// Constructors count as called (`new` runs them).
     std::vector<FunctionRef> uncalled_functions() const;
 
-    /// Resolves an include path literal to a parsed file of this project,
-    /// matching by exact name, then path suffix (ends_with_path), then
-    /// basename. Returns null for
-    /// external (CMS / PHP library) includes.
+    /// Resolves an include path literal to a parsed file of this project
+    /// (IncludeIndex::resolve). Returns null for external (CMS / PHP
+    /// library) includes.
     const ParsedFile* resolve_include(std::string_view path) const;
 
 private:
-    void index_statements(const ArenaVector<StmtPtr>& stmts, const std::string& file);
-    void record_calls_expr(const Expr& e);
-    void record_calls_stmt(const Stmt& s);
-    /// Lexes + parses one file into an immutable ParsedFile (the body of the
-    /// parse_all() pending loop, shared with fork_with_replacement()).
+    /// Lexes + parses one file into an immutable ParsedFile and records its
+    /// facts block (the body of the parse_all() pending loop, shared with
+    /// fork_with_replacement()).
     static std::shared_ptr<const ParsedFile> parse_file(std::string name,
                                                         std::string text,
                                                         DiagnosticSink& sink,
                                                         double& lex_seconds);
-    /// Rebuilds the merged called-name sets from the per-file sets.
-    void merge_calls();
-    /// Folds `name` into the reused scratch key and records it; allocates
-    /// only the first time a given name is seen (call sites vastly outnumber
-    /// unique callees, so the hot path stays allocation-free).
-    void note_called_function(std::string_view name);
-    /// Records "class::method" (or "::method" when the class is unknown).
-    void note_called_method(std::string_view class_name, std::string_view method);
+    /// Rebuilds every table from the files' facts blocks, in file order.
+    void merge_facts();
 
     std::string name_;
     /// Files in registration order. Slots for add_file() entries stay null
@@ -205,11 +277,15 @@ private:
     /// live in the owning file's arena (pinned by files_), under the
     /// transparent FoldedLess comparator — so indexing a declaration costs
     /// one tree-node allocation and lookups pass mixed-case string_views
-    /// straight from AST nodes without allocating a folded temporary.
+    /// straight from AST nodes without allocating a folded temporary. The
+    /// merge emplaces in declaration order, so the first declaration of a
+    /// duplicated name wins.
     std::map<std::string_view, FunctionRef, FoldedLess> functions_;
-    std::map<std::string_view, const ClassDecl*, FoldedLess> classes_;
-    /// Values point at the declaring file's unit.file_name (stable).
-    std::map<std::string_view, const std::string*, FoldedLess> class_files_;
+    struct ClassEntry {
+        const ClassDecl* decl = nullptr;
+        const std::string* file = nullptr;  ///< declaring unit.file_name
+    };
+    std::map<std::string_view, ClassEntry, FoldedLess> classes_;
     /// Methods are keyed (class, method) — both views — folded per part.
     struct MethodKey {
         std::string_view class_name;
@@ -226,24 +302,10 @@ private:
     };
     std::map<MethodKey, FunctionRef, MethodKeyLess> methods_;
     std::vector<FunctionRef> function_list_;
-    /// Every class declaration in declaration order with its declaring
-    /// file's stable unit.file_name. Like function_list_, this keeps full
-    /// provenance (the maps above drop duplicate declarations), so
-    /// fork_with_replacement() can rebuild the class tables exactly.
-    std::vector<std::pair<const ClassDecl*, const std::string*>> class_list_;
-    std::set<std::string> called_functions_;
-    std::set<std::string> called_methods_;  ///< "class::method" or "::method"
-    /// Per-file contribution to the called-name sets, parallel to files_.
-    /// parse_all() fills it and merges into the global sets; recording
-    /// provenance is what lets fork_with_replacement() subtract exactly the
-    /// replaced file's calls without re-walking every other file's AST.
-    struct FileCalls {
-        std::set<std::string> functions;
-        std::set<std::string> methods;
-    };
-    std::vector<FileCalls> file_calls_;
-    FileCalls* current_calls_ = nullptr;  ///< target of note_called_* during indexing
-    std::string call_key_;  ///< scratch buffer for note_called_* key folding
+    /// Views into the files' facts blocks (pinned by files_).
+    std::vector<std::string_view> called_functions_;
+    std::vector<std::string_view> called_methods_;
+    IncludeIndex include_index_;
     BuildStats build_stats_;
 };
 

@@ -1,9 +1,16 @@
-// Generic AST traversal helpers: enumerate the direct children of a node.
-// Used by the project indexer, the baselines and tests; the taint engine
-// walks the tree itself because evaluation order matters there.
+// Generic AST traversal helpers: enumerate the direct children of a node,
+// or walk a whole tree. Used by the parse-time facts walk (php/project.cpp),
+// the benches and tests; the taint engine walks the tree itself because
+// evaluation order matters there. The tree walk keeps an explicit stack,
+// so a 40k-term concatenation costs heap, not call stack.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <functional>
+#include <memory_resource>
+#include <vector>
 
 #include "php/ast.h"
 
@@ -18,11 +25,10 @@ void for_each_child_expr(const Expr& e, const ExprVisitor& ec);
 /// Invokes `ec` / `sc` on direct expression / statement children of `s`.
 void for_each_child(const Stmt& s, const ExprVisitor& ec, const StmtVisitor& sc);
 
-/// Depth-first pre-order walk of an expression tree.
-void walk_expr(const Expr& e, const ExprVisitor& ec);
-
-/// Depth-first pre-order walk of a statement tree (visits every statement
-/// and every expression, including those nested in functions/classes).
+/// Depth-first pre-order walk of a statement tree: visits every statement
+/// and every expression, including those nested in functions/classes.
+/// Statements inside closure bodies reach only `ec` (their expressions),
+/// never `sc` — a closure's body is not a declaration site.
 void walk_stmt(const Stmt& s, const ExprVisitor& ec, const StmtVisitor& sc);
 
 inline void for_each_child_expr(const Expr& e, const ExprVisitor& ec) {
@@ -240,22 +246,49 @@ inline void for_each_child(const Stmt& s, const ExprVisitor& ec, const StmtVisit
     }
 }
 
-inline void walk_expr(const Expr& e, const ExprVisitor& ec) {
-    ec(e);
-    for_each_child_expr(e, [&](const Expr& child) { walk_expr(child, ec); });
-    // Closures carry statements; descend into them too.
-    if (e.kind == NodeKind::kClosure) {
-        const auto& c = static_cast<const Closure&>(e);
-        for (const StmtPtr& s : c.body)
-            if (s) walk_stmt(*s, ec, [](const Stmt&) {});
+inline void walk_stmt(const Stmt& root, const ExprVisitor& ec,
+                      const StmtVisitor& sc) {
+    struct Item {
+        const Node* node;
+        bool is_stmt;
+        bool visit_stmts;  ///< false inside closure bodies
+    };
+    // The explicit stack starts in a stack buffer, so a typical walk
+    // allocates nothing and a deep one borrows heap only until it returns.
+    std::array<std::byte, 8 * 1024> buffer;
+    std::pmr::monotonic_buffer_resource memory(buffer.data(), buffer.size());
+    std::pmr::vector<Item> stack(&memory);
+    bool visit_stmts = true;
+    const ExprVisitor push_expr = [&](const Expr& e) {
+        stack.push_back({&e, false, visit_stmts});
+    };
+    const StmtVisitor push_stmt = [&](const Stmt& s) {
+        stack.push_back({&s, true, visit_stmts});
+    };
+    stack.push_back({&root, true, true});
+    while (!stack.empty()) {
+        const Item item = stack.back();
+        stack.pop_back();
+        visit_stmts = item.visit_stmts;
+        const size_t mark = stack.size();
+        if (item.is_stmt) {
+            const auto& s = static_cast<const Stmt&>(*item.node);
+            if (visit_stmts) sc(s);
+            for_each_child(s, push_expr, push_stmt);
+        } else {
+            const auto& e = static_cast<const Expr&>(*item.node);
+            ec(e);
+            for_each_child_expr(e, push_expr);
+            if (e.kind == NodeKind::kClosure) {
+                visit_stmts = false;
+                for (const StmtPtr& s : static_cast<const Closure&>(e).body)
+                    if (s) push_stmt(*s);
+            }
+        }
+        // Children were pushed in visit order; pop them in that order.
+        std::reverse(stack.begin() + static_cast<std::ptrdiff_t>(mark),
+                     stack.end());
     }
-}
-
-inline void walk_stmt(const Stmt& s, const ExprVisitor& ec, const StmtVisitor& sc) {
-    sc(s);
-    for_each_child(
-        s, [&](const Expr& e) { walk_expr(e, ec); },
-        [&](const Stmt& child) { walk_stmt(child, ec, sc); });
 }
 
 }  // namespace phpsafe::php

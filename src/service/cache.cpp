@@ -30,9 +30,12 @@ constexpr auto relaxed = std::memory_order_relaxed;
 }  // namespace
 
 uint64_t approx_bytes(const php::ParsedFile& file) {
-    // Exact, not an estimate: the model is arena-allocated, so the arena's
-    // own ledger plus the retained source text IS the entry's footprint.
-    return 64 + file.arena.bytes_allocated() + file.text_bytes;
+    // The model (AST and facts block) is arena-allocated, so the arena's
+    // reserved blocks plus the retained source text are what the entry
+    // keeps resident. Reserved, not allocated: a block's unused tail is
+    // resident too. Heap headers and the ParsedFile itself are the 64-byte
+    // estimate.
+    return 64 + file.arena.bytes_reserved() + file.text_bytes;
 }
 
 uint64_t approx_bytes(const Finding& finding) {
@@ -64,69 +67,14 @@ uint64_t approx_bytes(const AnalysisResult& result) {
     return bytes;
 }
 
-bool validate_deps(const SummaryArtifact& artifact, const php::Project& project) {
-    for (const SummaryDep& dep : artifact.deps) {
-        switch (dep.kind) {
-            case SummaryDep::Kind::kFile: {
-                const php::ParsedFile* file = project.file_named(dep.name);
-                if (!file || file->content_hash != dep.hash) return false;
-                break;
-            }
-            case SummaryDep::Kind::kFunction: {
-                const php::FunctionRef* ref = project.find_function(dep.name);
-                if ((ref ? ref->file : std::string_view()) != dep.file) return false;
-                break;
-            }
-            case SummaryDep::Kind::kMethod: {
-                const size_t sep = dep.name.find("::");
-                if (sep == std::string::npos) return false;
-                const php::FunctionRef* ref = project.find_method(
-                    std::string_view(dep.name).substr(0, sep),
-                    std::string_view(dep.name).substr(sep + 2));
-                if ((ref ? ref->file : std::string_view()) != dep.file) return false;
-                break;
-            }
-            case SummaryDep::Kind::kMethodAny: {
-                const php::FunctionRef* ref = project.find_method_any(dep.name);
-                if ((ref ? ref->file : std::string_view()) != dep.file) return false;
-                break;
-            }
-            case SummaryDep::Kind::kClass: {
-                const bool found = project.find_class(dep.name) != nullptr;
-                const std::string resolved =
-                    found ? project.file_of_class(dep.name) : std::string();
-                if (resolved != dep.file) return false;
-                break;
-            }
-            case SummaryDep::Kind::kInclude: {
-                const php::ParsedFile* resolved = project.resolve_include(dep.name);
-                if ((resolved ? resolved->source->name() : std::string()) !=
-                    dep.file)
-                    return false;
-                break;
-            }
-        }
-    }
-    return true;
-}
-
-DepCheckMemo::DepCheckMemo(const php::Project& project) : project_(project) {
-    // emplace keeps the first file of a duplicated name, matching the
-    // first-match semantics of Project::file_named.
-    for (const auto& parsed : project.files())
-        if (parsed) file_hashes_.emplace(parsed->source->name(),
-                                         parsed->content_hash);
-}
-
 bool DepCheckMemo::validate(const SummaryArtifact& artifact) {
     ++obs::tls().cache_dep_walks;
     for (const SummaryDep& dep : artifact.deps) {
         if (dep.kind == SummaryDep::Kind::kFile) {
-            // The hash map built at construction is the memo for file deps.
+            // The project's file-name index is the memo for file deps.
             ++obs::tls().cache_dep_walk_memo_hits;
-            const auto it = file_hashes_.find(dep.name);
-            if (it == file_hashes_.end() || it->second != dep.hash)
-                return false;
+            const php::ParsedFile* file = project_.file_named(dep.name);
+            if (!file || file->content_hash != dep.hash) return false;
             continue;
         }
         auto key = std::make_pair(static_cast<int>(dep.kind), dep.name);
@@ -144,8 +92,8 @@ bool DepCheckMemo::validate(const SummaryArtifact& artifact) {
                 case SummaryDep::Kind::kMethod: {
                     const size_t sep = dep.name.find("::");
                     if (sep == std::string::npos) {
-                        // A malformed record never validates (same as the
-                        // free function); the sentinel cannot be a file.
+                        // A malformed record never validates: the sentinel
+                        // cannot be a file.
                         resolved = "\x1f<malformed>";
                         break;
                     }

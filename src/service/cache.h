@@ -9,7 +9,7 @@
 //     (analysis-preset fingerprint, lowercased qualified function name,
 //     content hash of the declaring file). Before an artifact seeds a new
 //     run, every recorded dependency is revalidated against the new project
-//     (validate_deps); a changed file therefore invalidates its dependents'
+//     (DepCheckMemo); a changed file therefore invalidates its dependents'
 //     summaries through the include/call graph while their ASTs — keyed by
 //     content alone — stay usable.
 //   - result pool: whole AnalysisResults keyed by (preset fingerprint,
@@ -88,42 +88,36 @@ struct CacheStats {
     std::vector<CacheShardStats> shards;
 };
 
-/// Rough resident-size estimates used for LRU byte accounting.
+/// Resident-size estimates used for LRU byte accounting. A parsed file is
+/// charged its arena's reserved bytes plus its text, so the file budget
+/// bounds what the pool really keeps resident.
 uint64_t approx_bytes(const php::ParsedFile& file);
 uint64_t approx_bytes(const Finding& finding);
 uint64_t approx_bytes(const SummaryArtifact& artifact);
 uint64_t approx_bytes(const AnalysisResult& result);
 
-/// True when every dependency recorded by `artifact` still holds in
-/// `project`: kFile deps re-hash, resolution deps re-resolve to the same
-/// file. A false result means seeding the artifact would be unsound.
-bool validate_deps(const SummaryArtifact& artifact, const php::Project& project);
-
-/// Memoized validate_deps for one scan request. The free function above
-/// re-walks the project tables per dependency per summary — with a linear
-/// file_named() scan per kFile record, that is O(summaries × deps × files)
-/// on every warm hit. The memo front-loads one file→hash map (first
-/// declaration wins, matching file_named) and resolves each distinct
-/// (kind, name) against the project exactly once per request; every later
+/// Dependency validation for one scan request: before a cached summary
+/// seeds a run, every dependency it recorded must still hold in the new
+/// project — kFile deps re-hash (through the project's file-name index,
+/// Project::file_named), resolution deps re-resolve to the same file. A
+/// false result means seeding the artifact would be unsound. Each distinct
+/// (kind, name) resolves against the project once per request; every later
 /// summary whose dependency list mentions the same name is answered from
-/// the memo. Validation decisions are identical to the free function on
-/// every input — only the lookup count changes, which the
-/// cache_dep_walk_* obs counters record (cache_dep_walks lists walked,
-/// cache_dep_walk_steps project lookups performed, cache_dep_walk_memo_hits
-/// records answered without one). Not thread-safe; one memo per request.
+/// the memo. The cache_dep_walk_* obs counters record the work
+/// (cache_dep_walks lists walked, cache_dep_walk_steps project lookups
+/// performed, cache_dep_walk_memo_hits records answered without one). Not
+/// thread-safe; one memo per request.
 class DepCheckMemo {
 public:
-    explicit DepCheckMemo(const php::Project& project);
+    explicit DepCheckMemo(const php::Project& project) : project_(project) {}
 
-    /// validate_deps(artifact, project) with memoized lookups.
+    /// True when every dependency of `artifact` still holds.
     bool validate(const SummaryArtifact& artifact);
 
 private:
     const php::Project& project_;
-    std::map<std::string, uint64_t, std::less<>> file_hashes_;
     /// (dep kind, name) → the file the name currently resolves to; ""
-    /// when unresolved, so "still unresolved" validates like the free
-    /// function.
+    /// when unresolved, so a dep recorded unresolved must stay unresolved.
     std::map<std::pair<int, std::string>, std::string> resolutions_;
 };
 

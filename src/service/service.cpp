@@ -354,10 +354,6 @@ ScanResponse AnalysisService::perform_scan(PendingScan& scan) {
         }
         response.files_reused = project.build_stats().files_reused;
 
-        std::map<std::string, uint64_t, std::less<>> file_hashes;
-        for (const auto& parsed : project.files())
-            if (parsed) file_hashes[parsed->source->name()] = parsed->content_hash;
-
         // Summary seeding: sound only for presets that pre-summarize every
         // declared function ("pixy" skips uncalled functions, so its stage
         // order — and therefore summary purity — is call-driven; it gets
@@ -380,10 +376,10 @@ ScanResponse AnalysisService::perform_scan(PendingScan& scan) {
                 // Duplicate declarations: the project tables keep the first
                 // one, so only it may be seeded.
                 if (seeds.count(key)) continue;
-                const auto declaring = file_hashes.find(ref.file);
-                if (declaring == file_hashes.end()) continue;
-                auto artifact =
-                    cache_.find_summary(preset_fp, key, declaring->second);
+                const php::ParsedFile* declaring = project.file_named(ref.file);
+                if (!declaring) continue;
+                auto artifact = cache_.find_summary(preset_fp, key,
+                                                    declaring->content_hash);
                 if (!artifact) continue;
                 if (!dep_memo.validate(*artifact)) {
                     cache_.note_invalidation();
@@ -426,20 +422,21 @@ ScanResponse AnalysisService::perform_scan(PendingScan& scan) {
                 if (!artifact.reusable) continue;
                 const auto owner = declaring_file.find(key);
                 if (owner == declaring_file.end()) continue;
-                const auto owner_hash = file_hashes.find(*owner->second);
-                if (owner_hash == file_hashes.end()) continue;
+                const php::ParsedFile* owner_file =
+                    project.file_named(*owner->second);
+                if (!owner_file) continue;
                 bool hashes_ok = true;
                 for (SummaryDep& dep : artifact.deps) {
                     if (dep.kind != SummaryDep::Kind::kFile) continue;
-                    const auto file_hash = file_hashes.find(dep.name);
-                    if (file_hash == file_hashes.end()) {
+                    const php::ParsedFile* file = project.file_named(dep.name);
+                    if (!file) {
                         hashes_ok = false;
                         break;
                     }
-                    dep.hash = file_hash->second;
+                    dep.hash = file->content_hash;
                 }
                 if (!hashes_ok) continue;
-                cache_.insert_summary(preset_fp, key, owner_hash->second,
+                cache_.insert_summary(preset_fp, key, owner_file->content_hash,
                                       std::move(artifact));
             }
         }

@@ -13,6 +13,8 @@
 //     trivially-destructible objects cost nothing at teardown.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -27,8 +29,21 @@ namespace phpsafe {
 class Arena {
 public:
     static constexpr size_t kDefaultBlockBytes = 64 * 1024;
+    static constexpr size_t kMinBlockBytes = 1024;
 
     Arena() = default;
+
+    /// An arena whose first block is sized for about `expected_bytes`
+    /// (rounded up to a power of two, clamped to [kMinBlockBytes,
+    /// kDefaultBlockBytes]); each later block doubles, up to
+    /// kDefaultBlockBytes. A small file's model then reserves a few KiB,
+    /// not a whole default block.
+    static Arena sized_for(size_t expected_bytes) {
+        Arena arena;
+        arena.next_block_bytes_ = std::bit_ceil(
+            std::clamp(expected_bytes, kMinBlockBytes, kDefaultBlockBytes));
+        return arena;
+    }
 
     /// The thread's current arena, read by default-constructed
     /// ArenaAllocators. Nodes hold allocator-aware vectors; binding the
@@ -106,11 +121,12 @@ public:
         return {mem, s.size()};
     }
 
-    /// Bytes handed out to callers (the LRU pools charge this).
+    /// Bytes handed out to callers.
     uint64_t bytes_allocated() const noexcept { return bytes_allocated_; }
     /// Heap blocks backing the arena — the arena's entire malloc traffic.
     uint64_t block_count() const noexcept { return block_count_; }
-    /// Bytes reserved from the heap (>= bytes_allocated, block granularity).
+    /// Bytes reserved from the heap (>= bytes_allocated, block granularity);
+    /// what the service's file pool charges a parsed file.
     uint64_t bytes_reserved() const noexcept { return bytes_reserved_; }
     /// Bytes copied into the arena via store().
     uint64_t string_bytes() const noexcept { return string_bytes_; }
@@ -157,11 +173,14 @@ private:
             bytes_allocated_ += size;
             return p;
         }
-        Block* block = new_block(kDefaultBlockBytes);
+        size_t payload = next_block_bytes_;
+        while (payload < size + align) payload *= 2;
+        next_block_bytes_ = std::min(payload * 2, kDefaultBlockBytes);
+        Block* block = new_block(payload);
         block->next = blocks_;
         blocks_ = block;
         cursor_ = reinterpret_cast<char*>(block) + sizeof(Block);
-        end_ = cursor_ + kDefaultBlockBytes;
+        end_ = cursor_ + payload;
         char* p = align_up(cursor_, align);
         cursor_ = p + size;
         bytes_allocated_ += size;
@@ -179,6 +198,7 @@ private:
         }
         blocks_ = nullptr;
         cursor_ = end_ = nullptr;
+        next_block_bytes_ = kDefaultBlockBytes;
         bytes_allocated_ = bytes_reserved_ = string_bytes_ = 0;
         block_count_ = 0;
     }
@@ -188,6 +208,8 @@ private:
         cursor_ = std::exchange(other.cursor_, nullptr);
         end_ = std::exchange(other.end_, nullptr);
         dtors_ = std::exchange(other.dtors_, nullptr);
+        next_block_bytes_ =
+            std::exchange(other.next_block_bytes_, kDefaultBlockBytes);
         bytes_allocated_ = std::exchange(other.bytes_allocated_, 0);
         bytes_reserved_ = std::exchange(other.bytes_reserved_, 0);
         string_bytes_ = std::exchange(other.string_bytes_, 0);
@@ -198,6 +220,7 @@ private:
     char* cursor_ = nullptr;
     char* end_ = nullptr;
     DtorNode* dtors_ = nullptr;
+    size_t next_block_bytes_ = kDefaultBlockBytes;  ///< payload of the next block
     uint64_t bytes_allocated_ = 0;
     uint64_t bytes_reserved_ = 0;
     uint64_t string_bytes_ = 0;

@@ -53,7 +53,8 @@ constexpr int folded_compare(std::string_view a, std::string_view b) noexcept {
 /// Appends the ASCII-lowercased bytes of `s` to `out` without a temporary;
 /// reusing one `out` buffer across calls makes repeated folds allocation-free
 /// once the buffer has grown to the longest name seen.
-inline void append_folded(std::string& out, std::string_view s) {
+template <typename String>
+void append_folded(String& out, std::string_view s) {
     for (char c : s) {
         if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
         out.push_back(c);

@@ -146,9 +146,10 @@ TEST(DeterminismTest, SummariesSurviveParsedFileEviction) {
     };
 
     service::ServiceOptions starved;
-    // Holds roughly one parsed file: admitting the next file evicts the
-    // previous one, so arenas churn constantly while summaries persist.
-    starved.budgets.file_bytes = 768;
+    // Holds roughly one parsed file (each charges its 1 KiB arena block
+    // plus text): admitting the next file evicts the previous one, so
+    // arenas churn constantly while summaries persist.
+    starved.budgets.file_bytes = 1536;
     starved.budgets.result_bytes = 0;  // force the full pipeline every scan
     service::AnalysisService churn(starved);
     service::AnalysisService reference;

@@ -1,8 +1,15 @@
 // Project-model tests (paper §III.B model construction): declaration
 // indexing (including declarations nested in guards), called-function
-// tracking, uncalled-function detection, include resolution.
+// tracking, uncalled-function detection, include resolution, and the
+// properties of the one include index and the single-file fork.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "corpus/generator.h"
 #include "php/project.h"
 
 namespace phpsafe::php {
@@ -151,6 +158,179 @@ TEST(ProjectTest, ParseFailureFlagged) {
     project.parse_all(sink);
     ASSERT_EQ(project.files().size(), 1u);
     EXPECT_TRUE(project.files()[0]->parse_failed);
+}
+
+/// The include rule spelled out as three linear scans: exact name, then
+/// suffix at a segment boundary, then basename, each in file order.
+size_t brute_force_resolve(const std::vector<std::string>& names,
+                           std::string_view path) {
+    while (starts_with(path, "./")) path.remove_prefix(2);
+    if (path.empty()) return IncludeIndex::npos;
+    for (size_t i = 0; i < names.size(); ++i)
+        if (names[i] == path) return i;
+    for (size_t i = 0; i < names.size(); ++i)
+        if (ends_with_path(names[i], path)) return i;
+    const auto base = [](std::string_view p) {
+        const size_t slash = p.rfind('/');
+        return slash == std::string_view::npos ? p : p.substr(slash + 1);
+    };
+    for (size_t i = 0; i < names.size(); ++i)
+        if (base(names[i]) == base(path)) return i;
+    return IncludeIndex::npos;
+}
+
+/// A random path over a small alphabet of segments, so duplicate names,
+/// duplicate basenames and near-miss suffixes ("b.php" vs "ab.php") are
+/// common; with optional "./" prefixes, a leading or trailing '/', and the
+/// occasional empty path.
+std::string random_path(std::mt19937& rng) {
+    static const char* const kSegments[] = {"a", "b", "ab", "inc", "x",
+                                            "b.php", "ab.php", "a.php", ""};
+    std::uniform_int_distribution<int> pick(0, 8), depth(0, 3), coin(0, 5);
+    std::string path;
+    const int n = depth(rng);
+    for (int i = 0; i < n; ++i) {
+        if (i) path += '/';
+        path += kSegments[pick(rng)];
+    }
+    if (coin(rng) == 0) path = "/" + path;
+    if (coin(rng) == 0) path += "/";
+    while (coin(rng) == 0) path = "./" + path;
+    return path;
+}
+
+TEST(IncludeIndexProperty, AgreesWithBruteForceResolver) {
+    std::mt19937 rng(2015);
+    for (int round = 0; round < 300; ++round) {
+        std::vector<std::string> names(std::uniform_int_distribution<int>(0, 12)(rng));
+        for (std::string& name : names) name = random_path(rng);
+        const std::vector<std::string_view> views(names.begin(), names.end());
+        const IncludeIndex index(views);
+        for (int probe = 0; probe < 40; ++probe) {
+            const std::string path = probe < static_cast<int>(names.size())
+                                         ? names[static_cast<size_t>(probe)]
+                                         : random_path(rng);
+            EXPECT_EQ(index.resolve(path), brute_force_resolve(names, path))
+                << "path '" << path << "' round " << round;
+            const auto exact = std::find(names.begin(), names.end(), path);
+            EXPECT_EQ(index.find(path),
+                      exact == names.end()
+                          ? IncludeIndex::npos
+                          : static_cast<size_t>(exact - names.begin()))
+                << "name '" << path << "' round " << round;
+        }
+    }
+}
+
+TEST(IncludeIndexProperty, ProjectResolvesThroughTheIndex) {
+    std::mt19937 rng(7);
+    for (int round = 0; round < 40; ++round) {
+        std::vector<std::string> names(std::uniform_int_distribution<int>(1, 8)(rng));
+        for (std::string& name : names) name = random_path(rng);
+        Project project("paths");
+        for (const std::string& name : names) project.add_file(name, "<?php");
+        DiagnosticSink sink;
+        project.parse_all(sink);
+        for (int probe = 0; probe < 20; ++probe) {
+            const std::string path = random_path(rng);
+            const size_t want = brute_force_resolve(names, path);
+            EXPECT_EQ(project.resolve_include(path),
+                      want == IncludeIndex::npos ? nullptr
+                                                 : project.files()[want].get())
+                << "path '" << path << "'";
+        }
+    }
+}
+
+/// Everything a consumer can observe of a project's tables, rendered with
+/// declaration lines and files (node pointers differ between two parses).
+std::vector<std::string> observe(const Project& p) {
+    std::vector<std::string> out;
+    const auto where = [](const FunctionRef* ref) {
+        return ref ? ref->qualified_name() + "@" + std::string(ref->file) + ":" +
+                         std::to_string(ref->decl->line)
+                   : std::string("-");
+    };
+    for (const FunctionRef& ref : p.all_functions()) {
+        out.push_back("fn " + where(&ref));
+        if (ref.owner) {
+            out.push_back("  find_method " +
+                          where(p.find_method(ref.owner->name, ref.decl->name)));
+            out.push_back("  find_method_any " +
+                          where(p.find_method_any(ref.decl->name)));
+            const ClassDecl* cls = p.find_class(ref.owner->name);
+            out.push_back("  find_class " +
+                          (cls ? std::string(cls->name) + ":" +
+                                     std::to_string(cls->line)
+                               : std::string("-")) +
+                          " in " + p.file_of_class(ref.owner->name));
+        } else {
+            out.push_back("  find_function " +
+                          where(p.find_function(ref.decl->name)));
+        }
+    }
+    for (const FunctionRef& ref : p.uncalled_functions())
+        out.push_back("uncalled " + where(&ref));
+    for (const std::string_view name : p.called_function_names())
+        out.push_back("called " + std::string(name));
+    for (const std::string_view name : p.called_method_names())
+        out.push_back("called method " + std::string(name));
+    for (const auto& file : p.files()) {
+        out.push_back("file " + file->unit.file_name + " " +
+                      p.declaration_fingerprint(file->unit.file_name));
+        for (const std::string_view path : file->facts.include_paths) {
+            const ParsedFile* to = p.resolve_include(path);
+            out.push_back("  include " + std::string(path) + " -> " +
+                          (to ? to->unit.file_name : std::string("-")));
+        }
+    }
+    return out;
+}
+
+TEST(ForkProperty, ForkEqualsFreshBuildOfThePatchedSet) {
+    corpus::CorpusOptions options;
+    options.scale = 0.3;
+    const corpus::Corpus corpus = corpus::generate_corpus(options);
+    // A prepended block that adds a function and a class (extending a
+    // corpus-style base name) and calls into both.
+    const std::string added =
+        "<?php function phpsafe_added($v) { return trim($v); }\n"
+        "class Phpsafe_Added extends WP_Widget { function render() "
+        "{ echo phpsafe_added('x'); } }\n"
+        "$w = new Phpsafe_Added(); $w->render(); ?>";
+    int forks = 0;
+    for (size_t i = 0; i < corpus.plugins.size(); i += 6) {
+        const corpus::GeneratedPlugin& plugin = corpus.plugins[i];
+        for (const corpus::PluginVersionSource* version :
+             {&plugin.v2012, &plugin.v2014}) {
+            Project base(plugin.name);
+            for (const auto& [name, text] : version->files)
+                base.add_file(name, text);
+            DiagnosticSink sink;
+            base.parse_all(sink);
+            for (size_t f = 0; f < version->files.size(); ++f) {
+                const auto& [name, text] = version->files[f];
+                for (const std::string& patched : {text, added + text}) {
+                    DiagnosticSink fork_sink;
+                    const std::optional<Project> fork =
+                        base.fork_with_replacement(name, patched, fork_sink);
+                    ASSERT_TRUE(fork.has_value()) << name;
+                    Project fresh(plugin.name);
+                    for (size_t g = 0; g < version->files.size(); ++g)
+                        fresh.add_file(version->files[g].first,
+                                       g == f ? patched
+                                              : version->files[g].second);
+                    DiagnosticSink fresh_sink;
+                    fresh.parse_all(fresh_sink);
+                    EXPECT_EQ(observe(*fork), observe(fresh))
+                        << plugin.name << " " << version->version << " "
+                        << name << (patched == text ? " (same text)" : " (added)");
+                    ++forks;
+                }
+            }
+        }
+    }
+    EXPECT_GT(forks, 20);
 }
 
 }  // namespace

@@ -5,10 +5,13 @@
 // time using a reasonable amount of resources").
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "baselines/analyzers.h"
 #include "core/analyzer.h"
 #include "php/parser.h"
 #include "php/project.h"
+#include "service/ndjson.h"
 
 namespace phpsafe {
 namespace {
@@ -127,6 +130,37 @@ TEST(RobustnessTest, LongConcatenationChain) {
     code += "; echo $s;";
     const AnalysisResult r = analyze_garbage(code);
     EXPECT_EQ(r.findings.size(), 1u);
+}
+
+TEST(RobustnessTest, FortyThousandTermConcatBuildsModelAndGraph) {
+    // One ~480 KB line: the parser builds the chain in a loop, and the
+    // parse-time facts walk uses an explicit stack, so model construction
+    // and the NDJSON "graph" op (which walks no AST at all) answer with a
+    // structured result instead of overflowing the call stack.
+    std::string code = "<?php $x = $_GET['a']";
+    for (int i = 1; i < 40000; ++i) code += " . $_GET['a']";
+    code += ";";
+
+    php::Project project("deep");
+    project.add_file("deep.php", code);
+    DiagnosticSink sink;
+    project.parse_all(sink);
+    ASSERT_EQ(project.files().size(), 1u);
+    EXPECT_FALSE(project.files()[0]->parse_failed);
+    EXPECT_TRUE(project.all_functions().empty());
+    EXPECT_EQ(project.resolve_include("deep.php"), project.files()[0].get());
+
+    std::istringstream in(
+        "{\"op\":\"graph\",\"plugin\":\"deep\",\"files\":[{\"name\":"
+        "\"deep.php\",\"text\":\"" + code + "\"}]}\n");
+    std::ostringstream out;
+    service::ServeOptions options;
+    options.deterministic = true;
+    EXPECT_EQ(service::serve_ndjson(in, out, options), 1);
+    const std::string line = out.str();
+    EXPECT_EQ(line.rfind("{\"ok\":true", 0), 0u) << line.substr(0, 200);
+    EXPECT_NE(line.find("\"files\":1"), std::string::npos)
+        << line.substr(0, 200);
 }
 
 TEST(RobustnessTest, ManyVariablesManyFindings) {

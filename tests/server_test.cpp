@@ -5,9 +5,10 @@
 // (request-order responses, supersede slots, atomic interleaving on a
 // shared sink), and the multi-client golden transcripts.
 //
-// Regenerate the multi-client goldens after an intentional protocol change:
-//   ./build/tools/phpsafe_serve --deterministic --workers 2 \
-//     --session tests/golden/ndjson_multi_a.in:tests/golden/ndjson_multi_a.out \
+// Regenerate the multi-client goldens after an intentional protocol change
+// with this one shell command (shown wrapped over three lines):
+//   ./build/tools/phpsafe_serve --deterministic --workers 2
+//     --session tests/golden/ndjson_multi_a.in:tests/golden/ndjson_multi_a.out
 //     --session tests/golden/ndjson_multi_b.in:tests/golden/ndjson_multi_b.out
 #include <gtest/gtest.h>
 
@@ -615,6 +616,50 @@ TEST(WatchModeTest, IncludeEditRelinksTheGraph) {
                   "<?php include 'lib.php'; include 'other.php'; "
                   "echo wrap($_GET['q']);"),
               1u);
+}
+
+TEST(WatchModeTest, SoakFilePoolChargesEveryReservedArenaByte) {
+    // A few hundred edits through one watch session push every version of
+    // the edited file through the file pool. The pool must charge at least
+    // the arena bytes its resident parses reserve (the blocks they keep
+    // resident, not just the bytes handed out), and stay within budget.
+    ServiceOptions so;
+    so.workers = 1;
+    so.budgets.file_bytes = 256ull << 10;
+    so.budgets.summary_bytes = 0;  // bytes_resident = the file pool alone
+    so.budgets.result_bytes = 0;
+    AnalysisService service(so);
+    service::WatchSession watch(service);
+    ScanRequest open;
+    open.plugin = "soak";
+    for (const auto& [file, body] : kRelinkFiles) open.files.push_back({file, body});
+    ASSERT_FALSE(watch.open(std::move(open)).rejected);
+
+    std::vector<std::pair<std::string, std::string>> versions = kRelinkFiles;
+    for (int rev = 0; rev < 300; ++rev) {
+        const std::string text =
+            "<?php function wrap($x) { return htmlentities($x); } // rev " +
+            std::to_string(rev);
+        versions.emplace_back("lib.php", text);
+        service::WatchEditBatch batch;
+        batch.upserts.push_back({"lib.php", text});
+        ASSERT_TRUE(watch.edit(batch).ok) << "rev " << rev;
+    }
+
+    const CacheStats stats = service.cache_stats();
+    uint64_t reserved = 0;
+    uint64_t resident = 0;
+    for (const auto& [name, text] : versions) {
+        const auto parsed =
+            service.cache().find_file(name, php::content_hash(text));
+        if (!parsed) continue;
+        reserved += parsed->arena.bytes_reserved();
+        ++resident;
+    }
+    EXPECT_GT(stats.evictions, 0u);
+    EXPECT_EQ(resident, stats.file_entries);
+    EXPECT_GE(stats.bytes_resident, reserved);
+    EXPECT_LE(stats.bytes_resident, so.budgets.file_bytes);
 }
 
 TEST(ServerSessionTest, PipelinedWatchSessionMatchesSerialLoopByteForByte) {

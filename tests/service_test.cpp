@@ -69,11 +69,16 @@ TEST(ServiceTest, ColdScanChargesParsedBytesGauge) {
     const std::string code = "<?php echo $_GET['x'];";
     const ScanRequest request = simple_request("demo", {{"a.php", code}});
     const ScanResponse cold = service.scan(request);
-    // The parsed-file pool charges the arena ledger plus the retained source
-    // (plus a fixed entry header), so the gauge must reconcile exactly with
-    // the arena counter for a single freshly parsed file.
+    // The parsed-file pool charges the arena's reserved blocks plus the
+    // retained source (plus a fixed entry header), so the gauge must
+    // reconcile exactly with the cached file's arena for a single freshly
+    // parsed file — and reserved bytes cover every byte the parse allocated.
+    const auto parsed =
+        service.cache().find_file("a.php", php::content_hash(code));
+    ASSERT_NE(parsed, nullptr);
     EXPECT_EQ(cold.counters.cache_bytes_parsed,
-              64 + cold.counters.alloc_arena_bytes + code.size());
+              64 + parsed->arena.bytes_reserved() + code.size());
+    EXPECT_GE(parsed->arena.bytes_reserved(), cold.counters.alloc_arena_bytes);
     EXPECT_GT(cold.counters.alloc_arena_bytes, 0u);
     // A byte-identical rescan is served from the result pool: nothing is
     // parsed, so nothing new is charged.
