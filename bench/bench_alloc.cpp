@@ -15,10 +15,11 @@
 //
 // --smoke rebuilds the corpus at the committed baseline's scale and gates
 // on the committed BENCH_alloc.json:
-// it fails (exit 1) when allocations-per-node or arena-bytes-per-node
-// regress by more than 20%. Those two ratios are scale- and
-// machine-independent, unlike wall time on a shared CI runner, so the gate
-// catches "someone re-introduced per-node heap traffic" without flaking.
+// it fails (exit 1) when allocations-per-node, arena-bytes-per-node or the
+// lexer's share of lex+parse CPU regress by more than 20%. Those ratios are
+// scale- and machine-independent, unlike wall time on a shared CI runner,
+// so the gate catches "someone re-introduced per-node heap traffic" or "the
+// lexer fell back to per-token string compares" without flaking.
 #include <sys/resource.h>
 
 #include <atomic>
@@ -38,6 +39,7 @@
 #include "util/json_reader.h"
 #include "util/json_writer.h"
 #include "util/timing.h"
+#include "host.h"
 
 #ifndef PHPSAFE_REPO_ROOT
 #define PHPSAFE_REPO_ROOT "."
@@ -95,6 +97,12 @@ struct ColdRun {
                    ? static_cast<double>(heap_allocations) /
                          static_cast<double>(counters.ast_nodes)
                    : 0;
+    }
+    /// Lexing's share of lex+parse CPU: a lexer slowdown raises it on any
+    /// machine, while a uniformly slower host leaves it alone.
+    double lex_cpu_share() const {
+        const double both = lex_cpu_seconds + parse_cpu_seconds;
+        return both > 0 ? lex_cpu_seconds / both : 0;
     }
     double arena_bytes_per_node() const {
         return counters.ast_nodes
@@ -183,6 +191,7 @@ void write_report(const std::string& path, double scale, const ColdRun& run) {
     w.kv("parse_cpu_seconds", run.parse_cpu_seconds, 4);
     w.kv("include_cpu_seconds", run.include_cpu_seconds, 4);
     w.kv("total_cpu_seconds", run.total_cpu_seconds(), 4);
+    w.kv("lex_cpu_share", run.lex_cpu_share(), 4);
     w.kv("ast_nodes", run.counters.ast_nodes);
     w.kv("tokens_lexed", run.counters.tokens_lexed);
     w.kv("files_parsed", run.counters.files_parsed);
@@ -200,6 +209,7 @@ void write_report(const std::string& path, double scale, const ColdRun& run) {
          kPreTotalCpuSeconds / run.total_cpu_seconds(), 4);
     w.kv("heap_alloc_reduction_per_node",
          kPreAllocsPerNodeFloor / run.allocs_per_node(), 4);
+    bench::write_host(w);
     w.end_object();
 }
 
@@ -230,7 +240,8 @@ int smoke(const ColdRun& run, const JsonValue& doc) {
     const JsonValue* base_allocs = post ? post->get("allocs_per_node") : nullptr;
     const JsonValue* base_bytes =
         post ? post->get("arena_bytes_per_node") : nullptr;
-    if (!base_allocs || !base_bytes) {
+    const JsonValue* base_lex_share = post ? post->get("lex_cpu_share") : nullptr;
+    if (!base_allocs || !base_bytes || !base_lex_share) {
         std::cerr << "bench_alloc --smoke: baseline lacks post ratios\n";
         return 1;
     }
@@ -246,6 +257,7 @@ int smoke(const ColdRun& run, const JsonValue& doc) {
     gate("allocs_per_node", run.allocs_per_node(), base_allocs->number);
     gate("arena_bytes_per_node", run.arena_bytes_per_node(),
          base_bytes->number);
+    gate("lex_cpu_share", run.lex_cpu_share(), base_lex_share->number);
     return failures ? 1 : 0;
 }
 
@@ -291,9 +303,9 @@ int bench_main(int argc, char** argv) {
 
     std::printf(
         "cold model construction: %.3f s wall, %.3f s cpu "
-        "(lex %.3f, parse %.3f, include %.3f)\n",
+        "(lex %.3f, parse %.3f, include %.3f; lex share %.4f)\n",
         run.wall_seconds, run.total_cpu_seconds(), run.lex_cpu_seconds,
-        run.parse_cpu_seconds, run.include_cpu_seconds);
+        run.parse_cpu_seconds, run.include_cpu_seconds, run.lex_cpu_share());
     std::printf(
         "%llu nodes, %llu heap allocations (%.4f per node), "
         "%llu arena bytes in %llu blocks\n",

@@ -26,11 +26,13 @@
 //
 // --smoke is the CI gate: it replays a small fixed workload and fails when
 // the measured p95/p50 tail ratio regresses more than 20% against the
-// committed baseline's smoke block. Gating the RATIO rather than absolute
-// p95 keeps the check meaningful across machines of different speeds (the
-// bench_alloc precedent): a scheduling or lock-contention regression
-// amplifies the tail relative to the median on any host, while a uniformly
-// slower CI box moves both together. Byte-identity is always a hard fail.
+// committed baseline's smoke block. The workload pools 216 requests, so
+// p95 rests on the slowest 11 of them rather than on one or two outliers.
+// Gating the RATIO rather than absolute p95 keeps the check meaningful
+// across machines of different speeds (the bench_alloc precedent): a
+// scheduling or lock-contention regression amplifies the tail relative to
+// the median on any host, while a uniformly slower CI box moves both
+// together. Byte-identity is always a hard fail.
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -50,6 +52,7 @@
 #include "util/json_reader.h"
 #include "util/json_writer.h"
 #include "util/timing.h"
+#include "host.h"
 
 #ifndef PHPSAFE_REPO_ROOT
 #define PHPSAFE_REPO_ROOT "."
@@ -64,6 +67,15 @@ using service::ScanResponse;
 using service::ServiceOptions;
 
 namespace {
+
+/// The smoke workload: kSmokeRounds rounds, each on a fresh service, of
+/// kSmokeClients clients sending kSmokeRequestsPerClient requests over the
+/// corpus at kSmokeScale. Every round has the same mostly-cold mix; the
+/// rounds pool 216 latencies, so p95 rests on the slowest 11.
+constexpr double kSmokeScale = 0.5;
+constexpr int kSmokeClients = 4;
+constexpr int kSmokeRequestsPerClient = 9;
+constexpr int kSmokeRounds = 6;
 
 /// Per-client request schedule: a deterministic mix of cold scans, warm
 /// re-scans and single-file edits over the shared corpus. Client c starts
@@ -107,6 +119,7 @@ struct LoadResult {
     size_t requests = 0;
     double wall = 0;
     double p50 = 0, p95 = 0, p99 = 0;
+    std::vector<double> latencies;  ///< every request's, sorted
     double throughput = 0;
     obs::Counters counters;  ///< summed per-scan deltas (includes shard stats)
     bool identical = true;
@@ -161,6 +174,7 @@ LoadResult run_load(const std::vector<std::vector<ScanRequest>>& schedules,
     result.p50 = percentile(latencies, 0.50);
     result.p95 = percentile(latencies, 0.95);
     result.p99 = percentile(latencies, 0.99);
+    result.latencies = std::move(latencies);
     result.throughput =
         result.wall > 0 ? static_cast<double>(result.requests) / result.wall : 0;
     result.identical = identical.load();
@@ -261,26 +275,37 @@ std::vector<std::vector<ScanRequest>> build_schedules(
 }
 
 /// Runs the smoke workload `reps` times and keeps the run with the lowest
-/// p95/p50 tail ratio. Best-of-N because the ratio is a scheduling-noise
-/// statistic on a loaded box: one bad rep must not fail CI, a consistent
-/// regression still shows in every rep. Byte-identity is checked on all
-/// reps regardless.
+/// p95/p50 tail ratio over its pooled rounds. Best-of-N because the ratio
+/// is a scheduling-noise statistic on a loaded box: one bad rep must not
+/// fail CI, a consistent regression still shows in every rep.
+/// Byte-identity is checked on all rounds regardless.
 LoadResult best_smoke_run(int reps, bool& identical) {
     corpus::CorpusOptions corpus_options;
-    corpus_options.scale = 0.5;
+    corpus_options.scale = kSmokeScale;
     const corpus::Corpus corpus = corpus::generate_corpus(corpus_options);
-    const auto schedules = build_schedules(corpus, 4, 9);
+    const auto schedules =
+        build_schedules(corpus, kSmokeClients, kSmokeRequestsPerClient);
     const auto reference = serial_reference(schedules);
     LoadResult best;
     double best_ratio = 0;
     identical = true;
     for (int rep = 0; rep < reps; ++rep) {
-        LoadResult load = run_load(schedules, reference);
-        identical = identical && load.identical;
-        const double ratio = load.p50 > 0 ? load.p95 / load.p50 : 0;
+        LoadResult pooled;
+        pooled.clients = kSmokeClients;
+        for (int round = 0; round < kSmokeRounds; ++round) {
+            const LoadResult load = run_load(schedules, reference);
+            identical = identical && load.identical;
+            pooled.latencies.insert(pooled.latencies.end(), load.latencies.begin(),
+                                    load.latencies.end());
+        }
+        std::sort(pooled.latencies.begin(), pooled.latencies.end());
+        pooled.requests = pooled.latencies.size();
+        pooled.p50 = percentile(pooled.latencies, 0.50);
+        pooled.p95 = percentile(pooled.latencies, 0.95);
+        const double ratio = pooled.p50 > 0 ? pooled.p95 / pooled.p50 : 0;
         if (rep == 0 || (ratio > 0 && ratio < best_ratio)) {
             best_ratio = ratio;
-            best = std::move(load);
+            best = std::move(pooled);
         }
     }
     return best;
@@ -349,6 +374,23 @@ int main(int argc, char** argv) {
         return 2;
     }
 
+    // Smoke baseline: the gate's own statistic (best of 3 reps), measured
+    // first, while the process is as fresh as the gate's. Host contention
+    // moves that statistic between runs, so the baseline is the sample with
+    // the median ratio of five, not whichever one run happened to read.
+    bool smoke_identical = true;
+    std::vector<LoadResult> smoke_samples;
+    for (int sample = 0; sample < 5; ++sample) {
+        bool sample_identical = true;
+        smoke_samples.push_back(best_smoke_run(3, sample_identical));
+        smoke_identical = smoke_identical && sample_identical;
+    }
+    std::sort(smoke_samples.begin(), smoke_samples.end(),
+              [](const LoadResult& a, const LoadResult& b) {
+                  return a.p95 / a.p50 < b.p95 / b.p50;
+              });
+    const LoadResult& smoke = smoke_samples[smoke_samples.size() / 2];
+
     corpus::CorpusOptions corpus_options;
     corpus_options.scale = scale;
     const corpus::Corpus corpus = corpus::generate_corpus(corpus_options);
@@ -375,7 +417,7 @@ int main(int argc, char** argv) {
     }
 
     std::vector<LoadResult> results;
-    bool identical = true;
+    bool identical = smoke_identical;
     for (size_t i = 0; i < sweep.size(); ++i) {
         LoadResult load = run_load(all_schedules[i], reference);
         identical = identical && load.identical;
@@ -403,12 +445,6 @@ int main(int argc, char** argv) {
               << shard.sharded_ops_per_sec / 1e6 << "M ops/s ("
               << shard.sharded_contention << " contended), x" << shard_speedup
               << "\n";
-
-    // Smoke baseline measured at commit time with the same tiny workload
-    // and the same best-of-N statistic the CI gate replays.
-    bool smoke_identical = true;
-    const LoadResult smoke = best_smoke_run(3, smoke_identical);
-    identical = identical && smoke_identical;
 
     std::ofstream out(out_path);
     JsonWriter w(out, 2);
@@ -460,13 +496,15 @@ int main(int argc, char** argv) {
              "cost parallel throughput; the sharded win needs real cores");
     w.end_object();
     w.key("smoke").begin_object();
-    w.kv("corpus_scale", 0.5);
-    w.kv("clients", 4);
+    w.kv("corpus_scale", kSmokeScale);
+    w.kv("clients", kSmokeClients);
+    w.kv("requests", static_cast<uint64_t>(smoke.requests));
     w.kv("p50_ms", smoke.p50 * 1e3, 3);
     w.kv("p95_ms", smoke.p95 * 1e3, 3);
     w.kv("p95_over_p50", smoke.p50 > 0 ? smoke.p95 / smoke.p50 : 0, 3);
     w.end_object();
     w.kv("responses_byte_identical_to_serial", identical);
+    bench::write_host(w);
     w.end_object();
     out << "\n";
     std::cout << "wrote " << out_path << "\n";

@@ -1,8 +1,9 @@
 #include "php/lexer.h"
 
+#include <algorithm>
 #include <array>
-#include <cctype>
-#include <unordered_set>
+#include <cstdint>
+#include <iterator>
 
 #include "obs/counters.h"
 #include "util/strings.h"
@@ -11,44 +12,169 @@ namespace phpsafe::php {
 
 namespace {
 
-bool is_ident_start(char c) noexcept {
-    return std::isalpha(static_cast<unsigned char>(c)) || c == '_' ||
-           static_cast<unsigned char>(c) >= 0x80;
+/// Byte classes, one bit each, looked up in kByteClass. The sets are those
+/// of the C locale, so no locale state is consulted.
+enum : std::uint8_t {
+    kIdentStart = 1 << 0,  ///< [A-Za-z_] and every byte >= 0x80
+    kIdentChar = 1 << 1,   ///< kIdentStart plus [0-9]
+    kSpace = 1 << 2,       ///< ' ', \t, \n, \v, \f, \r
+    kDigit = 1 << 3,       ///< [0-9]
+    kHexDigit = 1 << 4,    ///< [0-9A-Fa-f]
+    kAlpha = 1 << 5,       ///< [A-Za-z]
+};
+
+constexpr std::array<std::uint8_t, 256> kByteClass = [] {
+    std::array<std::uint8_t, 256> table{};
+    for (int c = 0; c < 256; ++c) {
+        const bool alpha = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+        const bool digit = c >= '0' && c <= '9';
+        std::uint8_t bits = 0;
+        if (alpha) bits |= kAlpha;
+        if (digit) bits |= kDigit | kIdentChar | kHexDigit;
+        if ((c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')) bits |= kHexDigit;
+        if (alpha || c == '_' || c >= 0x80) bits |= kIdentStart | kIdentChar;
+        if (c == ' ' || (c >= '\t' && c <= '\r')) bits |= kSpace;
+        table[c] = bits;
+    }
+    return table;
+}();
+
+constexpr bool in_class(char c, std::uint8_t bits) noexcept {
+    return (kByteClass[static_cast<unsigned char>(c)] & bits) != 0;
+}
+constexpr bool is_ident_start(char c) noexcept { return in_class(c, kIdentStart); }
+constexpr bool is_ident_char(char c) noexcept { return in_class(c, kIdentChar); }
+constexpr bool is_digit(char c) noexcept { return in_class(c, kDigit); }
+
+constexpr char fold(char c) noexcept {
+    return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
 }
 
-bool is_ident_char(char c) noexcept {
-    return is_ident_start(c) || std::isdigit(static_cast<unsigned char>(c));
+int hex_value(char c) noexcept {
+    if (c <= '9') return c - '0';
+    return fold(c) - 'a' + 10;
 }
 
-bool has_upper(std::string_view s) noexcept {
-    for (const char c : s)
-        if (c >= 'A' && c <= 'Z') return true;
-    return false;
+// --- keywords -------------------------------------------------------------
+
+constexpr std::string_view kKeywordText[] = {
+    "",
+#define PHPSAFE_KEYWORD_TEXT(name, text) text,
+    PHPSAFE_PHP_KEYWORDS(PHPSAFE_KEYWORD_TEXT)
+#undef PHPSAFE_KEYWORD_TEXT
+};
+
+constexpr size_t kMaxKeywordSize = [] {
+    size_t longest = 0;
+    for (const std::string_view kw : kKeywordText) longest = std::max(longest, kw.size());
+    return longest;
+}();
+
+/// Hash of a lowercase word of at least two bytes. The multipliers were
+/// chosen so that no two keywords share a slot; kKeywordSlots fails to
+/// compile if an edit to the keyword list breaks that.
+constexpr unsigned keyword_hash(const char* word, size_t size) noexcept {
+    const auto byte = [&](size_t i) { return static_cast<unsigned char>(word[i]); };
+    return (byte(0) * 62u + byte(size - 1) * 16u + static_cast<unsigned>(size) * 9u +
+            byte(1)) & 255u;
 }
 
-const std::unordered_set<std::string_view>& keyword_set() {
-    static const std::unordered_set<std::string_view> kKeywords = {
-        "abstract", "and", "array", "as", "break", "callable", "case", "catch",
-        "class", "clone", "const", "continue", "declare", "default", "die", "do",
-        "echo", "else", "elseif", "empty", "enddeclare", "endfor", "endforeach",
-        "eval", "exit",
-        "endif", "endswitch", "endwhile", "extends", "final", "finally", "fn",
-        "for", "foreach", "function", "global", "goto", "if", "implements",
-        "include", "include_once", "instanceof", "insteadof", "interface",
-        "isset", "list", "match", "namespace", "new", "or", "print", "private",
-        "protected", "public", "readonly", "require", "require_once", "return",
-        "static", "switch", "throw", "trait", "try", "unset", "use", "var",
-        "while", "xor", "yield",
-    };
-    return kKeywords;
-}
+constexpr std::array<Keyword, 256> kKeywordSlots = [] {
+    std::array<Keyword, 256> slots{};
+    for (size_t k = 1; k < std::size(kKeywordText); ++k) {
+        const unsigned h = keyword_hash(kKeywordText[k].data(), kKeywordText[k].size());
+        if (slots[h] != Keyword::kNone) throw "two keywords share a hash slot";
+        slots[h] = static_cast<Keyword>(k);
+    }
+    return slots;
+}();
 
-const std::unordered_set<std::string_view>& cast_name_set() {
-    static const std::unordered_set<std::string_view> kCasts = {
+/// The lowercase cast name `name` spells in any letter case, or "".
+std::string_view cast_name_of(std::string_view name) noexcept {
+    static constexpr std::string_view kCasts[] = {
         "int", "integer", "bool", "boolean", "float", "double", "real",
         "string", "array", "object", "unset", "binary",
     };
-    return kCasts;
+    for (const std::string_view cast : kCasts)
+        if (folded_compare(name, cast) == 0) return cast;
+    return {};
+}
+
+struct Op {
+    TokenKind kind;
+    size_t size;  ///< 0: no operator starts with the byte
+};
+
+/// The longest operator that starts with the bytes c, c1, c2 (c1 and c2
+/// read '\0' past the end of the text, and no operator contains it). An
+/// unknown byte yields the placeholder kAt with size 0.
+constexpr Op operator_at(char c, char c1, char c2) noexcept {
+    using K = TokenKind;
+    switch (c) {
+        case '<':
+            if (c1 == '<') return c2 == '=' ? Op{K::kShlEq, 3} : Op{K::kShiftLeft, 2};
+            if (c1 == '=') return c2 == '>' ? Op{K::kSpaceship, 3} : Op{K::kLtEq, 2};
+            if (c1 == '>') return {K::kNotEq, 2};
+            return {K::kLt, 1};
+        case '>':
+            if (c1 == '>') return c2 == '=' ? Op{K::kShrEq, 3} : Op{K::kShiftRight, 2};
+            if (c1 == '=') return {K::kGtEq, 2};
+            return {K::kGt, 1};
+        case '*':
+            if (c1 == '*') return c2 == '=' ? Op{K::kPowEq, 3} : Op{K::kPow, 2};
+            if (c1 == '=') return {K::kMulEq, 2};
+            return {K::kStar, 1};
+        case '=':
+            if (c1 == '=') return c2 == '=' ? Op{K::kIdentical, 3} : Op{K::kEq, 2};
+            if (c1 == '>') return {K::kDoubleArrow, 2};
+            return {K::kAssign, 1};
+        case '!':
+            if (c1 == '=') return c2 == '=' ? Op{K::kNotIdentical, 3} : Op{K::kNotEq, 2};
+            return {K::kNot, 1};
+        case '?':
+            if (c1 == '?') return c2 == '=' ? Op{K::kCoalesceEq, 3} : Op{K::kCoalesce, 2};
+            if (c1 == '-' && c2 == '>') return {K::kNullsafeArrow, 3};
+            return {K::kQuestion, 1};
+        case '.':
+            if (c1 == '.' && c2 == '.') return {K::kEllipsis, 3};
+            if (c1 == '=') return {K::kConcatEq, 2};
+            return {K::kDot, 1};
+        case '-':
+            if (c1 == '>') return {K::kArrow, 2};
+            if (c1 == '-') return {K::kDec, 2};
+            if (c1 == '=') return {K::kMinusEq, 2};
+            return {K::kMinus, 1};
+        case '+':
+            if (c1 == '+') return {K::kInc, 2};
+            if (c1 == '=') return {K::kPlusEq, 2};
+            return {K::kPlus, 1};
+        case '&':
+            if (c1 == '&') return {K::kAndAnd, 2};
+            if (c1 == '=') return {K::kAndEq, 2};
+            return {K::kAmp, 1};
+        case '|':
+            if (c1 == '|') return {K::kOrOr, 2};
+            if (c1 == '=') return {K::kOrEq, 2};
+            return {K::kPipe, 1};
+        case ':': return c1 == ':' ? Op{K::kDoubleColon, 2} : Op{K::kColon, 1};
+        case '/': return c1 == '=' ? Op{K::kDivEq, 2} : Op{K::kSlash, 1};
+        case '%': return c1 == '=' ? Op{K::kModEq, 2} : Op{K::kPercent, 1};
+        case '^': return c1 == '=' ? Op{K::kXorEq, 2} : Op{K::kCaret, 1};
+        case ';': return {K::kSemicolon, 1};
+        case ',': return {K::kComma, 1};
+        case '(': return {K::kLParen, 1};
+        case ')': return {K::kRParen, 1};
+        case '{': return {K::kLBrace, 1};
+        case '}': return {K::kRBrace, 1};
+        case '[': return {K::kLBracket, 1};
+        case ']': return {K::kRBracket, 1};
+        case '~': return {K::kTilde, 1};
+        case '@': return {K::kAt, 1};
+        case '$': return {K::kDollar, 1};
+        case '`': return {K::kBacktick, 1};
+        case '\\': return {K::kBackslash, 1};
+        default: return {K::kAt, 0};
+    }
 }
 
 /// Decodes escape sequences of a single-quoted string body.
@@ -87,25 +213,28 @@ std::string decode_double_quoted(std::string_view body) {
             case '$': out.push_back('$'); break;
             case '"': out.push_back('"'); break;
             case 'x': {
-                std::string hex;
-                while (hex.size() < 2 && i + 1 < body.size() &&
-                       std::isxdigit(static_cast<unsigned char>(body[i + 1])))
-                    hex.push_back(body[++i]);
-                if (hex.empty()) {
+                int value = 0, digits = 0;
+                while (digits < 2 && i + 1 < body.size() && in_class(body[i + 1], kHexDigit)) {
+                    value = value * 16 + hex_value(body[++i]);
+                    ++digits;
+                }
+                if (digits == 0) {
                     out.push_back('\\');
                     out.push_back('x');
                 } else {
-                    out.push_back(static_cast<char>(std::stoi(hex, nullptr, 16)));
+                    out.push_back(static_cast<char>(value));
                 }
                 break;
             }
             default:
                 if (c >= '0' && c <= '7') {
-                    std::string oct(1, c);
-                    while (oct.size() < 3 && i + 1 < body.size() && body[i + 1] >= '0' &&
-                           body[i + 1] <= '7')
-                        oct.push_back(body[++i]);
-                    out.push_back(static_cast<char>(std::stoi(oct, nullptr, 8) & 0xFF));
+                    int value = c - '0', digits = 1;
+                    while (digits < 3 && i + 1 < body.size() && body[i + 1] >= '0' &&
+                           body[i + 1] <= '7') {
+                        value = value * 8 + (body[++i] - '0');
+                        ++digits;
+                    }
+                    out.push_back(static_cast<char>(value & 0xFF));
                 } else {
                     out.push_back('\\');
                     out.push_back(c);
@@ -117,8 +246,16 @@ std::string decode_double_quoted(std::string_view body) {
 
 }  // namespace
 
-bool is_php_keyword(std::string_view word) noexcept {
-    return keyword_set().count(word) > 0;
+std::string_view to_string(Keyword keyword) noexcept {
+    return kKeywordText[static_cast<size_t>(keyword)];
+}
+
+Keyword keyword_of(std::string_view word) noexcept {
+    if (word.size() < 2 || word.size() > kMaxKeywordSize) return Keyword::kNone;
+    char folded[kMaxKeywordSize];
+    for (size_t i = 0; i < word.size(); ++i) folded[i] = fold(word[i]);
+    const Keyword kw = kKeywordSlots[keyword_hash(folded, word.size())];
+    return to_string(kw) == std::string_view(folded, word.size()) ? kw : Keyword::kNone;
 }
 
 const char* to_string(TokenKind kind) {
@@ -212,319 +349,266 @@ Lexer::Lexer(const SourceFile& file, Arena& arena, DiagnosticSink& sink,
       sink_(sink),
       options_(options) {}
 
-char Lexer::advance() noexcept {
-    const char c = text_[pos_++];
-    if (c == '\n') ++line_;
-    return c;
+void Lexer::skip_to(size_t end) noexcept {
+    line_ += static_cast<int>(std::count(text_.begin() + pos_, text_.begin() + end, '\n'));
+    pos_ = end;
 }
 
-bool Lexer::looking_at(std::string_view s) const noexcept {
-    return text_.substr(pos_, s.size()) == s;
+size_t Lexer::ident_end(size_t from) const noexcept {
+    while (from < text_.size() && is_ident_char(text_[from])) ++from;
+    return from;
 }
 
-bool Lexer::match(std::string_view s) noexcept {
-    if (!looking_at(s)) return false;
-    for (size_t i = 0; i < s.size(); ++i) advance();
-    return true;
-}
-
-Token Lexer::make(TokenKind kind, std::string_view text) const {
-    Token t;
-    t.kind = kind;
-    t.text = text;
-    t.line = line_;
-    return t;
-}
-
-std::vector<Token> Lexer::tokenize() {
-    std::vector<Token> out;
+TokenStream Lexer::tokenize() {
     // Plugin code averages one token per ~6 source bytes; one up-front
     // reservation replaces the dozen-plus geometric growth reallocations a
     // multi-thousand-token file would otherwise pay.
-    out.reserve(text_.size() / 6 + 16);
+    out_.tokens.reserve(text_.size() / 6 + 16);
     while (!at_end()) {
         if (mode_ == Mode::kHtml) {
-            lex_html(out);
+            lex_html();
         } else {
-            lex_php_token(out);
+            lex_php_token();
         }
     }
-    out.push_back(make(TokenKind::kEndOfFile, ""));
-    obs::tls().tokens_lexed += out.size();
-    return out;
+    push(make(TokenKind::kEndOfFile, "", line_));
+    obs::Counters& counters = obs::tls();
+    counters.tokens_lexed += out_.tokens.size();
+    counters.alloc_string_bytes_saved += saved_bytes_;
+    return std::move(out_);
 }
 
-void Lexer::lex_html(std::vector<Token>& out) {
+void Lexer::lex_html() {
     const int start_line = line_;
     const size_t start = pos_;
-    while (!at_end()) {
-        if (looking_at("<?")) break;
-        advance();
-    }
+    skip_to(std::min(text_.find("<?", pos_), text_.size()));
     const std::string_view html = slice(start);
     if (!html.empty()) {
-        Token t = make(TokenKind::kInlineHtml, html);
-        t.line = start_line;
-        out.push_back(std::move(t));
-        obs::tls().alloc_string_bytes_saved += html.size();
+        push(make(TokenKind::kInlineHtml, html, start_line));
+        saved_bytes_ += html.size();
     }
     if (at_end()) return;
-    const int tag_line = line_;
-    if (match("<?php")) {
-        Token t = make(TokenKind::kOpenTag, "<?php");
-        t.line = tag_line;
-        out.push_back(std::move(t));
-        mode_ = Mode::kPhp;
-    } else if (match("<?=")) {
-        Token t = make(TokenKind::kOpenTagWithEcho, "<?=");
-        t.line = tag_line;
-        out.push_back(std::move(t));
-        mode_ = Mode::kPhp;
-    } else if (match("<?")) {  // short open tag
-        Token t = make(TokenKind::kOpenTag, "<?");
-        t.line = tag_line;
-        out.push_back(std::move(t));
-        mode_ = Mode::kPhp;
+    TokenKind kind = TokenKind::kOpenTag;
+    size_t size = 2;  // short open tag "<?"
+    if (peek(2) == 'p' && peek(3) == 'h' && peek(4) == 'p') {
+        size = 5;
+    } else if (peek(2) == '=') {
+        kind = TokenKind::kOpenTagWithEcho;
+        size = 3;
     }
+    push(make(kind, text_.substr(pos_, size), line_));
+    pos_ += size;
+    mode_ = Mode::kPhp;
 }
 
-void Lexer::lex_php_token(std::vector<Token>& out) {
-    // Skip whitespace.
-    while (!at_end() && std::isspace(static_cast<unsigned char>(peek()))) advance();
+void Lexer::lex_php_token() {
+    while (!at_end() && in_class(text_[pos_], kSpace)) {
+        if (text_[pos_] == '\n') ++line_;
+        ++pos_;
+    }
     if (at_end()) return;
 
-    const char c = peek();
+    const char c = text_[pos_];
+    switch (c) {
+        case '?':
+            if (peek(1) == '>') return lex_close_tag();
+            break;
+        case '/':
+            if (peek(1) == '/' || peek(1) == '*') return lex_comment();
+            break;
+        case '#':  // "#[" opens a PHP 8 attribute; anything else a comment
+            if (peek(1) == '[') return skip_attribute();
+            return lex_comment();
+        case '$':
+            if (is_ident_start(peek(1))) return push(lex_variable());
+            break;
+        case '.':
+            if (is_digit(peek(1))) return push(lex_number());
+            break;
+        case '\'':
+            return push(lex_single_quoted());
+        case '"':
+            return push(lex_double_quoted('"', TokenKind::kDoubleQuotedString));
+        case '`':
+            // Shell-exec operator: lex the body like a double-quoted string so
+            // interpolation is visible to the analysis (a potential sink).
+            return push(lex_double_quoted('`', TokenKind::kDoubleQuotedString));
+        case '<':
+            if (peek(1) == '<' && peek(2) == '<') return push(lex_heredoc());
+            break;
+        case '(':
+            if (try_lex_cast()) return;
+            break;
+        default:
+            if (is_ident_start(c)) return push(lex_identifier_or_keyword());
+            if (is_digit(c)) return push(lex_number());
+            break;
+    }
+    push(lex_operator());
+}
 
-    if (looking_at("?>")) {
-        const int tag_line = line_;
-        match("?>");
-        // PHP swallows a single newline immediately after the close tag.
-        if (peek() == '\n') advance();
-        Token t = make(TokenKind::kCloseTag, "?>");
-        t.line = tag_line;
-        out.push_back(std::move(t));
-        mode_ = Mode::kHtml;
-        return;
-    }
+void Lexer::lex_close_tag() {
+    push(make(TokenKind::kCloseTag, text_.substr(pos_, 2), line_));
+    pos_ += 2;
+    // PHP swallows a single newline immediately after the close tag.
+    if (peek() == '\n') skip_to(pos_ + 1);
+    mode_ = Mode::kHtml;
+}
 
-    if (looking_at("//") || looking_at("/*") ||
-        (c == '#' && !looking_at("#["))) {
-        lex_comment(out);
-        return;
+void Lexer::skip_attribute() {
+    // Skips to the ']' that closes the attribute's '['.
+    size_t p = pos_;
+    int depth = 0;
+    while (p < text_.size()) {
+        const char a = text_[p++];
+        if (a == '[') ++depth;
+        else if (a == ']' && --depth == 0) break;
     }
-    if (looking_at("#[")) {  // PHP 8 attribute: skip to matching ']'.
-        int depth = 0;
-        while (!at_end()) {
-            const char a = advance();
-            if (a == '[') ++depth;
-            else if (a == ']' && --depth == 0) break;
-        }
-        return;
-    }
-
-    if (c == '$' && is_ident_start(peek(1))) {
-        out.push_back(lex_variable());
-        return;
-    }
-    if (is_ident_start(c)) {
-        // Heredoc/nowdoc start with <<< which is handled below; identifiers here.
-        out.push_back(lex_identifier_or_keyword());
-        return;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && std::isdigit(static_cast<unsigned char>(peek(1))))) {
-        out.push_back(lex_number());
-        return;
-    }
-    if (c == '\'') {
-        out.push_back(lex_single_quoted());
-        return;
-    }
-    if (c == '"') {
-        out.push_back(lex_double_quoted('"', TokenKind::kDoubleQuotedString));
-        return;
-    }
-    if (c == '`') {
-        // Shell-exec operator: lex the body like a double-quoted string so
-        // interpolation is visible to the analysis (a potential sink).
-        out.push_back(lex_double_quoted('`', TokenKind::kDoubleQuotedString));
-        return;
-    }
-    if (looking_at("<<<")) {
-        out.push_back(lex_heredoc());
-        return;
-    }
-    if (c == '(' && try_lex_cast(out)) return;
-
-    out.push_back(lex_operator());
+    skip_to(p);
 }
 
 Token Lexer::lex_variable() {
-    const int start_line = line_;
     const size_t start = pos_;
-    advance();  // '$'
-    while (!at_end() && is_ident_char(peek())) advance();
-    Token t = make(TokenKind::kVariable, slice(start));
-    t.line = start_line;
-    obs::tls().alloc_string_bytes_saved += t.text.size();
+    pos_ = ident_end(pos_ + 1);  // past the '$'
+    Token t = make(TokenKind::kVariable, slice(start), line_);
+    saved_bytes_ += t.text.size();
     return t;
 }
 
 Token Lexer::lex_identifier_or_keyword() {
-    const int start_line = line_;
     const size_t start = pos_;
-    while (!at_end() && is_ident_char(peek())) advance();
+    pos_ = ident_end(pos_);
     const std::string_view raw = slice(start);
-    Token t;
-    if (!has_upper(raw)) {
-        // Already lowercase: keyword and identifier text are both zero-copy.
-        t = make(is_php_keyword(raw) ? TokenKind::kKeyword
-                                     : TokenKind::kIdentifier,
-                 raw);
-        obs::tls().alloc_string_bytes_saved += raw.size();
-    } else {
-        const std::string lower = ascii_lower(raw);
-        if (is_php_keyword(lower)) {
-            t = make(TokenKind::kKeyword, arena_.store(lower));
-        } else {
-            t = make(TokenKind::kIdentifier, raw);
-            obs::tls().alloc_string_bytes_saved += raw.size();
-        }
+    const Keyword keyword = keyword_of(raw);
+    if (keyword == Keyword::kNone) {
+        saved_bytes_ += raw.size();
+        return make(TokenKind::kIdentifier, raw, line_);
     }
-    t.line = start_line;
+    // A keyword written in capitals takes its static lowercase spelling.
+    const std::string_view lower = to_string(keyword);
+    if (lower == raw) saved_bytes_ += raw.size();
+    Token t = make(TokenKind::kKeyword, lower == raw ? raw : lower, line_);
+    t.keyword = keyword;
     return t;
 }
 
 Token Lexer::lex_number() {
-    const int start_line = line_;
     const size_t start = pos_;
+    const size_t n = text_.size();
+    size_t p = pos_;
     bool is_float = false;
+    const auto digits_from = [&](size_t q, std::uint8_t digit_class, bool underscores) {
+        while (q < n && (in_class(text_[q], digit_class) || (underscores && text_[q] == '_')))
+            ++q;
+        return q;
+    };
     if (peek() == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
-        advance();
-        advance();
-        while (!at_end() && (std::isxdigit(static_cast<unsigned char>(peek())) || peek() == '_'))
-            advance();
+        p = digits_from(p + 2, kHexDigit, true);
     } else if (peek() == '0' && (peek(1) == 'b' || peek(1) == 'B')) {
-        advance();
-        advance();
-        while (!at_end() && (peek() == '0' || peek() == '1' || peek() == '_'))
-            advance();
+        p += 2;
+        while (p < n && (text_[p] == '0' || text_[p] == '1' || text_[p] == '_')) ++p;
     } else {
-        while (!at_end() && (std::isdigit(static_cast<unsigned char>(peek())) || peek() == '_'))
-            advance();
-        if (peek() == '.' && std::isdigit(static_cast<unsigned char>(peek(1)))) {
+        p = digits_from(p, kDigit, true);
+        if (p + 1 < n && text_[p] == '.' && is_digit(text_[p + 1])) {
             is_float = true;
-            advance();
-            while (!at_end() && std::isdigit(static_cast<unsigned char>(peek())))
-                advance();
+            p = digits_from(p + 1, kDigit, false);
         }
-        if (peek() == 'e' || peek() == 'E') {
-            size_t look = 1;
-            if (peek(1) == '+' || peek(1) == '-') look = 2;
-            if (std::isdigit(static_cast<unsigned char>(peek(look)))) {
+        if (p < n && (text_[p] == 'e' || text_[p] == 'E')) {
+            size_t look = p + 1;
+            if (look < n && (text_[look] == '+' || text_[look] == '-')) ++look;
+            if (look < n && is_digit(text_[look])) {
                 is_float = true;
-                advance();
-                if (peek() == '+' || peek() == '-') advance();
-                while (!at_end() && std::isdigit(static_cast<unsigned char>(peek())))
-                    advance();
+                p = digits_from(look, kDigit, false);
             }
         }
     }
-    Token t = make(is_float ? TokenKind::kFloatLiteral : TokenKind::kIntLiteral,
-                   slice(start));
-    t.line = start_line;
-    return t;
+    pos_ = p;
+    return make(is_float ? TokenKind::kFloatLiteral : TokenKind::kIntLiteral,
+                slice(start), line_);
 }
 
 Token Lexer::lex_single_quoted() {
     const int start_line = line_;
     const size_t tok_start = pos_;
-    advance();  // opening quote
-    const size_t body_start = pos_;
+    const size_t n = text_.size();
+    size_t p = pos_ + 1;  // past the opening quote
     bool terminated = false;
-    while (!at_end()) {
-        const char c = peek();
-        if (c == '\\' && (peek(1) == '\\' || peek(1) == '\'')) {
-            advance();
-            advance();
+    while (p < n) {
+        const char c = text_[p];
+        if (c == '\\' && p + 1 < n && (text_[p + 1] == '\\' || text_[p + 1] == '\'')) {
+            p += 2;
             continue;
         }
         if (c == '\'') {
             terminated = true;
             break;
         }
-        advance();
+        ++p;
     }
-    const std::string_view body = slice(body_start);
-    if (terminated) {
-        advance();  // closing quote
-    } else {
+    const std::string_view body = text_.substr(tok_start + 1, p - tok_start - 1);
+    skip_to(terminated ? p + 1 : p);
+    if (!terminated)
         sink_.add(Severity::kError, {file_.name(), start_line},
                   "unterminated string literal");
-    }
-    Token t = make(TokenKind::kSingleQuotedString, slice(tok_start));
+    Token t = make(TokenKind::kSingleQuotedString, slice(tok_start), start_line);
     if (body.find('\\') == std::string_view::npos) {
         t.value = body;  // nothing to decode: reuse the source bytes
-        obs::tls().alloc_string_bytes_saved += body.size();
+        saved_bytes_ += body.size();
     } else {
         t.value = arena_.store(decode_single_quoted(body));
     }
-    t.line = start_line;
     return t;
 }
 
 Token Lexer::lex_double_quoted(char quote, TokenKind kind) {
     const int start_line = line_;
     const size_t tok_start = pos_;
-    advance();  // opening quote
-    const size_t body_start = pos_;
+    const size_t n = text_.size();
+    size_t p = pos_ + 1;  // past the opening quote
     bool terminated = false;
-    while (!at_end()) {
-        const char c = peek();
-        if (c == '\\' && pos_ + 1 < text_.size()) {
-            advance();
-            advance();
+    while (p < n) {
+        const char c = text_[p];
+        if (c == '\\' && p + 1 < n) {
+            p += 2;
             continue;
         }
         if (c == quote) {
             terminated = true;
             break;
         }
-        advance();
+        ++p;
     }
-    const std::string_view body = slice(body_start);
-    if (terminated) {
-        advance();  // closing quote
-    } else {
+    const std::string_view body = text_.substr(tok_start + 1, p - tok_start - 1);
+    skip_to(terminated ? p + 1 : p);
+    if (!terminated)
         sink_.add(Severity::kError, {file_.name(), start_line},
                   "unterminated string literal");
-    }
-    Token t = make(kind, slice(tok_start));
-    t.line = start_line;
+    Token t = make(kind, slice(tok_start), start_line);
     scan_interpolation(body, t);
     return t;
 }
 
 Token Lexer::lex_heredoc() {
     const int start_line = line_;
-    match("<<<");
-    while (!at_end() && (peek() == ' ' || peek() == '\t')) advance();
+    const size_t n = text_.size();
+    size_t p = pos_ + 3;  // past "<<<"
+    while (p < n && (text_[p] == ' ' || text_[p] == '\t')) ++p;
     bool nowdoc = false;
     bool quoted = false;
-    if (peek() == '\'') {
+    if (p < n && text_[p] == '\'') {
         nowdoc = true;
-        advance();
-    } else if (peek() == '"') {
+        ++p;
+    } else if (p < n && text_[p] == '"') {
         quoted = true;
-        advance();
+        ++p;
     }
-    const size_t label_start = pos_;
-    while (!at_end() && is_ident_char(peek())) advance();
-    const std::string_view label = slice(label_start);
-    if ((nowdoc && peek() == '\'') || (quoted && peek() == '"')) advance();
-    // Skip to end of line.
-    while (!at_end() && peek() != '\n') advance();
-    if (!at_end()) advance();
+    const size_t label_start = p;
+    p = ident_end(p);
+    const std::string_view label = text_.substr(label_start, p - label_start);
+    if (p < n && ((nowdoc && text_[p] == '\'') || (quoted && text_[p] == '"'))) ++p;
+    // The body starts on the next line.
+    pos_ = p;
+    skip_to(std::min(text_.find('\n', pos_), n - 1) + 1);
 
     const size_t body_start = pos_;
     size_t body_end = pos_;
@@ -532,22 +616,17 @@ Token Lexer::lex_heredoc() {
     while (!at_end()) {
         // Check for terminator at line start (PHP 7.3 allows indentation).
         size_t probe = pos_;
-        while (probe < text_.size() && (text_[probe] == ' ' || text_[probe] == '\t')) ++probe;
-        if (text_.substr(probe, label.size()) == label) {
+        while (probe < n && (text_[probe] == ' ' || text_[probe] == '\t')) ++probe;
+        if (text_.compare(probe, label.size(), label) == 0) {
             const size_t after = probe + label.size();
-            const char next = after < text_.size() ? text_[after] : '\n';
-            if (!is_ident_char(next)) {
+            if (after >= n || !is_ident_char(text_[after])) {
                 body_end = pos_;
-                // Consume up to and including the label.
-                while (pos_ < after) advance();
+                pos_ = after;  // the label line holds no newline before `after`
                 terminated = true;
                 break;
             }
         }
-        // Scan past one full line.
-        while (!at_end()) {
-            if (advance() == '\n') break;
-        }
+        skip_to(std::min(text_.find('\n', pos_), n - 1) + 1);  // past one full line
         body_end = pos_;
     }
     if (!terminated)
@@ -556,11 +635,10 @@ Token Lexer::lex_heredoc() {
     std::string_view body = text_.substr(body_start, body_end - body_start);
     if (!body.empty() && body.back() == '\n') body.remove_suffix(1);
 
-    Token t = make(nowdoc ? TokenKind::kNowdoc : TokenKind::kHeredoc, body);
-    t.line = start_line;
+    Token t = make(nowdoc ? TokenKind::kNowdoc : TokenKind::kHeredoc, body, start_line);
     if (nowdoc) {
         t.value = body;
-        obs::tls().alloc_string_bytes_saved += body.size();
+        saved_bytes_ += body.size();
     } else {
         scan_interpolation(body, t);
     }
@@ -572,6 +650,8 @@ void Lexer::scan_interpolation(std::string_view body, Token& token) {
     // embedded-expression sources that need no transformation are kept as
     // subviews; only decoded escapes and synthesized expressions (${name},
     // re-quoted indexes) are copied into the arena.
+    std::vector<StringPart>& parts = out_.parts;
+    const size_t first_part = parts.size();
     size_t seg_start = 0;
     auto flush_literal = [&](size_t end_pos) {
         if (end_pos <= seg_start) return;
@@ -580,18 +660,16 @@ void Lexer::scan_interpolation(std::string_view body, Token& token) {
         part.kind = StringPart::Kind::kLiteral;
         if (raw.find('\\') == std::string_view::npos) {
             part.text = raw;
-            obs::tls().alloc_string_bytes_saved += raw.size();
+            saved_bytes_ += raw.size();
         } else {
             part.text = arena_.store(decode_double_quoted(raw));
         }
-        token.parts.push_back(part);
+        parts.push_back(part);
     };
     auto add_expr = [&](size_t lit_end, std::string_view expr) {
         flush_literal(lit_end);
-        StringPart part;
-        part.kind = StringPart::Kind::kExpression;
-        part.text = expr;
-        token.parts.push_back(part);
+        parts.push_back({StringPart::Kind::kExpression, expr});
+        token.interpolates = true;
     };
 
     size_t i = 0;
@@ -614,7 +692,7 @@ void Lexer::scan_interpolation(std::string_view body, Token& token) {
                 ++j;
             }
             add_expr(i, body.substr(i + 1, j - (i + 1)));
-            obs::tls().alloc_string_bytes_saved += j - (i + 1);
+            saved_bytes_ += j - (i + 1);
             seg_start = i = (j < body.size()) ? j + 1 : j;
             continue;
         }
@@ -646,9 +724,8 @@ void Lexer::scan_interpolation(std::string_view body, Token& token) {
                 if (k < body.size()) {
                     const std::string_view index = body.substr(j + 1, k - (j + 1));
                     const std::string_view idx = trim(index);
-                    bool numeric = !idx.empty();
-                    for (const char d : idx)
-                        if (!std::isdigit(static_cast<unsigned char>(d))) numeric = false;
+                    const bool numeric =
+                        !idx.empty() && std::all_of(idx.begin(), idx.end(), is_digit);
                     if (!idx.empty() && (idx.front() == '\'' || idx.front() == '"' ||
                                          idx.front() == '$' || numeric)) {
                         if (idx.size() == index.size()) {
@@ -676,7 +753,7 @@ void Lexer::scan_interpolation(std::string_view body, Token& token) {
                 add_expr(i, arena_.store(synth));
             } else {
                 add_expr(i, body.substr(i, expr_end - i));
-                obs::tls().alloc_string_bytes_saved += expr_end - i;
+                saved_bytes_ += expr_end - i;
             }
             seg_start = i = j;
             continue;
@@ -684,13 +761,15 @@ void Lexer::scan_interpolation(std::string_view body, Token& token) {
         ++i;
     }
     flush_literal(body.size());
+    token.parts_begin = static_cast<std::uint32_t>(first_part);
+    token.parts_count = static_cast<std::uint32_t>(parts.size() - first_part);
 
     // The decoded value is the concatenation of literal parts (expressions
     // contribute nothing to the static value). Single-literal tokens — the
     // overwhelmingly common case — reuse the part's view.
     size_t literal_count = 0;
     std::string_view single;
-    for (const StringPart& p : token.parts) {
+    for (const StringPart& p : out_.parts_of(token)) {
         if (p.kind != StringPart::Kind::kLiteral) continue;
         ++literal_count;
         single = p.text;
@@ -701,153 +780,70 @@ void Lexer::scan_interpolation(std::string_view body, Token& token) {
         token.value = single;
     } else {
         std::string value;
-        for (const StringPart& p : token.parts)
+        for (const StringPart& p : out_.parts_of(token))
             if (p.kind == StringPart::Kind::kLiteral) value += p.text;
         token.value = arena_.store(value);
     }
 }
 
-void Lexer::lex_comment(std::vector<Token>& out) {
+void Lexer::lex_comment() {
     const int start_line = line_;
     const size_t start = pos_;
-    if (looking_at("/*")) {
-        match("/*");
-        while (!at_end() && !looking_at("*/")) advance();
-        if (!match("*/"))
+    if (peek() == '/' && peek(1) == '*') {
+        const size_t close = text_.find("*/", pos_ + 2);
+        if (close == std::string_view::npos) {
+            skip_to(text_.size());
             sink_.add(Severity::kWarning, {file_.name(), start_line},
                       "unterminated block comment");
-    } else {
-        // Line comment: ends at newline or before '?>'.
-        if (looking_at("//")) {
-            match("//");
         } else {
-            match("#");
+            skip_to(close + 2);
         }
-        while (!at_end() && peek() != '\n' && !looking_at("?>")) advance();
+    } else {
+        // Line comment ("//" or "#"): ends at newline or before '?>'.
+        const size_t body = pos_ + (peek() == '#' ? 1 : 2);
+        const std::string_view line =
+            text_.substr(body, std::min(text_.find('\n', body), text_.size()) - body);
+        pos_ = body + std::min(line.find("?>"), line.size());
     }
     if (options_.keep_comments) {
-        Token t = make(TokenKind::kComment, slice(start));
-        t.line = start_line;
-        obs::tls().alloc_string_bytes_saved += t.text.size();
-        out.push_back(std::move(t));
+        Token t = make(TokenKind::kComment, slice(start), start_line);
+        saved_bytes_ += t.text.size();
+        push(t);
     }
 }
 
-bool Lexer::try_lex_cast(std::vector<Token>& out) {
+bool Lexer::try_lex_cast() {
     // Lookahead: "(" ws* castname ws* ")".
-    size_t probe = pos_ + 1;
-    while (probe < text_.size() &&
-           (text_[probe] == ' ' || text_[probe] == '\t'))
-        ++probe;
+    const size_t n = text_.size();
+    const auto blanks_from = [&](size_t q) {
+        while (q < n && (text_[q] == ' ' || text_[q] == '\t')) ++q;
+        return q;
+    };
+    size_t probe = blanks_from(pos_ + 1);
     const size_t name_start = probe;
-    while (probe < text_.size() && std::isalpha(static_cast<unsigned char>(text_[probe])))
-        ++probe;
+    while (probe < n && in_class(text_[probe], kAlpha)) ++probe;
     const std::string_view name = text_.substr(name_start, probe - name_start);
-    while (probe < text_.size() && (text_[probe] == ' ' || text_[probe] == '\t')) ++probe;
-    if (probe >= text_.size() || text_[probe] != ')') return false;
-    const std::string lower = ascii_lower(name);  // short: stays in SSO
-    if (!cast_name_set().count(lower)) return false;
+    probe = blanks_from(probe);
+    if (probe >= n || text_[probe] != ')') return false;
+    const std::string_view cast = cast_name_of(name);
+    if (cast.empty()) return false;
 
-    const int start_line = line_;
     const size_t tok_start = pos_;
-    while (pos_ <= probe) advance();
-    Token t = make(TokenKind::kCast, slice(tok_start));
-    t.value = has_upper(name) ? arena_.store(lower) : name;
-    t.line = start_line;
-    out.push_back(std::move(t));
+    pos_ = probe + 1;  // blanks and letters only: no newline passed
+    Token t = make(TokenKind::kCast, slice(tok_start), line_);
+    t.value = cast;
+    push(t);
     return true;
 }
 
 Token Lexer::lex_operator() {
-    const int start_line = line_;
-    struct OpEntry {
-        std::string_view text;
-        TokenKind kind;
-    };
-    // Longest-match table; ordered by length.
-    static constexpr std::array<OpEntry, 28> kMulti = {{
-        {"<<=", TokenKind::kShlEq}, {">>=", TokenKind::kShrEq},
-        {"**=", TokenKind::kPowEq}, {"===", TokenKind::kIdentical},
-        {"!==", TokenKind::kNotIdentical}, {"<=>", TokenKind::kSpaceship},
-        {"?\?=", TokenKind::kCoalesceEq}, {"...", TokenKind::kEllipsis},
-        {"?->", TokenKind::kNullsafeArrow},
-        {"->", TokenKind::kArrow}, {"::", TokenKind::kDoubleColon},
-        {"=>", TokenKind::kDoubleArrow}, {"++", TokenKind::kInc},
-        {"--", TokenKind::kDec}, {"**", TokenKind::kPow},
-        {"==", TokenKind::kEq}, {"!=", TokenKind::kNotEq},
-        {"<>", TokenKind::kNotEq}, {"<=", TokenKind::kLtEq},
-        {">=", TokenKind::kGtEq}, {"&&", TokenKind::kAndAnd},
-        {"||", TokenKind::kOrOr}, {"??", TokenKind::kCoalesce},
-        {"<<", TokenKind::kShiftLeft}, {">>", TokenKind::kShiftRight},
-        {"+=", TokenKind::kPlusEq}, {"-=", TokenKind::kMinusEq},
-        {".=", TokenKind::kConcatEq},
-    }};
-    static constexpr std::array<OpEntry, 5> kMulti2 = {{
-        {"*=", TokenKind::kMulEq}, {"/=", TokenKind::kDivEq},
-        {"%=", TokenKind::kModEq}, {"&=", TokenKind::kAndEq},
-        {"|=", TokenKind::kOrEq},
-    }};
-
-    for (const OpEntry& e : kMulti) {
-        if (match(e.text)) {
-            Token t = make(e.kind, e.text);
-            t.line = start_line;
-            return t;
-        }
-    }
-    for (const OpEntry& e : kMulti2) {
-        if (match(e.text)) {
-            Token t = make(e.kind, e.text);
-            t.line = start_line;
-            return t;
-        }
-    }
-    if (match("^=")) {
-        Token t = make(TokenKind::kXorEq, "^=");
-        t.line = start_line;
-        return t;
-    }
-
+    const Op op = operator_at(text_[pos_], peek(1), peek(2));
+    if (op.size == 0)
+        sink_.add(Severity::kWarning, {file_.name(), line_},
+                  std::string("unexpected character '") + text_[pos_] + "'");
     const size_t start = pos_;
-    const char c = advance();
-    TokenKind kind;
-    switch (c) {
-        case '+': kind = TokenKind::kPlus; break;
-        case '-': kind = TokenKind::kMinus; break;
-        case '*': kind = TokenKind::kStar; break;
-        case '/': kind = TokenKind::kSlash; break;
-        case '%': kind = TokenKind::kPercent; break;
-        case '.': kind = TokenKind::kDot; break;
-        case '=': kind = TokenKind::kAssign; break;
-        case '<': kind = TokenKind::kLt; break;
-        case '>': kind = TokenKind::kGt; break;
-        case '!': kind = TokenKind::kNot; break;
-        case '?': kind = TokenKind::kQuestion; break;
-        case ':': kind = TokenKind::kColon; break;
-        case ';': kind = TokenKind::kSemicolon; break;
-        case ',': kind = TokenKind::kComma; break;
-        case '(': kind = TokenKind::kLParen; break;
-        case ')': kind = TokenKind::kRParen; break;
-        case '{': kind = TokenKind::kLBrace; break;
-        case '}': kind = TokenKind::kRBrace; break;
-        case '[': kind = TokenKind::kLBracket; break;
-        case ']': kind = TokenKind::kRBracket; break;
-        case '&': kind = TokenKind::kAmp; break;
-        case '|': kind = TokenKind::kPipe; break;
-        case '^': kind = TokenKind::kCaret; break;
-        case '~': kind = TokenKind::kTilde; break;
-        case '@': kind = TokenKind::kAt; break;
-        case '$': kind = TokenKind::kDollar; break;
-        case '`': kind = TokenKind::kBacktick; break;
-        case '\\': kind = TokenKind::kBackslash; break;
-        default:
-            sink_.add(Severity::kWarning, {file_.name(), start_line},
-                      std::string("unexpected character '") + c + "'");
-            kind = TokenKind::kAt;  // benign placeholder
-    }
-    Token t = make(kind, slice(start));
-    t.line = start_line;
-    return t;
+    pos_ += std::max<size_t>(op.size, 1);  // operators span no newline
+    return make(op.kind, slice(start), line_);
 }
 
 }  // namespace phpsafe::php

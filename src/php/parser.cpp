@@ -1,5 +1,6 @@
 #include "php/parser.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "obs/counters.h"
@@ -71,10 +72,12 @@ std::optional<InfixOp> infix_for(const Token& tok) {
         case TokenKind::kShiftLeft: return InfixOp{BinaryOp::kShl, kBpShift};
         case TokenKind::kShiftRight: return InfixOp{BinaryOp::kShr, kBpShift};
         case TokenKind::kKeyword:
-            if (tok.text == "and") return InfixOp{BinaryOp::kAnd, kBpAnd};
-            if (tok.text == "or") return InfixOp{BinaryOp::kOr, kBpOr};
-            if (tok.text == "xor") return InfixOp{BinaryOp::kXor, kBpXor};
-            return std::nullopt;
+            switch (tok.keyword) {
+                case Keyword::kAnd: return InfixOp{BinaryOp::kAnd, kBpAnd};
+                case Keyword::kOr: return InfixOp{BinaryOp::kOr, kBpOr};
+                case Keyword::kXor: return InfixOp{BinaryOp::kXor, kBpXor};
+                default: return std::nullopt;
+            }
         default: return std::nullopt;
     }
 }
@@ -140,7 +143,7 @@ bool Parser::accept(TokenKind kind) {
     return true;
 }
 
-bool Parser::accept_keyword(std::string_view kw) {
+bool Parser::accept_keyword(Keyword kw) {
     if (!check_keyword(kw)) return false;
     consume();
     return true;
@@ -255,107 +258,105 @@ StmtPtr Parser::parse_statement() {
             return block;
         }
         case TokenKind::kKeyword:
-            if (tok.text == "if") return parse_if();
-            if (tok.text == "while") return parse_while();
-            if (tok.text == "do") return parse_do_while();
-            if (tok.text == "for") return parse_for();
-            if (tok.text == "foreach") return parse_foreach();
-            if (tok.text == "switch") return parse_switch();
-            if (tok.text == "return") return parse_return();
-            if (tok.text == "echo") {
-                consume();
-                return parse_echo(false);
-            }
-            if (tok.text == "global") return parse_global();
-            if (tok.text == "static") {
-                // `static $x` is a static-variable declaration; `static::`
-                // and `static function` are expressions.
-                if (peek(1).kind == TokenKind::kVariable &&
-                    peek(2).kind != TokenKind::kDoubleColon)
-                    return parse_static_var();
-                return parse_expression_statement();
-            }
-            if (tok.text == "unset") return parse_unset();
-            if (tok.text == "break") {
-                consume();
-                auto* s = arena_.create<BreakStmt>();
-                s->line = tok.line;
-                if (check(TokenKind::kIntLiteral)) consume();
-                accept(TokenKind::kSemicolon);
-                return s;
-            }
-            if (tok.text == "continue") {
-                consume();
-                auto* s = arena_.create<ContinueStmt>();
-                s->line = tok.line;
-                if (check(TokenKind::kIntLiteral)) consume();
-                accept(TokenKind::kSemicolon);
-                return s;
-            }
-            if (tok.text == "function") {
-                // Distinguish a declaration from a closure expression.
-                const Token& next = peek(1);
-                if (next.kind == TokenKind::kIdentifier ||
-                    (next.kind == TokenKind::kAmp &&
-                     peek(2).kind == TokenKind::kIdentifier))
-                    return parse_function_decl();
-                return parse_expression_statement();
-            }
-            if (tok.text == "abstract" || tok.text == "final") {
-                const bool is_abstract = tok.text == "abstract";
-                const bool is_final = tok.text == "final";
-                consume();
-                if (check_keyword("class")) {
+            switch (tok.keyword) {
+                case Keyword::kIf: return parse_if();
+                case Keyword::kWhile: return parse_while();
+                case Keyword::kDo: return parse_do_while();
+                case Keyword::kFor: return parse_for();
+                case Keyword::kForeach: return parse_foreach();
+                case Keyword::kSwitch: return parse_switch();
+                case Keyword::kReturn: return parse_return();
+                case Keyword::kEcho:
                     consume();
-                    return parse_class_decl(ClassDecl::Kind::kClass, is_abstract, is_final);
+                    return parse_echo(false);
+                case Keyword::kGlobal: return parse_global();
+                case Keyword::kStatic:
+                    // `static $x` is a static-variable declaration; `static::`
+                    // and `static function` are expressions.
+                    if (peek(1).kind == TokenKind::kVariable &&
+                        peek(2).kind != TokenKind::kDoubleColon)
+                        return parse_static_var();
+                    return parse_expression_statement();
+                case Keyword::kUnset: return parse_unset();
+                case Keyword::kBreak: {
+                    consume();
+                    auto* s = arena_.create<BreakStmt>();
+                    s->line = tok.line;
+                    if (check(TokenKind::kIntLiteral)) consume();
+                    accept(TokenKind::kSemicolon);
+                    return s;
                 }
-                error_here("expected 'class' after modifier");
-                return nullptr;
-            }
-            if (tok.text == "class") {
-                consume();
-                return parse_class_decl(ClassDecl::Kind::kClass, false, false);
-            }
-            if (tok.text == "interface") {
-                consume();
-                return parse_class_decl(ClassDecl::Kind::kInterface, false, false);
-            }
-            if (tok.text == "trait") {
-                consume();
-                return parse_class_decl(ClassDecl::Kind::kTrait, false, false);
-            }
-            if (tok.text == "try") return parse_try();
-            if (tok.text == "throw") {
-                consume();
-                auto* s = arena_.create<ThrowStmt>();
-                s->line = tok.line;
-                s->value = parse_expression();
-                accept(TokenKind::kSemicolon);
-                return s;
-            }
-            if (tok.text == "namespace") return parse_namespace();
-            if (tok.text == "use") return parse_use();
-            if (tok.text == "const") return parse_const();
-            if (tok.text == "declare") {
-                consume();
-                if (accept(TokenKind::kLParen)) {
-                    int depth = 1;
-                    while (!at_eof() && depth > 0) {
-                        if (check(TokenKind::kLParen)) ++depth;
-                        if (check(TokenKind::kRParen)) --depth;
+                case Keyword::kContinue: {
+                    consume();
+                    auto* s = arena_.create<ContinueStmt>();
+                    s->line = tok.line;
+                    if (check(TokenKind::kIntLiteral)) consume();
+                    accept(TokenKind::kSemicolon);
+                    return s;
+                }
+                case Keyword::kFunction: {
+                    // Distinguish a declaration from a closure expression.
+                    const Token& next = peek(1);
+                    if (next.kind == TokenKind::kIdentifier ||
+                        (next.kind == TokenKind::kAmp &&
+                         peek(2).kind == TokenKind::kIdentifier))
+                        return parse_function_decl();
+                    return parse_expression_statement();
+                }
+                case Keyword::kAbstract:
+                case Keyword::kFinal: {
+                    const bool is_abstract = tok.keyword == Keyword::kAbstract;
+                    const bool is_final = tok.keyword == Keyword::kFinal;
+                    consume();
+                    if (check_keyword(Keyword::kClass)) {
                         consume();
+                        return parse_class_decl(ClassDecl::Kind::kClass, is_abstract,
+                                                is_final);
                     }
+                    error_here("expected 'class' after modifier");
+                    return nullptr;
                 }
-                accept(TokenKind::kSemicolon);
-                return nullptr;
+                case Keyword::kClass:
+                    consume();
+                    return parse_class_decl(ClassDecl::Kind::kClass, false, false);
+                case Keyword::kInterface:
+                    consume();
+                    return parse_class_decl(ClassDecl::Kind::kInterface, false, false);
+                case Keyword::kTrait:
+                    consume();
+                    return parse_class_decl(ClassDecl::Kind::kTrait, false, false);
+                case Keyword::kTry: return parse_try();
+                case Keyword::kThrow: {
+                    consume();
+                    auto* s = arena_.create<ThrowStmt>();
+                    s->line = tok.line;
+                    s->value = parse_expression();
+                    accept(TokenKind::kSemicolon);
+                    return s;
+                }
+                case Keyword::kNamespace: return parse_namespace();
+                case Keyword::kUse: return parse_use();
+                case Keyword::kConst: return parse_const();
+                case Keyword::kDeclare:
+                    consume();
+                    if (accept(TokenKind::kLParen)) {
+                        int depth = 1;
+                        while (!at_eof() && depth > 0) {
+                            if (check(TokenKind::kLParen)) ++depth;
+                            if (check(TokenKind::kRParen)) --depth;
+                            consume();
+                        }
+                    }
+                    accept(TokenKind::kSemicolon);
+                    return nullptr;
+                case Keyword::kGoto:  // rarely used; skip label
+                    consume();
+                    if (check(TokenKind::kIdentifier)) consume();
+                    accept(TokenKind::kSemicolon);
+                    return nullptr;
+                default:
+                    return parse_expression_statement();
             }
-            if (tok.text == "goto") {  // rarely used; skip label
-                consume();
-                if (check(TokenKind::kIdentifier)) consume();
-                accept(TokenKind::kSemicolon);
-                return nullptr;
-            }
-            return parse_expression_statement();
         default:
             return parse_expression_statement();
     }
@@ -372,14 +373,13 @@ StmtPtr Parser::parse_block_or_statement() {
 }
 
 ArenaVector<StmtPtr> Parser::parse_statement_list_until(
-    const std::vector<std::string_view>& end_keywords) {
+    std::initializer_list<Keyword> end_keywords) {
     ArenaVector<StmtPtr> stmts;
     while (!at_eof() && !aborted_) {
         skip_tags();
-        bool at_end = false;
-        for (std::string_view kw : end_keywords)
-            if (check_keyword(kw)) at_end = true;
-        if (at_end || at_eof()) break;
+        if (at_eof() || std::find(end_keywords.begin(), end_keywords.end(),
+                                  current().keyword) != end_keywords.end())
+            break;
         const size_t before = pos_;
         StmtPtr s = parse_statement();
         if (s) stmts.push_back(std::move(s));
@@ -401,32 +401,32 @@ StmtPtr Parser::parse_if() {
         auto* then_block = arena_.create<Block>();
         then_block->line = stmt->line;
         then_block->statements =
-            parse_statement_list_until({"elseif", "else", "endif"});
+            parse_statement_list_until({Keyword::kElseif, Keyword::kElse, Keyword::kEndif});
         stmt->then_branch = std::move(then_block);
-        if (check_keyword("elseif")) {
+        if (check_keyword(Keyword::kElseif)) {
             // Re-enter as a nested if by rewriting elseif → if.
             stmt->else_branch = parse_if();
             return stmt;
         }
-        if (accept_keyword("else")) {
+        if (accept_keyword(Keyword::kElse)) {
             accept(TokenKind::kColon);
             auto* else_block = arena_.create<Block>();
             else_block->line = current().line;
-            else_block->statements = parse_statement_list_until({"endif"});
+            else_block->statements = parse_statement_list_until({Keyword::kEndif});
             stmt->else_branch = std::move(else_block);
         }
-        accept_keyword("endif");
+        accept_keyword(Keyword::kEndif);
         accept(TokenKind::kSemicolon);
         return stmt;
     }
 
     stmt->then_branch = parse_block_or_statement();
     skip_tags();
-    if (check_keyword("elseif")) {
+    if (check_keyword(Keyword::kElseif)) {
         stmt->else_branch = parse_if();
-    } else if (accept_keyword("else")) {
+    } else if (accept_keyword(Keyword::kElse)) {
         skip_tags();
-        if (check_keyword("if")) {
+        if (check_keyword(Keyword::kIf)) {
             stmt->else_branch = parse_if();
         } else {
             stmt->else_branch = parse_block_or_statement();
@@ -445,8 +445,8 @@ StmtPtr Parser::parse_while() {
     if (accept(TokenKind::kColon)) {
         auto* body = arena_.create<Block>();
         body->line = stmt->line;
-        body->statements = parse_statement_list_until({"endwhile"});
-        accept_keyword("endwhile");
+        body->statements = parse_statement_list_until({Keyword::kEndwhile});
+        accept_keyword(Keyword::kEndwhile);
         accept(TokenKind::kSemicolon);
         stmt->body = std::move(body);
         return stmt;
@@ -460,7 +460,7 @@ StmtPtr Parser::parse_do_while() {
     stmt->line = current().line;
     consume();  // do
     stmt->body = parse_block_or_statement();
-    if (accept_keyword("while")) {
+    if (accept_keyword(Keyword::kWhile)) {
         expect(TokenKind::kLParen, "'('");
         stmt->cond = parse_expression();
         expect(TokenKind::kRParen, "')'");
@@ -497,8 +497,8 @@ StmtPtr Parser::parse_for() {
     if (accept(TokenKind::kColon)) {
         auto* body = arena_.create<Block>();
         body->line = stmt->line;
-        body->statements = parse_statement_list_until({"endfor"});
-        accept_keyword("endfor");
+        body->statements = parse_statement_list_until({Keyword::kEndfor});
+        accept_keyword(Keyword::kEndfor);
         accept(TokenKind::kSemicolon);
         stmt->body = std::move(body);
         return stmt;
@@ -513,7 +513,7 @@ StmtPtr Parser::parse_foreach() {
     consume();  // foreach
     expect(TokenKind::kLParen, "'('");
     stmt->iterable = parse_expression();
-    if (!accept_keyword("as")) error_here("expected 'as' in foreach");
+    if (!accept_keyword(Keyword::kAs)) error_here("expected 'as' in foreach");
     bool by_ref = accept(TokenKind::kAmp);
     ExprPtr first = parse_expression(kBpTernary + 1);
     if (accept(TokenKind::kDoubleArrow)) {
@@ -528,8 +528,8 @@ StmtPtr Parser::parse_foreach() {
     if (accept(TokenKind::kColon)) {
         auto* body = arena_.create<Block>();
         body->line = stmt->line;
-        body->statements = parse_statement_list_until({"endforeach"});
-        accept_keyword("endforeach");
+        body->statements = parse_statement_list_until({Keyword::kEndforeach});
+        accept_keyword(Keyword::kEndforeach);
         accept(TokenKind::kSemicolon);
         stmt->body = std::move(body);
         return stmt;
@@ -549,22 +549,24 @@ StmtPtr Parser::parse_switch() {
     if (!alt) expect(TokenKind::kLBrace, "'{'");
     while (!at_eof() && !aborted_) {
         skip_tags();
-        if ((alt && check_keyword("endswitch")) || (!alt && check(TokenKind::kRBrace)))
+        if ((alt && check_keyword(Keyword::kEndswitch)) || (!alt && check(TokenKind::kRBrace)))
             break;
-        if (accept_keyword("case")) {
+        if (accept_keyword(Keyword::kCase)) {
             SwitchCase c;
             c.match = parse_expression();
             if (!accept(TokenKind::kColon)) accept(TokenKind::kSemicolon);
-            c.body = parse_statement_list_until({"case", "default", "endswitch"});
+            c.body = parse_statement_list_until(
+                {Keyword::kCase, Keyword::kDefault, Keyword::kEndswitch});
             // '}' also ends the case body in brace syntax; the list helper
             // stops on keywords only, so double-check the brace here.
             stmt->cases.push_back(std::move(c));
             continue;
         }
-        if (accept_keyword("default")) {
+        if (accept_keyword(Keyword::kDefault)) {
             SwitchCase c;
             if (!accept(TokenKind::kColon)) accept(TokenKind::kSemicolon);
-            c.body = parse_statement_list_until({"case", "default", "endswitch"});
+            c.body = parse_statement_list_until(
+                {Keyword::kCase, Keyword::kDefault, Keyword::kEndswitch});
             stmt->cases.push_back(std::move(c));
             continue;
         }
@@ -572,7 +574,7 @@ StmtPtr Parser::parse_switch() {
         consume();  // skip stray token
     }
     if (alt) {
-        accept_keyword("endswitch");
+        accept_keyword(Keyword::kEndswitch);
         accept(TokenKind::kSemicolon);
     } else {
         expect(TokenKind::kRBrace, "'}'");
@@ -677,26 +679,21 @@ void Parser::parse_class_member(ClassDecl& cls) {
     bool is_static = false, is_abstract = false;
     std::string_view visibility;
     // Modifier run.
-    while (check(TokenKind::kKeyword)) {
-        const std::string_view kw = current().text;
-        if (kw == "public" || kw == "protected" || kw == "private") {
-            visibility = kw;
-            consume();
-        } else if (kw == "static") {
-            is_static = true;
-            consume();
-        } else if (kw == "abstract" || kw == "final" || kw == "readonly") {
-            if (kw == "abstract") is_abstract = true;
-            consume();
-        } else if (kw == "var") {
-            visibility = "public";
-            consume();
-        } else {
-            break;
+    for (bool modifier = true; modifier;) {
+        switch (current().keyword) {
+            case Keyword::kPublic:
+            case Keyword::kProtected:
+            case Keyword::kPrivate: visibility = consume().text; break;
+            case Keyword::kStatic: is_static = true; consume(); break;
+            case Keyword::kAbstract: is_abstract = true; consume(); break;
+            case Keyword::kFinal:
+            case Keyword::kReadonly: consume(); break;
+            case Keyword::kVar: visibility = "public"; consume(); break;
+            default: modifier = false;
         }
     }
 
-    if (check_keyword("function")) {
+    if (check_keyword(Keyword::kFunction)) {
         StmtPtr decl = parse_function_decl();
         if (decl && decl->kind == NodeKind::kFunctionDecl) {
             auto* method = static_cast<FunctionDecl*>(decl);
@@ -708,7 +705,7 @@ void Parser::parse_class_member(ClassDecl& cls) {
         }
         return;
     }
-    if (check_keyword("const")) {
+    if (check_keyword(Keyword::kConst)) {
         consume();
         do {
             ClassConstDecl c;
@@ -721,7 +718,7 @@ void Parser::parse_class_member(ClassDecl& cls) {
         accept(TokenKind::kSemicolon);
         return;
     }
-    if (check_keyword("use")) {  // trait use
+    if (check_keyword(Keyword::kUse)) {  // trait use
         consume();
         do {
             cls.interfaces.push_back(parse_qualified_name());
@@ -740,7 +737,7 @@ void Parser::parse_class_member(ClassDecl& cls) {
     }
     // Typed property: optional type hint before the variable.
     if ((check(TokenKind::kIdentifier) || check(TokenKind::kQuestion) ||
-         check_keyword("array")) &&
+         check_keyword(Keyword::kArray)) &&
         peek(1).kind == TokenKind::kVariable) {
         parse_type_hint();
     }
@@ -776,12 +773,12 @@ StmtPtr Parser::parse_class_decl(ClassDecl::Kind kind, bool is_abstract,
     } else {
         error_here("expected class name");
     }
-    if (accept_keyword("extends")) {
+    if (accept_keyword(Keyword::kExtends)) {
         cls->parent = parse_qualified_name();
         // Interfaces may extend several bases; record the extras as interfaces.
         while (accept(TokenKind::kComma)) cls->interfaces.push_back(parse_qualified_name());
     }
-    if (accept_keyword("implements")) {
+    if (accept_keyword(Keyword::kImplements)) {
         do {
             cls->interfaces.push_back(parse_qualified_name());
         } while (accept(TokenKind::kComma));
@@ -803,7 +800,7 @@ StmtPtr Parser::parse_try() {
     StmtPtr body = parse_statement();
     if (body && body->kind == NodeKind::kBlock)
         stmt->body = std::move(static_cast<Block*>(body)->statements);
-    while (check_keyword("catch")) {
+    while (check_keyword(Keyword::kCatch)) {
         consume();
         CatchClause clause;
         expect(TokenKind::kLParen, "'('");
@@ -817,7 +814,7 @@ StmtPtr Parser::parse_try() {
             clause.body = std::move(static_cast<Block*>(cbody)->statements);
         stmt->catches.push_back(std::move(clause));
     }
-    if (accept_keyword("finally")) {
+    if (accept_keyword(Keyword::kFinally)) {
         stmt->has_finally = true;
         StmtPtr fbody = parse_statement();
         if (fbody && fbody->kind == NodeKind::kBlock)
@@ -851,11 +848,11 @@ StmtPtr Parser::parse_use() {
     stmt->line = current().line;
     consume();  // use
     // `use function`/`use const` prefixes.
-    if (check_keyword("function") || check_keyword("const")) consume();
+    if (check_keyword(Keyword::kFunction) || check_keyword(Keyword::kConst)) consume();
     do {
         const std::string_view fqn = parse_qualified_name();
         std::string_view alias;
-        if (accept_keyword("as")) {
+        if (accept_keyword(Keyword::kAs)) {
             if (check(TokenKind::kIdentifier)) alias = consume().text;
         }
         if (alias.empty()) {
@@ -934,7 +931,7 @@ ExprPtr Parser::parse_expression(int min_bp) {
             continue;
         }
         // instanceof.
-        if (check_keyword("instanceof") && min_bp <= kBpInstanceof) {
+        if (check_keyword(Keyword::kInstanceof) && min_bp <= kBpInstanceof) {
             const int line = current().line;
             consume();
             auto* inst = arena_.create<InstanceOf>();
@@ -1014,75 +1011,80 @@ ExprPtr Parser::parse_unary() {
             consume();
             return parse_unary();
         }
-        case TokenKind::kKeyword: {
-            const std::string_view kw = tok.text;
-            if (kw == "print") {
-                consume();
-                auto* node = arena_.create<PrintExpr>();
-                node->line = line;
-                node->operand = parse_expression(kBpAssign);
-                return node;
-            }
-            if (kw == "new") return parse_new();
-            if (kw == "clone") {
-                consume();
-                auto* call = arena_.create<FunctionCall>();
-                call->line = line;
-                call->name = "clone";
-                Argument arg;
-                arg.value = parse_unary();
-                if (!arg.value) return nullptr;
-                call->args.push_back(std::move(arg));
-                return call;
-            }
-            if (kw == "include" || kw == "include_once" || kw == "require" ||
-                kw == "require_once") {
-                consume();
-                auto* node = arena_.create<IncludeExpr>();
-                node->line = line;
-                node->include_kind =
-                    kw == "include" ? IncludeKind::kInclude
-                    : kw == "include_once" ? IncludeKind::kIncludeOnce
-                    : kw == "require" ? IncludeKind::kRequire
-                                      : IncludeKind::kRequireOnce;
-                node->path = parse_expression(kBpAssign);
-                return node;
-            }
-            if (kw == "yield") {
-                // Generators: `yield [key =>] value` — represented as a
-                // __yield marker call; the engine folds the value into the
-                // function's return flow (foreach over the generator sees it).
-                consume();
-                auto* call = arena_.create<FunctionCall>();
-                call->line = line;
-                call->name = "__yield";
-                if (!check(TokenKind::kSemicolon) && !check(TokenKind::kRParen) &&
-                    !check(TokenKind::kCloseTag)) {
+        case TokenKind::kKeyword:
+            switch (tok.keyword) {
+                case Keyword::kPrint: {
+                    consume();
+                    auto* node = arena_.create<PrintExpr>();
+                    node->line = line;
+                    node->operand = parse_expression(kBpAssign);
+                    return node;
+                }
+                case Keyword::kNew: return parse_new();
+                case Keyword::kClone: {
+                    consume();
+                    auto* call = arena_.create<FunctionCall>();
+                    call->line = line;
+                    call->name = "clone";
                     Argument arg;
-                    arg.value = parse_expression(kBpAssign);
-                    if (arg.value && accept(TokenKind::kDoubleArrow)) {
-                        Argument val;
-                        val.value = parse_expression(kBpAssign);
-                        call->args.push_back(std::move(arg));
-                        if (val.value) call->args.push_back(std::move(val));
-                    } else if (arg.value) {
-                        call->args.push_back(std::move(arg));
+                    arg.value = parse_unary();
+                    if (!arg.value) return nullptr;
+                    call->args.push_back(std::move(arg));
+                    return call;
+                }
+                case Keyword::kInclude:
+                case Keyword::kIncludeOnce:
+                case Keyword::kRequire:
+                case Keyword::kRequireOnce: {
+                    consume();
+                    auto* node = arena_.create<IncludeExpr>();
+                    node->line = line;
+                    node->include_kind =
+                        tok.keyword == Keyword::kInclude ? IncludeKind::kInclude
+                        : tok.keyword == Keyword::kIncludeOnce ? IncludeKind::kIncludeOnce
+                        : tok.keyword == Keyword::kRequire ? IncludeKind::kRequire
+                                                           : IncludeKind::kRequireOnce;
+                    node->path = parse_expression(kBpAssign);
+                    return node;
+                }
+                case Keyword::kYield: {
+                    // Generators: `yield [key =>] value` — represented as a
+                    // __yield marker call; the engine folds the value into the
+                    // function's return flow (foreach over the generator sees it).
+                    consume();
+                    auto* call = arena_.create<FunctionCall>();
+                    call->line = line;
+                    call->name = "__yield";
+                    if (!check(TokenKind::kSemicolon) && !check(TokenKind::kRParen) &&
+                        !check(TokenKind::kCloseTag)) {
+                        Argument arg;
+                        arg.value = parse_expression(kBpAssign);
+                        if (arg.value && accept(TokenKind::kDoubleArrow)) {
+                            Argument val;
+                            val.value = parse_expression(kBpAssign);
+                            call->args.push_back(std::move(arg));
+                            if (val.value) call->args.push_back(std::move(val));
+                        } else if (arg.value) {
+                            call->args.push_back(std::move(arg));
+                        }
                     }
+                    return call;
                 }
-                return call;
-            }
-            if (kw == "exit" || kw == "die") {
-                consume();
-                auto* node = arena_.create<ExitExpr>();
-                node->line = line;
-                if (accept(TokenKind::kLParen)) {
-                    if (!check(TokenKind::kRParen)) node->operand = parse_expression();
-                    expect(TokenKind::kRParen, "')'");
+                case Keyword::kExit:
+                case Keyword::kDie: {
+                    consume();
+                    auto* node = arena_.create<ExitExpr>();
+                    node->line = line;
+                    if (accept(TokenKind::kLParen)) {
+                        if (!check(TokenKind::kRParen)) node->operand = parse_expression();
+                        expect(TokenKind::kRParen, "')'");
+                    }
+                    return node;
                 }
-                return node;
+                default:
+                    break;
             }
             break;
-        }
         default:
             break;
     }
@@ -1151,109 +1153,112 @@ ExprPtr Parser::parse_primary() {
         }
         case TokenKind::kLBracket:
             return parse_postfix(parse_array_literal(TokenKind::kRBracket));
-        case TokenKind::kKeyword: {
-            const std::string_view kw = tok.text;
-            if (kw == "array" && peek(1).kind == TokenKind::kLParen) {
-                consume();
-                consume();
-                return parse_postfix(parse_array_literal(TokenKind::kRParen));
-            }
-            if (kw == "list" && peek(1).kind == TokenKind::kLParen)
-                return parse_list_expr();
-            if (kw == "isset") {
-                consume();
-                auto* node = arena_.create<IssetExpr>();
-                node->line = line;
-                expect(TokenKind::kLParen, "'('");
-                if (!check(TokenKind::kRParen)) {
-                    do {
-                        node->vars.push_back(parse_expression());
-                    } while (accept(TokenKind::kComma));
-                }
-                expect(TokenKind::kRParen, "')'");
-                return node;
-            }
-            if (kw == "empty") {
-                consume();
-                auto* node = arena_.create<EmptyExpr>();
-                node->line = line;
-                expect(TokenKind::kLParen, "'('");
-                node->operand = parse_expression();
-                expect(TokenKind::kRParen, "')'");
-                return node;
-            }
-            if (kw == "function") return parse_closure(false);
-            if (kw == "fn") return parse_arrow_fn(false);
-            if (kw == "static") {
-                consume();
-                if (check_keyword("function")) return parse_closure(true);
-                if (check_keyword("fn")) return parse_arrow_fn(true);
-                // static:: access
-                if (check(TokenKind::kDoubleColon)) {
-                    auto* fake = arena_.create<Variable>();
-                    fake->line = line;
-                    fake->name = "static";
-                    // Reuse the identifier path by synthesizing a class name.
-                    consume();  // ::
-                    if (check(TokenKind::kVariable)) {
-                        auto* sp = arena_.create<StaticPropertyAccess>();
-                        sp->line = line;
-                        sp->class_name = "static";
-                        const std::string_view v = consume().text;
-                        sp->property = v.size() > 1 ? v.substr(1) : v;
-                        return parse_postfix(sp);
+        case TokenKind::kKeyword:
+            switch (tok.keyword) {
+                case Keyword::kArray:
+                    if (peek(1).kind != TokenKind::kLParen) break;
+                    consume();
+                    consume();
+                    return parse_postfix(parse_array_literal(TokenKind::kRParen));
+                case Keyword::kList:
+                    if (peek(1).kind != TokenKind::kLParen) break;
+                    return parse_list_expr();
+                case Keyword::kIsset: {
+                    consume();
+                    auto* node = arena_.create<IssetExpr>();
+                    node->line = line;
+                    expect(TokenKind::kLParen, "'('");
+                    if (!check(TokenKind::kRParen)) {
+                        do {
+                            node->vars.push_back(parse_expression());
+                        } while (accept(TokenKind::kComma));
                     }
-                    std::string_view member;
-                    if (check(TokenKind::kIdentifier) || check(TokenKind::kKeyword))
-                        member = consume().text;
-                    if (check(TokenKind::kLParen)) {
-                        auto* call = arena_.create<StaticCall>();
-                        call->line = line;
-                        call->class_name = "static";
-                        call->method = member;
-                        call->args = parse_call_args();
-                        return parse_postfix(std::move(call));
-                    }
-                    auto* cc = arena_.create<ClassConstAccess>();
-                    cc->line = line;
-                    cc->class_name = "static";
-                    cc->constant = member;
-                    return cc;
+                    expect(TokenKind::kRParen, "')'");
+                    return node;
                 }
-                error_here("unexpected 'static' in expression");
-                return nullptr;
-            }
-            if (kw == "eval") {
-                consume();
-                auto* call = arena_.create<FunctionCall>();
-                call->line = line;
-                call->name = "eval";
-                call->args = parse_call_args();
-                return call;
-            }
-            if (kw == "match") {
-                // PHP 8 match: parse as opaque; evaluate arms for side effects.
-                consume();
-                auto* call = arena_.create<FunctionCall>();
-                call->line = line;
-                call->name = "match";
-                expect(TokenKind::kLParen, "'('");
-                Argument subj;
-                subj.value = parse_expression();
-                if (subj.value) call->args.push_back(std::move(subj));
-                expect(TokenKind::kRParen, "')'");
-                if (accept(TokenKind::kLBrace)) {
-                    int depth = 1;
-                    while (!at_eof() && depth > 0) {
-                        if (check(TokenKind::kLBrace)) ++depth;
-                        if (check(TokenKind::kRBrace)) --depth;
-                        consume();
-                    }
+                case Keyword::kEmpty: {
+                    consume();
+                    auto* node = arena_.create<EmptyExpr>();
+                    node->line = line;
+                    expect(TokenKind::kLParen, "'('");
+                    node->operand = parse_expression();
+                    expect(TokenKind::kRParen, "')'");
+                    return node;
                 }
-                return call;
+                case Keyword::kFunction: return parse_closure(false);
+                case Keyword::kFn: return parse_arrow_fn(false);
+                case Keyword::kStatic: {
+                    consume();
+                    if (check_keyword(Keyword::kFunction)) return parse_closure(true);
+                    if (check_keyword(Keyword::kFn)) return parse_arrow_fn(true);
+                    // static:: access
+                    if (check(TokenKind::kDoubleColon)) {
+                        auto* fake = arena_.create<Variable>();
+                        fake->line = line;
+                        fake->name = "static";
+                        // Reuse the identifier path by synthesizing a class name.
+                        consume();  // ::
+                        if (check(TokenKind::kVariable)) {
+                            auto* sp = arena_.create<StaticPropertyAccess>();
+                            sp->line = line;
+                            sp->class_name = "static";
+                            const std::string_view v = consume().text;
+                            sp->property = v.size() > 1 ? v.substr(1) : v;
+                            return parse_postfix(sp);
+                        }
+                        std::string_view member;
+                        if (check(TokenKind::kIdentifier) || check(TokenKind::kKeyword))
+                            member = consume().text;
+                        if (check(TokenKind::kLParen)) {
+                            auto* call = arena_.create<StaticCall>();
+                            call->line = line;
+                            call->class_name = "static";
+                            call->method = member;
+                            call->args = parse_call_args();
+                            return parse_postfix(std::move(call));
+                        }
+                        auto* cc = arena_.create<ClassConstAccess>();
+                        cc->line = line;
+                        cc->class_name = "static";
+                        cc->constant = member;
+                        return cc;
+                    }
+                    error_here("unexpected 'static' in expression");
+                    return nullptr;
+                }
+                case Keyword::kEval: {
+                    consume();
+                    auto* call = arena_.create<FunctionCall>();
+                    call->line = line;
+                    call->name = "eval";
+                    call->args = parse_call_args();
+                    return call;
+                }
+                case Keyword::kMatch: {
+                    // PHP 8 match: parse as opaque; evaluate arms for side effects.
+                    consume();
+                    auto* call = arena_.create<FunctionCall>();
+                    call->line = line;
+                    call->name = "match";
+                    expect(TokenKind::kLParen, "'('");
+                    Argument subj;
+                    subj.value = parse_expression();
+                    if (subj.value) call->args.push_back(std::move(subj));
+                    expect(TokenKind::kRParen, "')'");
+                    if (accept(TokenKind::kLBrace)) {
+                        int depth = 1;
+                        while (!at_eof() && depth > 0) {
+                            if (check(TokenKind::kLBrace)) ++depth;
+                            if (check(TokenKind::kRBrace)) --depth;
+                            consume();
+                        }
+                    }
+                    return call;
+                }
+                default:
+                    break;
             }
             break;
-        }
         case TokenKind::kBackslash: {
             // Fully-qualified name: \foo\bar(...)
             return parse_identifier_expr();
@@ -1503,7 +1508,7 @@ ExprPtr Parser::parse_closure(bool is_static) {
     consume();  // function
     accept(TokenKind::kAmp);  // by-ref return
     closure->params = parse_params();
-    if (accept_keyword("use")) {
+    if (accept_keyword(Keyword::kUse)) {
         expect(TokenKind::kLParen, "'('");
         if (!check(TokenKind::kRParen)) {
             do {
@@ -1549,16 +1554,16 @@ ExprPtr Parser::parse_new() {
     consume();  // new
     if (check(TokenKind::kIdentifier) || check(TokenKind::kBackslash)) {
         node->class_name = parse_qualified_name();
-    } else if (check_keyword("static") || check_keyword("class")) {
-        if (check_keyword("class")) {
+    } else if (check_keyword(Keyword::kStatic) || check_keyword(Keyword::kClass)) {
+        if (check_keyword(Keyword::kClass)) {
             // Anonymous class: new class { ... } — parse and discard body.
             consume();
             if (check(TokenKind::kLParen)) node->args = parse_call_args();
-            if (check_keyword("extends")) {
+            if (check_keyword(Keyword::kExtends)) {
                 consume();
                 node->class_name = parse_qualified_name();
             }
-            if (accept_keyword("implements")) {
+            if (accept_keyword(Keyword::kImplements)) {
                 do {
                     parse_qualified_name();
                 } while (accept(TokenKind::kComma));
@@ -1587,7 +1592,7 @@ ExprPtr Parser::parse_string_token(const Token& tok) {
     if (!tok.has_interpolation()) return make_string_literal(tok.value, tok.line);
     auto* interp = arena_.create<InterpString>();
     interp->line = tok.line;
-    for (const StringPart& part : tok.parts) {
+    for (const StringPart& part : tokens_.parts_of(tok)) {
         if (part.kind == StringPart::Kind::kLiteral) {
             interp->parts.push_back(make_string_literal(part.text, tok.line));
         } else {
@@ -1607,9 +1612,8 @@ ArenaVector<Param> Parser::parse_params() {
         if (check(TokenKind::kRParen)) break;  // trailing comma
         Param p;
         // Modifiers (constructor promotion) and type hints.
-        while (check(TokenKind::kKeyword) &&
-               (current().text == "public" || current().text == "protected" ||
-                current().text == "private" || current().text == "readonly"))
+        while (check_keyword(Keyword::kPublic) || check_keyword(Keyword::kProtected) ||
+               check_keyword(Keyword::kPrivate) || check_keyword(Keyword::kReadonly))
             consume();
         if (!check(TokenKind::kVariable) && !check(TokenKind::kAmp) &&
             !check(TokenKind::kEllipsis))
@@ -1639,8 +1643,8 @@ std::string_view Parser::parse_type_hint() {
     accept(TokenKind::kQuestion);  // nullable
     while (true) {
         if (check(TokenKind::kIdentifier) || check(TokenKind::kBackslash) ||
-            check_keyword("array") || check_keyword("callable") ||
-            check_keyword("static")) {
+            check_keyword(Keyword::kArray) || check_keyword(Keyword::kCallable) ||
+            check_keyword(Keyword::kStatic)) {
             const std::string_view part = parse_qualified_name();
             if (!any) {
                 single = part;
@@ -1673,9 +1677,9 @@ std::string_view Parser::parse_qualified_name() {
     std::string multi;
     bool is_multi = rooted;
     if (rooted) multi = "\\";
-    while (check(TokenKind::kIdentifier) || check_keyword("array") ||
-           check_keyword("callable") || check_keyword("static") ||
-           check_keyword("class")) {
+    while (check(TokenKind::kIdentifier) || check_keyword(Keyword::kArray) ||
+           check_keyword(Keyword::kCallable) || check_keyword(Keyword::kStatic) ||
+           check_keyword(Keyword::kClass)) {
         const std::string_view part = consume().text;
         if (is_multi)
             multi += part;

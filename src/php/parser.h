@@ -7,8 +7,8 @@
 // robustness behaviour the paper measures in Section V.E.
 #pragma once
 
+#include <initializer_list>
 #include <string_view>
-#include <vector>
 
 #include "php/ast.h"
 #include "php/token.h"
@@ -61,11 +61,9 @@ private:
     const Token& current() const noexcept { return peek(0); }
     const Token& consume();
     bool check(TokenKind kind) const noexcept { return current().kind == kind; }
-    bool check_keyword(std::string_view kw) const noexcept {
-        return current().is_keyword(kw);
-    }
+    bool check_keyword(Keyword kw) const noexcept { return current().is_keyword(kw); }
     bool accept(TokenKind kind);
-    bool accept_keyword(std::string_view kw);
+    bool accept_keyword(Keyword kw);
     bool expect(TokenKind kind, std::string_view what);
     void error_here(const std::string& message);
     /// Depth accounting for every recursive production. enter_depth()
@@ -94,7 +92,7 @@ private:
     StmtPtr parse_statement();
     StmtPtr parse_block_or_statement();
     ArenaVector<StmtPtr> parse_statement_list_until(
-        const std::vector<std::string_view>& end_keywords);
+        std::initializer_list<Keyword> end_keywords);
     StmtPtr parse_if();
     StmtPtr parse_while();
     StmtPtr parse_do_while();
@@ -142,7 +140,7 @@ private:
     Arena::Bind arena_bind_{arena_};
     DiagnosticSink& sink_;
     Options options_;
-    std::vector<Token> tokens_;
+    TokenStream tokens_;
     size_t pos_ = 0;
     int error_count_ = 0;
     int depth_ = 0;

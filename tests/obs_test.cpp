@@ -4,40 +4,18 @@
 // and the always-on counters allocate nothing on the hot path.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "phpsafe.h"
 
-// Global allocation counter for the no-allocation assertions. Counting
-// operator new in this TU observes every heap allocation the process makes
-// on this thread path. Sanitizer builds interpose their own allocator and
-// may bypass this override, so those assertions are skipped there.
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}
-
-void* operator new(std::size_t size) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size)) return p;
-    throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-
+// Sanitizer builds interpose their own allocator and may bypass the
+// counting operator new (alloc_counter.cpp), so the no-allocation
+// assertions are skipped there.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define PHPSAFE_ALLOC_COUNT_RELIABLE 0
 #elif defined(__has_feature)
@@ -124,7 +102,7 @@ TEST(ObsCountersTest, DeltasNest) {
 #if PHPSAFE_ALLOC_COUNT_RELIABLE
 TEST(ObsCountersTest, IncrementsNeverAllocate) {
     ++obs::tls().tokens_lexed;  // fault in the TLS block first
-    const uint64_t before = g_allocations.load();
+    const uint64_t before = heap_allocations();
     for (int i = 0; i < 1000; ++i) {
         ++obs::tls().taint_propagations;
         ++obs::tls().sink_checks;
@@ -132,19 +110,19 @@ TEST(ObsCountersTest, IncrementsNeverAllocate) {
         obs::Counters d = delta.take();
         obs::tls().scope_lookups += d.total() ? 0 : 1;
     }
-    EXPECT_EQ(g_allocations.load(), before);
+    EXPECT_EQ(heap_allocations(), before);
 }
 
 TEST(ObsTraceTest, DisabledTracerSpansAreFree) {
     obs::Tracer tracer(/*enabled=*/false);
     const std::string plugin = "wp-forum";  // built before counting starts
-    const uint64_t before = g_allocations.load();
+    const uint64_t before = heap_allocations();
     for (int i = 0; i < 1000; ++i) {
         auto span = tracer.span("analyze", {{"plugin", plugin}});
         span.note("findings", "3");
         span.end();
     }
-    EXPECT_EQ(g_allocations.load(), before);
+    EXPECT_EQ(heap_allocations(), before);
     EXPECT_EQ(tracer.record_count(), 0u);
 }
 #endif  // PHPSAFE_ALLOC_COUNT_RELIABLE

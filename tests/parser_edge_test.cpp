@@ -233,7 +233,7 @@ TEST(LexerEdgeTest, DollarBraceInterpolation) {
     Lexer lexer(file, arena, sink);
     const auto tokens = lexer.tokenize();
     ASSERT_TRUE(tokens[1].has_interpolation());
-    EXPECT_EQ(tokens[1].parts[1].text, "$name");
+    EXPECT_EQ(tokens.parts_of(tokens[1])[1].text, "$name");
 }
 
 TEST(LexerEdgeTest, ConsecutiveInterpolations) {
@@ -242,9 +242,10 @@ TEST(LexerEdgeTest, ConsecutiveInterpolations) {
     Arena arena;
     Lexer lexer(file, arena, sink);
     const auto tokens = lexer.tokenize();
-    ASSERT_EQ(tokens[1].parts.size(), 2u);
-    EXPECT_EQ(tokens[1].parts[0].text, "$a");
-    EXPECT_EQ(tokens[1].parts[1].text, "$b");
+    const auto parts = tokens.parts_of(tokens[1]);
+    ASSERT_EQ(parts.size(), 2u);
+    EXPECT_EQ(parts[0].text, "$a");
+    EXPECT_EQ(parts[1].text, "$b");
 }
 
 TEST(LexerEdgeTest, DollarWithoutNameIsLiteral) {
