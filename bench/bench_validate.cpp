@@ -41,7 +41,10 @@
 // --smoke is the CI gate: the identity gates plus the machine-independent
 // batched-over-sequential speedup on a small fixed workload; >20%
 // regression against the committed baseline's smoke block fails (the
-// bench_graph precedent).
+// bench_graph precedent). The gate and the recorded smoke block read the
+// same statistic, the median of five best-of-3 measurements, so one run
+// disturbed by host contention moves neither.
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -54,6 +57,7 @@
 #include "baselines/analyzers.h"
 #include "corpus/generator.h"
 #include "dynamic/validator.h"
+#include "host.h"
 #include "report/matching.h"
 #include "util/json_reader.h"
 #include "util/json_writer.h"
@@ -354,13 +358,29 @@ Measurement measure(double scale, int reps) {
     return m;
 }
 
+/// The smoke statistic: of five best-of-3 measurements at corpus scale
+/// 0.25, the one with the median speedup — or the first that diverged
+/// from the sequential replay, so its detail reaches the caller.
+Measurement smoke_measurement() {
+    std::vector<Measurement> samples;
+    for (int sample = 0; sample < 5; ++sample) {
+        samples.push_back(measure(0.25, 3));
+        if (!samples.back().identical) return samples.back();
+    }
+    std::sort(samples.begin(), samples.end(),
+              [](const Measurement& a, const Measurement& b) {
+                  return a.speedup() < b.speedup();
+              });
+    return samples[samples.size() / 2];
+}
+
 int run_smoke(const std::string& baseline_path) {
     std::string detail;
     if (!verify_workers_identity(0.25, detail)) {
         std::cerr << "SMOKE FAIL: " << detail << "\n";
         return 1;
     }
-    const Measurement small = measure(0.25, 3);
+    const Measurement small = smoke_measurement();
     if (!small.identical) {
         std::cerr << "SMOKE FAIL: " << small.detail << "\n";
         return 1;
@@ -442,7 +462,7 @@ int main(int argc, char** argv) {
     if (!full.identical)
         std::cout << "IDENTITY FAIL: " << full.detail << "\n";
 
-    const Measurement smoke = measure(0.25, reps);
+    const Measurement smoke = smoke_measurement();
 
     std::ofstream out(out_path);
     JsonWriter w(out, 2);
@@ -497,6 +517,7 @@ int main(int argc, char** argv) {
     w.kv("batched_ms", smoke.batched_seconds * 1e3, 3);
     w.kv("speedup", smoke.speedup(), 2);
     w.end_object();
+    bench::write_host(w);
     w.end_object();
     out << "\n";
     std::cout << "wrote " << out_path << "\n";

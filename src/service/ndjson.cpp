@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -58,27 +59,29 @@ bool load_directory(const std::string& root,
     return true;
 }
 
-bool build_request(const JsonValue& request, ScanRequest& scan,
-                   std::string& error) {
-    scan.preset = request.string_or("preset", "phpsafe");
-    scan.priority = static_cast<int>(request.int_or("priority", 0));
-    const std::string path = request.string_or("path", "");
+/// Fills request.scan from a "path" directory or an inline "files" array
+/// plus the optional "plugin", "preset" and "priority" keys.
+bool load_scan_payload(const JsonValue& json, NdjsonRequest& request) {
+    ScanRequest& scan = request.scan;
+    scan.preset = json.string_or("preset", "phpsafe");
+    scan.priority = static_cast<int>(json.int_or("priority", 0));
+    const std::string path = json.string_or("path", "");
     if (!path.empty()) {
-        if (!load_directory(path, scan.files, error)) return false;
+        if (!load_directory(path, scan.files, request.error)) return false;
         scan.plugin =
-            request.string_or("plugin", fs::path(path).filename().string());
+            json.string_or("plugin", fs::path(path).filename().string());
         return true;
     }
-    const JsonValue* files = request.get("files");
+    const JsonValue* files = json.get("files");
     if (!files || !files->is_array() || files->array.empty()) {
-        error = "scan needs \"path\" or a non-empty \"files\" array";
+        request.error = "scan needs \"path\" or a non-empty \"files\" array";
         return false;
     }
     for (const JsonValue& file : files->array) {
         const JsonValue* name = file.get("name");
         const JsonValue* text = file.get("text");
         if (!name || !name->is_string() || !text || !text->is_string()) {
-            error = "each file needs string \"name\" and \"text\"";
+            request.error = "each file needs string \"name\" and \"text\"";
             return false;
         }
         SourceFileSpec spec;
@@ -86,34 +89,19 @@ bool build_request(const JsonValue& request, ScanRequest& scan,
         spec.text = text->string;
         scan.files.push_back(std::move(spec));
     }
-    scan.plugin = request.string_or("plugin", "stdin");
+    scan.plugin = json.string_or("plugin", "stdin");
     return true;
 }
 
-/// Strict key validation: a request carrying a key its op does not define
-/// is rejected with a structured error, not silently ignored. `allowed` is
-/// a null-terminated array of accepted key names.
-bool check_keys(const JsonValue& request, const char* op,
-                const char* const* allowed, std::string& error) {
-    for (const auto& [key, value] : request.object) {
-        bool known = false;
-        for (const char* const* a = allowed; *a; ++a) {
-            if (key == *a) {
-                known = true;
-                break;
-            }
-        }
-        if (!known) {
-            error = "unknown key \"" + key + "\" for op \"" + op + "\"";
-            return false;
-        }
-    }
-    return true;
+bool parse_scan(const JsonValue& json, NdjsonRequest& request) {
+    request.slot = json.string_or("slot", "");
+    return load_scan_payload(json, request);
 }
 
-bool parse_edit_batch(const JsonValue& request, WatchEditBatch& batch,
-                      std::string& error) {
-    const JsonValue* files = request.get("files");
+bool parse_edit(const JsonValue& json, NdjsonRequest& request) {
+    WatchEditBatch& batch = request.edit;
+    std::string& error = request.error;
+    const JsonValue* files = json.get("files");
     if (files) {
         if (!files->is_array()) {
             error = "edit \"files\" must be an array";
@@ -132,7 +120,7 @@ bool parse_edit_batch(const JsonValue& request, WatchEditBatch& batch,
             batch.upserts.push_back(std::move(spec));
         }
     }
-    const JsonValue* remove = request.get("remove");
+    const JsonValue* remove = json.get("remove");
     if (remove) {
         if (!remove->is_array()) {
             error = "edit \"remove\" must be an array of file names";
@@ -153,15 +141,36 @@ bool parse_edit_batch(const JsonValue& request, WatchEditBatch& batch,
     return true;
 }
 
+bool parse_graph(const JsonValue& json, NdjsonRequest& request) {
+    if (const JsonValue* detail = json.get("detail")) {
+        if (!detail->is_bool()) {
+            request.error = "graph \"detail\" must be a boolean";
+            return false;
+        }
+        request.graph_detail = detail->boolean;
+    }
+    request.has_payload = json.get("path") || json.get("files");
+    return !request.has_payload || load_scan_payload(json, request);
+}
+
+bool parse_validate(const JsonValue& json, NdjsonRequest& request) {
+    request.has_payload = json.get("path") || json.get("files");
+    if (request.has_payload) return load_scan_payload(json, request);
+    if (json.object.size() > 1) {
+        // Payload-less validate targets the watch session; stray request
+        // keys there would be silently meaningless.
+        request.error =
+            "validate without \"path\"/\"files\" takes no other keys";
+        return false;
+    }
+    return true;
+}
+
 }  // namespace
 
 LineStatus read_ndjson_line(std::istream& in, std::string& line,
                             size_t max_bytes) {
     line.clear();
-    if (max_bytes == 0) {
-        if (!std::getline(in, line)) return LineStatus::kEof;
-        return LineStatus::kOk;
-    }
     bool read_any = false;
     bool oversized = false;
     char c;
@@ -178,6 +187,28 @@ LineStatus read_ndjson_line(std::istream& in, std::string& line,
     return oversized ? LineStatus::kOversized : LineStatus::kOk;
 }
 
+const std::vector<NdjsonOpSpec>& ndjson_ops() {
+    using Op = NdjsonRequest::Op;
+    static const std::vector<NdjsonOpSpec> kOps = {
+        {"scan", Op::kScan,
+         {"op", "path", "files", "plugin", "preset", "priority", "slot"},
+         parse_scan},
+        {"watch", Op::kWatch,
+         {"op", "path", "files", "plugin", "preset", "priority"},
+         load_scan_payload},
+        {"edit", Op::kEdit, {"op", "files", "remove"}, parse_edit},
+        {"graph", Op::kGraph, {"op", "path", "files", "plugin", "detail"},
+         parse_graph},
+        {"validate", Op::kValidate,
+         {"op", "path", "files", "plugin", "preset", "priority"},
+         parse_validate},
+        {"stats", Op::kStats, {"op"}, nullptr},
+        {"clear", Op::kClear, {"op"}, nullptr},
+        {"quit", Op::kQuit, {"op"}, nullptr},
+    };
+    return kOps;
+}
+
 NdjsonRequest parse_ndjson_request(const std::string& line) {
     NdjsonRequest request;
     JsonValue json;
@@ -187,96 +218,27 @@ NdjsonRequest parse_ndjson_request(const std::string& line) {
             error.empty() ? "request must be a JSON object" : error;
         return request;
     }
-    static const char* const kBareKeys[] = {"op", nullptr};
-    static const char* const kScanKeys[] = {
-        "op", "path", "files", "plugin", "preset", "priority", "slot", nullptr};
-    static const char* const kWatchKeys[] = {
-        "op", "path", "files", "plugin", "preset", "priority", nullptr};
-    static const char* const kEditKeys[] = {"op", "files", "remove", nullptr};
-    static const char* const kGraphKeys[] = {
-        "op", "path", "files", "plugin", "detail", nullptr};
-    static const char* const kValidateKeys[] = {
-        "op", "path", "files", "plugin", "preset", "priority", nullptr};
-
     const std::string op = json.string_or("op", "");
-    if (op == "quit" || op == "shutdown") {
-        if (!check_keys(json, op.c_str(), kBareKeys, request.error))
-            return request;
-        request.op = NdjsonRequest::Op::kQuit;
+    const std::vector<NdjsonOpSpec>& ops = ndjson_ops();
+    const auto spec =
+        std::find_if(ops.begin(), ops.end(),
+                     [&](const NdjsonOpSpec& row) { return row.name == op; });
+    if (spec == ops.end()) {
+        request.error = "unknown op: \"" + op + "\"";
         return request;
     }
-    if (op == "stats") {
-        if (!check_keys(json, "stats", kBareKeys, request.error))
-            return request;
-        request.op = NdjsonRequest::Op::kStats;
-        return request;
-    }
-    if (op == "clear") {
-        if (!check_keys(json, "clear", kBareKeys, request.error))
-            return request;
-        request.op = NdjsonRequest::Op::kClear;
-        return request;
-    }
-    if (op == "scan") {
-        if (!check_keys(json, "scan", kScanKeys, request.error))
-            return request;
-        if (!build_request(json, request.scan, request.error)) return request;
-        request.slot = json.string_or("slot", "");
-        request.op = NdjsonRequest::Op::kScan;
-        return request;
-    }
-    if (op == "watch") {
-        if (!check_keys(json, "watch", kWatchKeys, request.error))
-            return request;
-        if (!build_request(json, request.scan, request.error)) return request;
-        request.op = NdjsonRequest::Op::kWatch;
-        return request;
-    }
-    if (op == "edit") {
-        if (!check_keys(json, "edit", kEditKeys, request.error))
-            return request;
-        if (!parse_edit_batch(json, request.edit, request.error))
-            return request;
-        request.op = NdjsonRequest::Op::kEdit;
-        return request;
-    }
-    if (op == "validate") {
-        if (!check_keys(json, "validate", kValidateKeys, request.error))
-            return request;
-        if (json.get("path") || json.get("files")) {
-            if (!build_request(json, request.scan, request.error))
-                return request;
-            request.validate_has_payload = true;
-        } else if (!json.object.empty() && json.object.size() > 1) {
-            // Payload-less validate targets the watch session; stray
-            // request keys there would be silently meaningless.
+    // Strict keys: a key the op does not define is an error, not ignored.
+    for (const auto& [key, value] : json.object) {
+        if (std::find(spec->keys.begin(), spec->keys.end(), key) ==
+            spec->keys.end()) {
             request.error =
-                "validate without \"path\"/\"files\" takes no other keys";
+                "unknown key \"" + key + "\" for op \"" + op + "\"";
             return request;
         }
-        request.op = NdjsonRequest::Op::kValidate;
-        return request;
     }
-    if (op == "graph") {
-        if (!check_keys(json, "graph", kGraphKeys, request.error))
-            return request;
-        const JsonValue* detail = json.get("detail");
-        if (detail) {
-            if (!detail->is_bool()) {
-                request.error = "graph \"detail\" must be a boolean";
-                return request;
-            }
-            request.graph_detail = detail->boolean;
-        }
-        if (json.get("path") || json.get("files")) {
-            if (!build_request(json, request.scan, request.error))
-                return request;
-            request.graph_has_payload = true;
-        }
-        request.op = NdjsonRequest::Op::kGraph;
+    if (spec->parse_payload && !spec->parse_payload(json, request))
         return request;
-    }
-    request.error = "unknown op: \"" + op + "\"";
+    request.op = spec->op;
     return request;
 }
 
@@ -459,117 +421,69 @@ std::string render_graph_line(const graph::ProjectGraph& g, bool detail) {
     return line.str();
 }
 
-int serve_ndjson(std::istream& in, std::ostream& out,
-                 const ServeOptions& options) {
-    AnalysisService own_service;
-    AnalysisService& service =
-        options.service ? *options.service : own_service;
-    WatchSession watch(service);  // per-call, like a server session's
-    int served = 0;
-
+std::optional<NdjsonRequest> read_next_request(std::istream& in,
+                                               size_t max_line_bytes) {
     std::string line;
     for (;;) {
-        const LineStatus status =
-            read_ndjson_line(in, line, options.max_line_bytes);
-        if (status == LineStatus::kEof) break;
+        const LineStatus status = read_ndjson_line(in, line, max_line_bytes);
+        if (status == LineStatus::kEof) return std::nullopt;
         if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-        ++served;
-        if (status == LineStatus::kOversized) {
-            out << render_error_line("request line exceeds " +
-                                     std::to_string(options.max_line_bytes) +
-                                     " bytes")
-                << "\n"
-                << std::flush;
-            continue;
-        }
-
-        const NdjsonRequest request = parse_ndjson_request(line);
-        switch (request.op) {
-        case NdjsonRequest::Op::kQuit:
-            out << render_bye_line() << "\n" << std::flush;
-            return served;
-        case NdjsonRequest::Op::kStats:
-            out << render_stats_line(service.cache_stats(),
-                                     options.deterministic)
-                << "\n"
-                << std::flush;
-            continue;
-        case NdjsonRequest::Op::kClear:
-            service.clear_cache();
-            out << render_ok_line() << "\n" << std::flush;
-            continue;
-        case NdjsonRequest::Op::kInvalid:
-            out << render_error_line(request.error) << "\n" << std::flush;
-            continue;
-        case NdjsonRequest::Op::kWatch: {
-            // Sequence open() before file_count() — as arguments the calls
-            // would be unsequenced relative to each other.
-            const ScanResponse response = watch.open(request.scan);
-            out << render_watch_line(response, watch.file_count(),
-                                     options.deterministic)
-                << "\n"
-                << std::flush;
-            continue;
-        }
-        case NdjsonRequest::Op::kEdit:
-            out << render_edit_line(watch.edit(request.edit),
-                                    options.deterministic)
-                << "\n"
-                << std::flush;
-            continue;
-        case NdjsonRequest::Op::kGraph: {
-            if (request.graph_has_payload) {
-                out << render_graph_line(
-                           build_request_graph(service, request.scan),
-                           request.graph_detail)
-                    << "\n"
-                    << std::flush;
-            } else if (watch.graph()) {
-                out << render_graph_line(*watch.graph(), request.graph_detail)
-                    << "\n"
-                    << std::flush;
-            } else {
-                out << render_error_line(
-                           "graph needs an open watch session or a "
-                           "\"path\"/\"files\" payload")
-                    << "\n"
-                    << std::flush;
-            }
-            continue;
-        }
-        case NdjsonRequest::Op::kValidate: {
-            if (request.validate_has_payload) {
-                out << render_validate_line(service.validate(request.scan),
-                                            options.deterministic)
-                    << "\n"
-                    << std::flush;
-            } else if (watch.active()) {
-                out << render_validate_line(
-                           service.validate(watch.request()),
-                           options.deterministic)
-                    << "\n"
-                    << std::flush;
-            } else {
-                out << render_error_line(
-                           "validate needs an open watch session or a "
-                           "\"path\"/\"files\" payload")
-                    << "\n"
-                    << std::flush;
-            }
-            continue;
-        }
-        case NdjsonRequest::Op::kScan:
-            break;
-        }
-        // The synchronous loop runs one scan at a time, so a slot's
-        // previous request is always already answered — supersede slots
-        // only matter to the pipelined sessions in service/server.h.
-        out << render_scan_line(service.scan(request.scan),
-                                options.deterministic)
-            << "\n"
-            << std::flush;
+        if (status == LineStatus::kOk) return parse_ndjson_request(line);
+        NdjsonRequest oversized;
+        oversized.error = "request line exceeds " +
+                          std::to_string(max_line_bytes) + " bytes";
+        return oversized;
     }
-    return served;
+}
+
+std::string execute(NdjsonRequest& request, AnalysisService& service,
+                    WatchSession& watch, bool deterministic) {
+    using Op = NdjsonRequest::Op;
+    switch (request.op) {
+    case Op::kScan:
+        // One scan at a time, so a slot's previous request is always
+        // already answered: supersede slots only matter to the pipelined
+        // loop, which submits scans itself.
+        return render_scan_line(service.scan(std::move(request.scan)),
+                                deterministic);
+    case Op::kWatch: {
+        // Sequence open() before file_count() — as arguments the calls
+        // would be unsequenced relative to each other.
+        const ScanResponse response = watch.open(std::move(request.scan));
+        return render_watch_line(response, watch.file_count(), deterministic);
+    }
+    case Op::kEdit:
+        return render_edit_line(watch.edit(request.edit), deterministic);
+    case Op::kGraph:
+        if (request.has_payload)
+            return render_graph_line(build_request_graph(service, request.scan),
+                                     request.graph_detail);
+        if (watch.graph())
+            return render_graph_line(*watch.graph(), request.graph_detail);
+        return render_error_line(
+            "graph needs an open watch session or a \"path\"/\"files\" "
+            "payload");
+    case Op::kValidate:
+        if (request.has_payload)
+            return render_validate_line(service.validate(request.scan),
+                                        deterministic);
+        if (watch.active())
+            return render_validate_line(service.validate(watch.request()),
+                                        deterministic);
+        return render_error_line(
+            "validate needs an open watch session or a \"path\"/\"files\" "
+            "payload");
+    case Op::kStats:
+        return render_stats_line(service.cache_stats(), deterministic);
+    case Op::kClear:
+        service.clear_cache();
+        return render_ok_line();
+    case Op::kQuit:
+        return render_bye_line();
+    case Op::kInvalid:
+        break;
+    }
+    return render_error_line(request.error);
 }
 
 }  // namespace phpsafe::service

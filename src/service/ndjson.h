@@ -2,79 +2,50 @@
 // behind tools/phpsafe_serve. One JSON request object per input line, one
 // JSON response object per output line:
 //
-//   {"op":"scan","path":"/plugin/dir"}            scan *.php under a directory
 //   {"op":"scan","plugin":"p","files":[{"name":"a.php","text":"<?php ..."}]}
-//   {"op":"scan",...,"preset":"rips"}             preset: phpsafe|rips|pixy
-//   {"op":"scan",...,"priority":5}                higher dispatches sooner
-//   {"op":"scan",...,"slot":"editor"}             supersedes the slot's
-//                                                 previous still-queued scan
-//   {"op":"stats"}                                cache statistics
-//   {"op":"clear"}                                drop all cache pools
-//   {"op":"quit"}                                 end the session cleanly
+//   {"op":"stats"}
+//   {"op":"quit"}
 //
-// Watch mode (docs/graph.md) — per-session incremental state:
-//   {"op":"watch",...}                            scan + open a watch
-//                                                 session (same keys as
-//                                                 scan, minus "slot")
-//   {"op":"edit","files":[...],"remove":[...]}    apply a change batch;
-//                                                 answers delta findings
-//                                                 ("added"/"removed") plus
-//                                                 the invalidated cone size
-//   {"op":"graph"}                                analytics of the watch
-//                                                 session's project graph
-//   {"op":"graph","path":...} / "files":[...]     ... of a standalone tree
-//   {"op":"graph",...,"detail":true}              + full nodes and edges
-//
-// Validation (docs/validation.md) — batch exploit confirmation + fixes:
-//   {"op":"validate",...}                         scan + tier every finding
-//                                                 (same payload keys as
-//                                                 watch); cached by request
-//                                                 fingerprint
-//   {"op":"validate"}                             ... of the open watch
-//                                                 session's file set
+// The ops: scan, stats, clear and quit (docs/service.md); watch, edit and
+// graph, which keep per-session incremental state (docs/graph.md); and
+// validate, batch exploit confirmation with fixes (docs/validation.md).
+// The protocol table in docs/service.md lists every op and the keys it
+// accepts; ndjson_ops() is the same table in code, and a test holds the
+// two together.
 //
 // Scan responses carry the same report object render_json_report() emits
 // for the batch tools, plus cache effectiveness fields. Every error —
 // malformed JSON, unknown op, unknown key, bad payload, oversized line —
-// is the ONE structured shape {"ok":false,"error":"..."} regardless of
-// which loop (serve_ndjson or the multi-session server) parsed the
-// request; requests carrying keys their op does not define are rejected,
-// not silently ignored. Living in the library (not the tool's main) makes
-// the protocol drivable from tests over string streams.
+// is the ONE structured shape {"ok":false,"error":"..."}; requests
+// carrying keys their op does not define are rejected, not silently
+// ignored. Living in the library (not the tool's main) makes the protocol
+// drivable from tests over string streams.
 //
-// The file splits into three layers so the single-client loop and the
-// multi-session server (service/server.h) share one wire format:
-//   - read_ndjson_line: a byte-capped line reader (bounded request memory),
+// The file splits into three layers, shared by both request loops of
+// AnalysisServer (service/server.h):
+//   - read_next_request: byte-capped line framing (bounded request
+//     memory) that skips blank lines and decodes the rest,
 //   - parse_ndjson_request / render_*_line: framing in both directions,
-//   - serve_ndjson: the synchronous read-execute-reply loop over one stream
-//     pair, which the golden protocol test drives.
+//   - execute: the one dispatch over every op, answering a request with
+//     its rendered response line.
 #pragma once
 
 #include <cstddef>
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "graph/project_graph.h"
 #include "service/service.h"
 #include "service/watch.h"
 
+namespace phpsafe {
+class JsonValue;
+}
+
 namespace phpsafe::service {
-
-struct ServeOptions {
-    /// Service to drive (caller keeps ownership, caches persist across
-    /// calls); null = serve() runs a private service for the session.
-    AnalysisService* service = nullptr;
-
-    /// Zero the fields that vary run-to-run (wall_seconds, bytes_resident)
-    /// so a scripted session produces a byte-identical transcript — the
-    /// golden protocol test depends on this.
-    bool deterministic = false;
-
-    /// Longest accepted request line in bytes; longer lines are answered
-    /// with an error and skipped without being buffered whole. 0 means
-    /// unbounded (stdin tools); the multi-session server sets a bound.
-    size_t max_line_bytes = 0;
-};
 
 /// Outcome of one capped line read.
 enum class LineStatus {
@@ -84,7 +55,7 @@ enum class LineStatus {
 };
 
 /// Reads one newline-terminated line into `line`, buffering at most
-/// `max_bytes` of it (0 = unbounded). An oversized line is consumed to its
+/// `max_bytes` of it. An oversized line is consumed to its
 /// terminator but only the first `max_bytes` are kept. A final line without
 /// a trailing newline is returned as kOk — partial trailing requests are
 /// the sender's problem, not a reason to drop them silently.
@@ -102,11 +73,23 @@ struct NdjsonRequest {
                          ///< when the request carries a payload
     std::string slot;    ///< optional supersede key for kScan ("" = none)
     WatchEditBatch edit; ///< populated for kEdit
-    bool graph_detail = false;     ///< kGraph: include full nodes + edges
-    bool graph_has_payload = false;  ///< kGraph: "path"/"files" present
-    bool validate_has_payload = false;  ///< kValidate: "path"/"files" present
+    bool graph_detail = false;  ///< kGraph: include full nodes + edges
+    bool has_payload = false;   ///< kGraph/kValidate: "path"/"files" present
     std::string error;   ///< populated for kInvalid
 };
+
+/// One row of the protocol table: an op's wire name, the keys a request
+/// of that op may carry ("op" included), and the decoder of its payload
+/// (null for the bare ops).
+struct NdjsonOpSpec {
+    std::string_view name;
+    NdjsonRequest::Op op;
+    std::vector<std::string_view> keys;
+    bool (*parse_payload)(const JsonValue& json, NdjsonRequest& request);
+};
+
+/// Every op the protocol accepts.
+const std::vector<NdjsonOpSpec>& ndjson_ops();
 
 /// Parses one request line (JSON object with an "op"). Never throws; bad
 /// input yields Op::kInvalid with `error` set.
@@ -134,10 +117,18 @@ std::string render_graph_line(const graph::ProjectGraph& g, bool detail);
 std::string render_validate_line(const ValidateResponse& response,
                                  bool deterministic);
 
-/// Serves requests from `in` until EOF or a quit op; responses go to
-/// `out`, one per line, flushed. Returns the number of lines processed
-/// (blank lines excluded).
-int serve_ndjson(std::istream& in, std::ostream& out,
-                 const ServeOptions& options = {});
+/// Reads lines from `in` up to the next non-blank one and decodes it;
+/// nullopt at end of input. A line longer than `max_line_bytes` is never
+/// buffered whole: it becomes a kInvalid request carrying the "request
+/// line exceeds N bytes" error.
+std::optional<NdjsonRequest> read_next_request(std::istream& in,
+                                               size_t max_line_bytes);
+
+/// Answers one request with its rendered response line (no newline). Every
+/// op runs synchronously: scan through service.scan, watch/edit/graph and
+/// payload-less validate against the session's `watch`, quit as the bye
+/// line. The payloads are moved out of `request`.
+std::string execute(NdjsonRequest& request, AnalysisService& service,
+                    WatchSession& watch, bool deterministic);
 
 }  // namespace phpsafe::service

@@ -30,14 +30,11 @@ AnalysisServer::~AnalysisServer() = default;
 namespace {
 
 /// One response the session owes its client, in request order. Scan items
-/// carry the ticket the writer must await; everything else carries a
-/// deferred renderer, evaluated only when the writer reaches it — so a
-/// `stats` request observes every scan the session submitted before it,
-/// and `clear` cannot race past an in-flight earlier scan of its own
-/// session. stats/clear are additionally *barriers*: the reader stops
-/// submitting until their renderer has run, so the snapshot they take is
-/// exactly what the serial serve_ndjson loop would see (no later scan of
-/// this session has been admitted yet).
+/// carry the ticket the writer must await; every other op carries a
+/// deferred renderer, which runs execute() on the writer thread only when
+/// the writer reaches it — so a `stats` request observes every scan the
+/// session submitted before it, and `clear` cannot race past an in-flight
+/// earlier scan of its own session.
 struct SessionItem {
     AnalysisService::Ticket ticket;
     std::function<std::string()> render;
@@ -82,13 +79,26 @@ private:
 
 }  // namespace
 
+int AnalysisServer::serve_serial(std::istream& in, std::ostream& out) {
+    WatchSession watch(*service_);
+    int served = 0;
+    while (auto request = read_next_request(in, options_.max_line_bytes)) {
+        ++served;
+        out << execute(*request, *service_, watch, options_.deterministic)
+            << "\n"
+            << std::flush;
+        if (request->op == NdjsonRequest::Op::kQuit) break;
+    }
+    return served;
+}
+
 int AnalysisServer::serve_session(std::istream& in, SyncLineWriter& out,
                                   int base_priority) {
     AnalysisService& service = *service_;
     const bool deterministic = options_.deterministic;
 
-    // Per-session watch state. Touched only from the writer thread (watch
-    // ops are barrier items), so no lock of its own is needed.
+    // Per-session watch state. Touched only from the writer thread (every
+    // non-scan op runs there), so no lock of its own is needed.
     WatchSession watch(service);
 
     SessionQueue queue;
@@ -108,154 +118,37 @@ int AnalysisServer::serve_session(std::istream& in, SyncLineWriter& out,
     std::map<std::string, AnalysisService::Ticket> slots;
 
     int served = 0;
-    std::string line;
-    bool quit = false;
-    while (!quit) {
-        const LineStatus status =
-            read_ndjson_line(in, line, options_.max_line_bytes);
-        if (status == LineStatus::kEof) break;
-        if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    while (auto request = read_next_request(in, options_.max_line_bytes)) {
         ++served;
-        if (status == LineStatus::kOversized) {
-            const std::string message =
-                render_error_line("request line exceeds " +
-                                  std::to_string(options_.max_line_bytes) +
-                                  " bytes");
-            queue.push({{}, [message] { return message; }});
-            continue;
-        }
-
-        NdjsonRequest request = parse_ndjson_request(line);
-        switch (request.op) {
-        case NdjsonRequest::Op::kQuit:
-            queue.push({{}, [] { return render_bye_line(); }});
-            quit = true;
-            break;
-        case NdjsonRequest::Op::kStats: {
-            auto rendered = std::make_shared<std::promise<void>>();
-            std::future<void> barrier = rendered->get_future();
-            queue.push({{}, [&service, deterministic, rendered] {
-                            std::string reply = render_stats_line(
-                                service.cache_stats(), deterministic);
-                            rendered->set_value();
-                            return reply;
-                        }});
-            barrier.wait();
-            break;
-        }
-        case NdjsonRequest::Op::kClear: {
-            auto rendered = std::make_shared<std::promise<void>>();
-            std::future<void> barrier = rendered->get_future();
-            queue.push({{}, [&service, rendered] {
-                            service.clear_cache();
-                            rendered->set_value();
-                            return render_ok_line();
-                        }});
-            barrier.wait();
-            break;
-        }
-        case NdjsonRequest::Op::kInvalid: {
-            const std::string message = render_error_line(request.error);
-            queue.push({{}, [message] { return message; }});
-            break;
-        }
-        // Watch ops are barriers like stats/clear: their renderer runs the
-        // scan and mutates the session state on the writer thread, after
-        // every earlier response and before any later request is admitted —
-        // exactly the serial serve_ndjson order, so watch transcripts are
-        // byte-identical between the two loops.
-        case NdjsonRequest::Op::kWatch: {
-            auto rendered = std::make_shared<std::promise<void>>();
-            std::future<void> barrier = rendered->get_future();
-            queue.push({{}, [&watch, deterministic, rendered,
-                             scan = std::move(request.scan)]() mutable {
-                            // Sequence open() before file_count().
-                            const ScanResponse response =
-                                watch.open(std::move(scan));
-                            std::string reply = render_watch_line(
-                                response, watch.file_count(), deterministic);
-                            rendered->set_value();
-                            return reply;
-                        }});
-            barrier.wait();
-            break;
-        }
-        case NdjsonRequest::Op::kEdit: {
-            auto rendered = std::make_shared<std::promise<void>>();
-            std::future<void> barrier = rendered->get_future();
-            queue.push({{}, [&watch, deterministic, rendered,
-                             edit = std::move(request.edit)] {
-                            std::string reply = render_edit_line(
-                                watch.edit(edit), deterministic);
-                            rendered->set_value();
-                            return reply;
-                        }});
-            barrier.wait();
-            break;
-        }
-        case NdjsonRequest::Op::kGraph: {
-            auto rendered = std::make_shared<std::promise<void>>();
-            std::future<void> barrier = rendered->get_future();
-            queue.push(
-                {{}, [&watch, &service, rendered,
-                      has_payload = request.graph_has_payload,
-                      detail = request.graph_detail,
-                      scan = std::move(request.scan)] {
-                     std::string reply;
-                     if (has_payload)
-                         reply = render_graph_line(
-                             build_request_graph(service, scan), detail);
-                     else if (watch.graph())
-                         reply = render_graph_line(*watch.graph(), detail);
-                     else
-                         reply = render_error_line(
-                             "graph needs an open watch session or a "
-                             "\"path\"/\"files\" payload");
-                     rendered->set_value();
-                     return reply;
-                 }});
-            barrier.wait();
-            break;
-        }
-        case NdjsonRequest::Op::kValidate: {
-            auto rendered = std::make_shared<std::promise<void>>();
-            std::future<void> barrier = rendered->get_future();
-            queue.push(
-                {{}, [&watch, &service, deterministic, rendered,
-                      has_payload = request.validate_has_payload,
-                      scan = std::move(request.scan)] {
-                     std::string reply;
-                     if (has_payload)
-                         reply = render_validate_line(service.validate(scan),
-                                                      deterministic);
-                     else if (watch.active())
-                         reply = render_validate_line(
-                             service.validate(watch.request()),
-                             deterministic);
-                     else
-                         reply = render_error_line(
-                             "validate needs an open watch session or a "
-                             "\"path\"/\"files\" payload");
-                     rendered->set_value();
-                     return reply;
-                 }});
-            barrier.wait();
-            break;
-        }
-        case NdjsonRequest::Op::kScan: {
-            request.scan.priority += base_priority;
+        if (request->op == NdjsonRequest::Op::kScan) {
+            request->scan.priority += base_priority;
             AnalysisService::Ticket ticket =
-                service.submit(std::move(request.scan));
-            if (!request.slot.empty()) {
-                const auto previous = slots.find(request.slot);
+                service.submit(std::move(request->scan));
+            if (!request->slot.empty()) {
+                const auto previous = slots.find(request->slot);
                 if (previous != slots.end())
                     service.cancel(previous->second);
-                slots[request.slot] = ticket;
+                slots[request->slot] = ticket;
             }
             queue.push({std::move(ticket), {}});
-            break;
+            continue;
         }
-        }
+        // Every other op is a barrier: execute() runs on the writer thread
+        // after every earlier response, and the reader admits no later
+        // request until it has — exactly the serve_serial order, so stats
+        // snapshots and watch transcripts match the serial loop byte for
+        // byte.
+        const bool quit = request->op == NdjsonRequest::Op::kQuit;
+        auto executed = std::make_shared<std::promise<void>>();
+        std::future<void> barrier = executed->get_future();
+        queue.push({{}, [&, executed, pending = std::move(*request)]() mutable {
+                        std::string reply =
+                            execute(pending, service, watch, deterministic);
+                        executed->set_value();
+                        return reply;
+                    }});
+        barrier.wait();
+        if (quit) break;
     }
 
     queue.close();

@@ -1,12 +1,17 @@
-// AnalysisServer: the multi-client front-end over one shared
-// AnalysisService. Where serve_ndjson (service/ndjson.h) answers one
-// request at a time on one stream pair, a server session is *pipelined*:
-// the calling thread reads and submits requests as fast as the client
-// sends them, and a per-session writer thread emits the responses in
-// request order as the scans complete. Clients therefore overlap — all
-// sessions share the service's TaskTeam, its priority queue, and the
-// sharded AnalysisCache — while each client still observes the simple
-// serial protocol: response N on its stream answers request N.
+// AnalysisServer: the NDJSON front-end over one AnalysisService. It has two
+// request loops, and both answer every op through service/ndjson.h's one
+// execute():
+//   - serve_serial answers one request at a time on one stream pair —
+//     phpsafe_serve's stdin mode and the golden protocol transcripts;
+//   - serve_session is *pipelined*: the calling thread reads and submits
+//     requests as fast as the client sends them, and a per-session writer
+//     thread emits the responses in request order as the scans complete.
+//     Clients therefore overlap — all sessions share the service's
+//     TaskTeam, its priority queue, and the sharded AnalysisCache — while
+//     each client still observes the simple serial protocol: response N on
+//     its stream answers request N.
+// Both read through read_next_request, so a line beyond max_line_bytes is
+// answered with an error without ever being buffered whole.
 //
 // On top of the shared wire format the pipelined session adds:
 //   - priorities: a scan's "priority" field (plus the session's base
@@ -18,9 +23,7 @@
 //     "cancelled":true},
 //   - admission control: when the service's queue depth limit is reached,
 //     submissions are answered {"ok":false,"rejected":true} immediately
-//     and cache pressure shedding kicks in (see ServiceOptions),
-//   - bounded request memory: lines beyond max_line_bytes are answered
-//     with an error without ever being buffered whole.
+//     and cache pressure shedding kicks in (see ServiceOptions).
 //
 // Sessions that write to the SAME sink (many FIFO clients multiplexed
 // onto one log, tests driving two sessions into one string stream) hand
@@ -49,7 +52,8 @@ struct ServerOptions {
     ServiceOptions service;
     /// Zero run-varying response fields (golden transcripts).
     bool deterministic = false;
-    /// Longest accepted request line; 0 = unbounded.
+    /// Longest accepted request line in bytes; a longer line is answered
+    /// with an error and skipped without being buffered whole.
     size_t max_line_bytes = 16u << 20;
 };
 
@@ -83,6 +87,11 @@ public:
     AnalysisServer& operator=(const AnalysisServer&) = delete;
 
     AnalysisService& service() noexcept { return *service_; }
+
+    /// Serves requests from `in` one at a time until EOF or quit; each
+    /// response goes to `out` as one flushed line before the next request
+    /// is read. Returns requests processed (blank lines excluded).
+    int serve_serial(std::istream& in, std::ostream& out);
 
     /// Runs one client session to EOF or quit (blocking — dedicate a
     /// thread per client). Requests are read and submitted eagerly; the

@@ -9,7 +9,7 @@
 #include <string>
 
 #include "report/evaluation.h"
-#include "service/ndjson.h"
+#include "service/server.h"
 
 namespace phpsafe {
 namespace {
@@ -96,26 +96,32 @@ TEST_F(GoldenReproduction, CorpusVitals) {
 
 // -- NDJSON protocol transcript ----------------------------------------------
 
-// Drives the phpsafe_serve protocol (service/ndjson.h) with the scripted
-// session checked in at tests/golden/ndjson_session.in and compares every
-// response line against the checked-in transcript. Covers scan (cold +
-// result-cache hit + rips preset), stats before/after clear, malformed
-// JSON, unknown ops, and quit. Regenerate the fixture after an intentional
-// protocol change with:
+// Drives the phpsafe_serve protocol (service/ndjson.h) with a scripted
+// session checked in at tests/golden/<stem>.in through one of the server's
+// two request loops (service/server.h) and compares every response line
+// against the checked-in transcript <stem>.out. Regenerate a fixture after
+// an intentional protocol change with:
 //   ./build/tools/phpsafe_serve --deterministic
 //     < tests/golden/ndjson_session.in > tests/golden/ndjson_session.out
-// (one command; wrapped here for line length)
-void expect_transcript_matches(const std::string& stem) {
+// (one command; wrapped here for line length). That is the serial loop,
+// the one every transcript is pinned on.
+enum class Loop { kSerial, kPipelined };
+
+void expect_transcript_matches(const std::string& stem, Loop loop) {
     const std::string dir = PHPSAFE_GOLDEN_DIR;
     std::ifstream script(dir + "/" + stem + ".in", std::ios::binary);
     std::ifstream expected(dir + "/" + stem + ".out", std::ios::binary);
     ASSERT_TRUE(script) << "missing " << dir << "/" << stem << ".in";
     ASSERT_TRUE(expected) << "missing " << dir << "/" << stem << ".out";
 
-    std::ostringstream actual;
-    service::ServeOptions options;
+    service::ServerOptions options;
     options.deterministic = true;
-    service::serve_ndjson(script, actual, options);
+    service::AnalysisServer server(options);
+    std::ostringstream actual;
+    if (loop == Loop::kSerial)
+        server.serve_serial(script, actual);
+    else
+        server.serve_session(script, actual);
 
     std::istringstream got(actual.str());
     std::string want_line, got_line;
@@ -130,26 +136,40 @@ void expect_transcript_matches(const std::string& stem) {
         << "extra response beyond the transcript: " << got_line;
 }
 
+// Scan (cold + result-cache hit + rips preset), stats before/after clear,
+// malformed JSON, unknown ops, and quit. Serial loop only: in a pipelined
+// session the repeated scan is submitted while the first may still be in
+// flight, so timing decides whether it comes back as deduplicated or as a
+// result-cache hit.
 TEST(GoldenNdjsonProtocol, SessionTranscriptMatches) {
-    expect_transcript_matches("ndjson_session");
+    expect_transcript_matches("ndjson_session", Loop::kSerial);
 }
 
 // The watch-mode transcript: edit before watch, open, delta after a
 // sanitizer regression, graph analytics (± detail), a new-file edit, a
 // mixed upsert+remove batch, the error shapes (unknown remove target,
 // unknown key, slot on watch), and a standalone graph payload with a
-// self-include cycle and a dead file. Regenerate like ndjson_session.
+// self-include cycle and a dead file. Every op in it is a barrier in a
+// pipelined session, so both loops answer it byte for byte.
 TEST(GoldenNdjsonProtocol, WatchTranscriptMatches) {
-    expect_transcript_matches("ndjson_watch");
+    expect_transcript_matches("ndjson_watch", Loop::kSerial);
+}
+
+TEST(GoldenNdjsonProtocol, WatchTranscriptMatchesPipelined) {
+    expect_transcript_matches("ndjson_watch", Loop::kPipelined);
 }
 
 // The validate-op transcript: scan + payload validate (tiers, quickfixes,
 // confidence in the report), the validate-cache replay on a byte-identical
 // request, the strict error shapes (unknown key, stray keys without a
 // payload, no open session), and session-aware validate against an open
-// watch. Regenerate like ndjson_session.
+// watch. Pinned on both loops like ndjson_watch.
 TEST(GoldenNdjsonProtocol, ValidateTranscriptMatches) {
-    expect_transcript_matches("ndjson_validate");
+    expect_transcript_matches("ndjson_validate", Loop::kSerial);
+}
+
+TEST(GoldenNdjsonProtocol, ValidateTranscriptMatchesPipelined) {
+    expect_transcript_matches("ndjson_validate", Loop::kPipelined);
 }
 
 }  // namespace

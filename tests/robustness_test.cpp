@@ -11,7 +11,7 @@
 #include "core/analyzer.h"
 #include "php/parser.h"
 #include "php/project.h"
-#include "service/ndjson.h"
+#include "service/server.h"
 
 namespace phpsafe {
 namespace {
@@ -154,9 +154,9 @@ TEST(RobustnessTest, FortyThousandTermConcatBuildsModelAndGraph) {
         "{\"op\":\"graph\",\"plugin\":\"deep\",\"files\":[{\"name\":"
         "\"deep.php\",\"text\":\"" + code + "\"}]}\n");
     std::ostringstream out;
-    service::ServeOptions options;
+    service::ServerOptions options;
     options.deterministic = true;
-    EXPECT_EQ(service::serve_ndjson(in, out, options), 1);
+    EXPECT_EQ(service::AnalysisServer(options).serve_serial(in, out), 1);
     const std::string line = out.str();
     EXPECT_EQ(line.rfind("{\"ok\":true", 0), 0u) << line.substr(0, 200);
     EXPECT_NE(line.find("\"files\":1"), std::string::npos)

@@ -14,9 +14,11 @@
 
 #include <chrono>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -41,7 +43,6 @@ using service::LineStatus;
 using service::ScanRequest;
 using service::ScanResponse;
 using service::ServerOptions;
-using service::ServeOptions;
 using service::ServiceOptions;
 using service::SyncLineWriter;
 
@@ -269,7 +270,7 @@ TEST(NdjsonFramingTest, ReadLineCapsBufferingAndRecovers) {
 }
 
 TEST(NdjsonFramingTest, OversizedRequestLineAnswersErrorAndContinues) {
-    ServeOptions options;
+    ServerOptions options;
     options.deterministic = true;
     options.max_line_bytes = 64;
     std::istringstream in("{\"op\":\"scan\",\"plugin\":\"big\",\"files\":[{"
@@ -279,7 +280,7 @@ TEST(NdjsonFramingTest, OversizedRequestLineAnswersErrorAndContinues) {
                           "{\"op\":\"stats\"}\n"
                           "{\"op\":\"quit\"}\n");
     std::ostringstream out;
-    EXPECT_EQ(service::serve_ndjson(in, out, options), 3);
+    EXPECT_EQ(AnalysisServer(options).serve_serial(in, out), 3);
 
     std::istringstream lines(out.str());
     std::string line;
@@ -294,12 +295,61 @@ TEST(NdjsonFramingTest, OversizedRequestLineAnswersErrorAndContinues) {
 }
 
 TEST(NdjsonFramingTest, TruncatedFinalLineWithoutNewlineIsServed) {
-    ServeOptions options;
+    ServerOptions options;
     options.deterministic = true;
     std::istringstream in("{\"op\":\"stats\"}");  // EOF, no '\n'
     std::ostringstream out;
-    EXPECT_EQ(service::serve_ndjson(in, out, options), 1);
+    EXPECT_EQ(AnalysisServer(options).serve_serial(in, out), 1);
     EXPECT_NE(out.str().find("\"summary_entries\":0"), std::string::npos);
+}
+
+TEST(NdjsonFramingTest, ShutdownIsAnUnknownOp) {
+    const service::NdjsonRequest request =
+        service::parse_ndjson_request("{\"op\":\"shutdown\"}");
+    EXPECT_EQ(request.op, service::NdjsonRequest::Op::kInvalid);
+    EXPECT_EQ(request.error, "unknown op: \"shutdown\"");
+}
+
+TEST(NdjsonProtocolTest, EveryOpAndKeyIsDocumentedInServiceMd) {
+    // The protocol table: a "| op | keys | answer |" header, a separator,
+    // then one "| `op` | `key`, ... | ... |" row per op.
+    std::ifstream in(PHPSAFE_DOCS_DIR "/service.md");
+    ASSERT_TRUE(in) << "cannot open docs/service.md";
+    std::string line;
+    while (std::getline(in, line) && line.rfind("| op | keys |", 0) != 0) {
+    }
+    ASSERT_TRUE(in) << "docs/service.md has no \"| op | keys |\" table";
+    std::getline(in, line);  // |---|---|---|
+    std::map<std::string, std::set<std::string>> documented;
+    while (std::getline(in, line) && line.rfind("| `", 0) == 0) {
+        const size_t op_end = line.find('`', 3);
+        const size_t keys_begin = line.find('|', op_end) + 1;
+        const std::string keys =
+            line.substr(keys_begin, line.find('|', keys_begin) - keys_begin);
+        std::set<std::string>& row = documented[line.substr(3, op_end - 3)];
+        for (size_t open = keys.find('`'); open != std::string::npos;) {
+            const size_t close = keys.find('`', open + 1);
+            row.insert(keys.substr(open + 1, close - open - 1));
+            open = keys.find('`', close + 1);
+        }
+    }
+
+    std::set<std::string> ops;
+    for (const service::NdjsonOpSpec& spec : service::ndjson_ops()) {
+        const std::string op(spec.name);
+        ops.insert(op);
+        std::set<std::string> keys;
+        for (std::string_view key : spec.keys)
+            if (key != "op") keys.insert(std::string(key));
+        ASSERT_TRUE(documented.count(op))
+            << "op \"" << op << "\" has no row in docs/service.md";
+        EXPECT_EQ(documented[op], keys)
+            << "keys of op \"" << op << "\" in docs/service.md";
+    }
+    for (const auto& [op, keys] : documented)
+        EXPECT_TRUE(ops.count(op))
+            << "docs/service.md documents op \"" << op
+            << "\", which the protocol does not accept";
 }
 
 // ------------------------------------------------------- pipelined sessions
@@ -319,10 +369,10 @@ TEST(ServerSessionTest, PipelinedSessionMatchesSerialLoopByteForByte) {
 
     std::ostringstream serial_out;
     {
-        ServeOptions options;
+        ServerOptions options;
         options.deterministic = true;
         std::istringstream in(script);
-        service::serve_ndjson(in, serial_out, options);
+        AnalysisServer(options).serve_serial(in, serial_out);
     }
 
     std::ostringstream session_out;
@@ -677,10 +727,10 @@ TEST(ServerSessionTest, PipelinedWatchSessionMatchesSerialLoopByteForByte) {
 
     std::ostringstream serial_out;
     {
-        ServeOptions options;
+        ServerOptions options;
         options.deterministic = true;
         std::istringstream in(script);
-        service::serve_ndjson(in, serial_out, options);
+        AnalysisServer(options).serve_serial(in, serial_out);
     }
 
     std::ostringstream session_out;
@@ -721,10 +771,10 @@ TEST(NdjsonFramingTest, UnknownKeysRejectedWithUniformErrorShape) {
 
     std::ostringstream serial_out;
     {
-        ServeOptions options;
+        ServerOptions options;
         options.deterministic = true;
         std::istringstream in(script);
-        service::serve_ndjson(in, serial_out, options);
+        AnalysisServer(options).serve_serial(in, serial_out);
     }
     EXPECT_EQ(serial_out.str(), expected);
 

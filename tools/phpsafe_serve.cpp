@@ -1,20 +1,22 @@
 // phpsafe_serve — newline-delimited JSON front end for the AnalysisService.
 //
 // Default mode reads one JSON request object per stdin line and writes one
-// JSON response object per stdout line; editors/CI keep the process alive
-// so consecutive scans hit the warm AST/summary/result caches. The
-// protocol lives in service/ndjson.h (drivable from tests); this binary
-// binds it to streams.
+// JSON response object per stdout line, one request at a time; editors/CI
+// keep the process alive so consecutive scans hit the warm
+// AST/summary/result caches. The protocol lives in service/ndjson.h and
+// both loops in service/server.h (drivable from tests); this binary binds
+// them to streams.
 //
-// Multi-client mode (one or more --session IN:OUT flags) runs the
-// pipelined AnalysisServer instead: every IN:OUT pair — named pipes for
-// live clients, regular files for scripted ones — gets its own session
-// thread against ONE shared service, so all clients share the sharded
-// cache, the priority queue, and admission control. Sessions end on quit
-// or EOF of their input; the process exits when every session has ended.
+// Multi-client mode (one or more --session IN:OUT flags) runs pipelined
+// sessions instead: every IN:OUT pair — named pipes for live clients,
+// regular files for scripted ones — gets its own session thread against
+// ONE shared service, so all clients share the sharded cache, the priority
+// queue, and admission control. Sessions end on quit or EOF of their
+// input; the process exits when every session has ended.
 //
 //   phpsafe_serve --session /tmp/a.in:/tmp/a.out --session /tmp/b.in:/tmp/b.out
 //
+// Both modes take the same flags and bound a request line at 16 MiB:
 // --workers N      worker threads (default: auto)
 // --max-queue N    admission control: reject scans once N are queued
 // --deterministic  zero wall-clock/resident-byte fields so a scripted
@@ -22,14 +24,12 @@
 //                  golden transcripts in tests/golden/)
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "service/ndjson.h"
 #include "service/server.h"
 
 namespace {
@@ -72,14 +72,12 @@ int main(int argc, char** argv) {
         }
     }
 
+    phpsafe::service::AnalysisServer server(options);
     if (sessions.empty()) {
-        phpsafe::service::ServeOptions serve;
-        serve.deterministic = options.deterministic;
-        phpsafe::service::serve_ndjson(std::cin, std::cout, serve);
+        server.serve_serial(std::cin, std::cout);
         return 0;
     }
 
-    phpsafe::service::AnalysisServer server(options);
     std::vector<std::thread> threads;
     std::atomic<bool> failed{false};
     threads.reserve(sessions.size());
