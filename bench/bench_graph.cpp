@@ -1,4 +1,4 @@
-// Cone-bounded re-analysis benchmark: what does ONE edit cost a front-end
+// Watch-edit benchmark: what does ONE edit cost a front-end
 // after the first scan of a monorepo-scale tree?
 //
 // Two protocol-level paths answer the same question ("these files changed,
@@ -8,8 +8,7 @@
 //           re-send the ENTIRE file set as one NDJSON scan line. Timed
 //           region: parse_ndjson_request (JSON-decoding every file body)
 //           + AnalysisService::scan (re-hash + file-pool probe per file,
-//           memoized summary validation, re-analysis of what changed)
-//           + render_scan_line.
+//           re-analysis of the whole project) + render_scan_line.
 //   watch — the watch-mode path (service/watch.h): one small NDJSON edit
 //           line naming only the changed files. Timed region: parse +
 //           WatchSession::edit (pinned ASTs skip hash/probe for every

@@ -1,9 +1,9 @@
 // Incremental-analysis bench for the AnalysisService (the editor/CI loop
 // the service exists for): scan the whole corpus cold, touch ONE file of
 // ONE plugin, re-scan everything warm. The warm pass answers unchanged
-// plugins from the result pool and re-analyzes the touched plugin with its
-// unchanged ASTs and function summaries seeded from the cache, so it should
-// beat a cold re-scan by well over the 3x acceptance floor.
+// plugins from the result pool and re-analyzes the touched plugin over its
+// unchanged ASTs from the file pool, so it should beat a cold re-scan by
+// well over the 3x acceptance floor.
 //
 // Correctness gate: the warm reports are compared byte-for-byte against a
 // fresh cold service scanning the same mutated corpus. A cache that changes
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "corpus/generator.h"
+#include "host.h"
 #include "report/export.h"
 #include "service/service.h"
 #include "util/json_writer.h"
@@ -149,10 +150,11 @@ int main(int argc, char** argv) {
     JsonWriter w(out, 2);
     w.begin_object();
     w.kv("bench", "bench_incremental");
+    bench::write_host(w);
     w.kv("scenario",
          "scan corpus cold, append one comment line to one file, re-scan "
          "warm; unchanged plugins hit the result pool, the touched plugin "
-         "re-analyzes with cached ASTs and seeded summaries");
+         "re-analyzes over cached ASTs");
     w.kv("corpus_scale", scale);
     w.kv("plugins", static_cast<int>(corpus.plugins.size()));
     w.kv("files", corpus.total_files("2014"));
@@ -168,17 +170,12 @@ int main(int argc, char** argv) {
     w.kv("warm_wall_seconds", warm_mutated_wall);
     w.kv("warm_speedup", mutated_speedup, 2);
     w.kv("files_reused", warm_mutated_response.files_reused);
-    w.kv("summaries_seeded", warm_mutated_response.summaries_seeded);
-    w.kv("summaries_invalidated", warm_mutated_response.summaries_invalidated);
     w.end_object();
     w.key("cache").begin_object();
     w.kv("file_hits", warm_stats.file_hits);
     w.kv("file_misses", warm_stats.file_misses);
-    w.kv("summary_hits", warm_stats.summary_hits);
-    w.kv("summary_misses", warm_stats.summary_misses);
     w.kv("result_hits", warm_stats.result_hits);
     w.kv("evictions", warm_stats.evictions);
-    w.kv("invalidations", warm_stats.invalidations);
     w.kv("bytes_resident", warm_stats.bytes_resident);
     w.end_object();
     w.kv("warm_reports_byte_identical_to_cold", reports_identical);
@@ -189,8 +186,7 @@ int main(int argc, char** argv) {
               << "s (x" << total_speedup << "); touched plugin cold "
               << cold_mutated_wall << "s, warm " << warm_mutated_wall << "s (x"
               << mutated_speedup << ", " << warm_mutated_response.files_reused
-              << " files reused, " << warm_mutated_response.summaries_seeded
-              << " summaries seeded)\n";
+              << " files reused)\n";
     std::cout << "wrote " << out_path << "\n";
 
     if (!reports_identical) return 1;

@@ -99,7 +99,7 @@ std::vector<ScanRequest> client_schedule(const corpus::Corpus& corpus,
         // i % 3 == 0: base content (cold the first time, warm after);
         // i % 3 == 1: identical re-scan (result-pool hit / dedup);
         // i % 3 == 2: single-file edit — appends a comment revision, so
-        // ASTs of untouched files and most summaries reuse.
+        // the ASTs of untouched files come from the file pool.
         if (i % 3 == 2 && !request.files.empty())
             request.files[0].text +=
                 "\n// edit revision " + std::to_string(i / 3) + "\n";

@@ -8,8 +8,8 @@
 // way such audits run in practice: a first cold pass over every plugin
 // version, then a re-audit pass over the same corpus (answered entirely
 // from the service's result pool), then a spot re-scan of one patched file
-// (answered with cached ASTs and seeded function summaries). The cache
-// summary at the end shows the hit rates each pass achieved.
+// (answered with the unchanged files' cached ASTs). The cache summary at
+// the end shows the hit rates each pass achieved.
 //
 //   $ ./build/examples/evolution_study
 #include <iomanip>
@@ -117,8 +117,8 @@ int main() {
               << inertia.carried_easy_exploit << " ("
               << inertia.easy_fraction_of_carried() * 100 << "%)\n";
 
-    // Spot re-scan: one plugin gets a one-line patch; everything the patch
-    // does not touch is inherited from the cache.
+    // Spot re-scan: one plugin gets a one-line patch; every file the patch
+    // does not touch comes pre-parsed from the cache.
     service::ScanRequest patched = to_request(corpus.plugins.front(),
                                               corpus.plugins.front().v2014);
     patched.files[0].text += "\n// hotfix\n";
@@ -133,24 +133,14 @@ int main() {
               << " scans served from the result pool, x"
               << (warm_wall > 0 ? cold_wall / warm_wall : 0) << ")\n";
     std::cout << "  patched re-scan:  " << patch_scan.files_reused
-              << " parsed files reused, " << patch_scan.summaries_seeded
-              << " summaries seeded, " << patch_scan.summaries_invalidated
-              << " invalidated by the patch\n";
+              << " parsed files reused\n";
     const double file_rate =
         cache.file_hits + cache.file_misses
             ? 100.0 * cache.file_hits / (cache.file_hits + cache.file_misses)
             : 0.0;
-    const double summary_rate =
-        cache.summary_hits + cache.summary_misses
-            ? 100.0 * cache.summary_hits /
-                  (cache.summary_hits + cache.summary_misses)
-            : 0.0;
     std::cout << "  file pool hit rate:    " << file_rate << "% ("
               << cache.file_hits << "/" << (cache.file_hits + cache.file_misses)
               << ")\n";
-    std::cout << "  summary pool hit rate: " << summary_rate << "% ("
-              << cache.summary_hits << "/"
-              << (cache.summary_hits + cache.summary_misses) << ")\n";
     std::cout << "  bytes resident: " << cache.bytes_resident << "\n";
     return 0;
 }

@@ -286,7 +286,7 @@ void Engine::summarize_uncalled() {
 }
 
 void Engine::summarize_all_declared() {
-    // Hermetic stage 1' (service mode): summarize every declared function
+    // Hermetic stage 1': summarize every declared function
     // context-free before any entry file runs. Cold and warm runs therefore
     // visit summaries in the same (declaration) order, and each summary is a
     // pure function of the project content its computation observed — the
@@ -1556,7 +1556,7 @@ TaintValue Engine::apply_user_function(const php::FunctionRef& ref,
             step += "() argument #";
             step += std::to_string(psf.param + 1);
             value.add_step(loc, std::move(step));
-            value.add_step(psf.location, "reaches sink " + psf.sink_name);
+            // report() appends the closing "reaches sink" step itself.
             value.via_oop = value.via_oop || psf.via_oop;
             report(psf.vuln, psf.location, psf.sink_name, psf.variable, value);
         }

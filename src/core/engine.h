@@ -70,11 +70,12 @@ struct AnalysisOptions {
     /// registered as anonymous functions as reachable).
     bool analyze_closures = true;
 
-    /// Hermetic summaries (the incremental service's mode): every declared
-    /// function is summarized context-free, in declaration order, before any
-    /// entry file runs, and first-call argument context is ignored. This
-    /// makes a summary a pure function of the project content reachable from
-    /// it — the property that lets the service reuse summaries across runs —
+    /// Hermetic summaries (the analysis service's presets, fix verification's
+    /// rescans): every declared function is summarized context-free, in
+    /// declaration order, before any entry file runs, and first-call
+    /// argument context is ignored. This makes a summary a pure function of
+    /// the project content reachable from it — the property that lets fix
+    /// verification seed summaries across rescans —
     /// at the cost of the paper's "context of the first call" side-effect
     /// materialization. Requires analyze_uncalled_functions to change stage
     /// order; without it the flag only disables call-context sensitivity.
@@ -82,15 +83,15 @@ struct AnalysisOptions {
 
     /// Capture/seed each entry file's top-level walk (its "main function",
     /// paper §III.C) as an artifact alongside the function summaries, keyed
-    /// "file:<name>". An entry artifact is reusable only when the walk
-    /// observed nothing another entry file could change: a plain-global
-    /// read must be preceded by the entry's own strong write of that name
-    /// (the final written values are stored in the artifact and replayed on
-    /// seeding, so later entry files see the same global state a fresh walk
-    /// would have left), and any persistent-store touch — properties,
-    /// statics, closure dedup — disqualifies it. Off by default; only the
-    /// validation pipeline's fix-verification rescans opt in, so service
-    /// cache contents and counters are unaffected. Requires
+    /// "file:<name>". The artifact stores the final value of every shared
+    /// slot (global, class-level or static property) the walk wrote, replayed
+    /// on seeding so later entry files see the state a fresh walk would have
+    /// left, and the fingerprint of every slot it read before writing; a
+    /// seed applies only while each of those still matches the live stores
+    /// (foreign reads). State a replay cannot reproduce (truncation
+    /// diagnostics, whole-scope captures) makes the artifact non-reusable.
+    /// Off by default; only the validation pipeline's
+    /// fix-verification rescans opt in. Requires
     /// hermetic_summaries (stage-1' ordering is what makes the walk a pure
     /// function of file content + replayed globals).
     bool capture_entry_files = false;
@@ -193,8 +194,8 @@ public:
     /// Seeded summaries are installed instead of analyzing their bodies and
     /// their recorded findings are replayed; computed summaries are captured
     /// with their dependency records. Findings are identical to an
-    /// exchange-free run for any valid seed set — tests/determinism_test.cpp
-    /// and tests/service_test.cpp prove it.
+    /// exchange-free run for any valid seed set — fix verification relies
+    /// on it (tests/validate_test.cpp, bench_validate's identity gate).
     AnalysisResult analyze(const php::Project& project,
                            const SummaryExchange& exchange);
 

@@ -62,12 +62,13 @@ struct FunctionSummary {
 };
 
 // ---------------------------------------------------------------------------
-// Cross-run summary reuse (the incremental analysis service)
+// Cross-run summary reuse (batch fix verification, validate/validate.cpp)
 // ---------------------------------------------------------------------------
 
 /// One thing a summary's computation observed about the project. Reusing the
 /// summary in a later run is sound only while every observation still holds;
-/// the service re-checks them against the new project before seeding.
+/// fix verification blocks every artifact whose record names the patched
+/// file (SummaryExchange::seed_block).
 struct SummaryDep {
     enum class Kind {
         kFile,       ///< read this file's content (body, callee, include)
@@ -80,10 +81,6 @@ struct SummaryDep {
     Kind kind = Kind::kFile;
     std::string name;  ///< lowercased symbol / path / file name
     std::string file;  ///< file the name resolved to; empty when unresolved
-    /// For kFile deps: content hash of the file at capture time. The engine
-    /// leaves it 0 (it would cost a linear file lookup per summary); the
-    /// service fills it from the scanned project before caching.
-    uint64_t hash = 0;
 
     friend bool operator<(const SummaryDep& a, const SummaryDep& b) {
         if (a.kind != b.kind) return a.kind < b.kind;

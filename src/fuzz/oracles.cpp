@@ -127,7 +127,7 @@ void OracleRunner::ensure_services() {
     one.workers = 1;
     // With the result pool on, a repeat scan would be answered from the
     // stored result — trivially identical. Turning it off forces the
-    // second scan through the warm file/summary path under test.
+    // second scan through the warm file-pool path under test.
     one.reuse_results = false;
     serial_ = std::make_unique<service::AnalysisService>(one);
     service::ServiceOptions four = one;

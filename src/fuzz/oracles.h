@@ -6,7 +6,7 @@
 //                   bytes.
 //   determinism   — AnalysisService findings are byte-identical between a
 //                   1-worker and a 4-worker service, and between a cold
-//                   and a warm cache (summary/file reuse re-scan).
+//                   and a warm cache (parsed-file reuse re-scan).
 //   monotonicity  — on procedural generic-PHP code, rips_like() findings
 //                   are a subset of phpsafe() findings (the phpSAFE preset
 //                   only ever adds capability on that fragment).

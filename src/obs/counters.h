@@ -38,11 +38,14 @@ namespace phpsafe::obs {
     X(findings_sqli, "SQLi findings reported (pre-dedup)")                     \
     X(cache_file_hits, "parsed files served from the content-addressed cache") \
     X(cache_file_misses, "file lookups that had to lex+parse")                 \
-    X(cache_summary_hits, "function summaries seeded from the cache")          \
-    X(cache_summary_misses, "summary lookups that had to analyze the body")    \
+    X(cache_summary_hits, "function summaries and entry walks seeded from a "  \
+                          "SummaryExchange (fix verification); 0 on the "      \
+                          "service path, which seeds nothing")                 \
+    X(cache_summary_misses, "summaries computed while a SummaryExchange "      \
+                            "captures (fix verification's baseline); 0 on "    \
+                            "the service path, which captures nothing")        \
     X(cache_result_hits, "whole scan results served from the cache")           \
     X(cache_evictions, "cache entries evicted by the LRU byte budget")         \
-    X(cache_invalidations, "cached summaries rejected: a dependency changed")  \
     X(cache_bytes_inserted, "bytes admitted into the cache pools")             \
     X(cache_bytes_evicted, "bytes released by eviction (resident = inserted "  \
                            "minus evicted)")                                    \
@@ -54,12 +57,9 @@ namespace phpsafe::obs {
     X(cache_shed_entries, "cache entries dropped by admission-control "         \
                           "pressure shedding (results before parsed files)")    \
     X(cache_shed_bytes, "bytes released by pressure shedding")                  \
-    X(cache_dep_walks, "summary dependency lists walked by warm-scan "          \
-                       "validation")                                            \
-    X(cache_dep_walk_steps, "dependency records resolved against the project "  \
-                            "tables (the expensive lookups)")                   \
-    X(cache_dep_walk_memo_hits, "dependency records answered by the "           \
-                                "per-request memo without a project walk")      \
+    X(cache_dep_walk_memo_hits, "always 0: the service validates no cached "   \
+                                "summaries; kept for the benchmark's exact "   \
+                                "per-edit count check")                        \
     X(watch_edits, "file-change events applied to watch sessions")              \
     X(watch_cone_files, "files inside the invalidated cone of watch edits")     \
     X(graph_builds, "project graphs linked from file facts")                    \

@@ -1,6 +1,7 @@
 #include "php/ast.h"
 
 #include <sstream>
+#include <vector>
 
 namespace phpsafe::php {
 
@@ -597,113 +598,151 @@ std::string dump(const Node& node) {
     return os.str();
 }
 
-std::string to_php_source(const Expr& expr) {
+namespace {
+
+void append_php_source(const Expr& expr, std::string& out);
+
+void append_args(const ArenaVector<Argument>& args, std::string& out) {
+    out += '(';
+    for (size_t i = 0; i < args.size(); ++i) {
+        if (i) out += ", ";
+        append_php_source(*args[i].value, out);
+    }
+    out += ')';
+}
+
+/// Renders a binary chain with an explicit work stack instead of one C++
+/// frame per level: a 30k-term concatenation is a 30k-deep left spine.
+/// Items are popped in output order; a null `expr` stands for the operator
+/// of `op`.
+void append_binary(const Binary& root, std::string& out) {
+    struct Item {
+        const Expr* expr;
+        const Binary* op;
+    };
+    std::vector<Item> stack{{&root, nullptr}};
+    while (!stack.empty()) {
+        const Item item = stack.back();
+        stack.pop_back();
+        if (!item.expr) {
+            out += ' ';
+            out += to_string(item.op->op);
+            out += ' ';
+        } else if (item.expr->kind == NodeKind::kBinary) {
+            const auto& n = static_cast<const Binary&>(*item.expr);
+            stack.push_back({n.rhs, nullptr});
+            stack.push_back({nullptr, &n});
+            stack.push_back({n.lhs, nullptr});
+        } else {
+            append_php_source(*item.expr, out);
+        }
+    }
+}
+
+void append_php_source(const Expr& expr, std::string& out) {
     switch (expr.kind) {
         case NodeKind::kVariable:
-            return std::string(static_cast<const Variable&>(expr).name);
+            out += static_cast<const Variable&>(expr).name;
+            return;
         case NodeKind::kLiteral: {
             const auto& n = static_cast<const Literal&>(expr);
             if (n.type == Literal::Type::kString) {
-                std::string s = "'";
-                s += n.value;
-                s += '\'';
-                return s;
+                out += '\'';
+                out += n.value;
+                out += '\'';
+            } else {
+                out += n.value;
             }
-            return std::string(n.value);
+            return;
         }
         case NodeKind::kArrayAccess: {
             const auto& n = static_cast<const ArrayAccess&>(expr);
-            std::string s = to_php_source(*n.base);
-            s += '[';
-            if (n.index) s += to_php_source(*n.index);
-            s += ']';
-            return s;
+            append_php_source(*n.base, out);
+            out += '[';
+            if (n.index) append_php_source(*n.index, out);
+            out += ']';
+            return;
         }
         case NodeKind::kPropertyAccess: {
             const auto& n = static_cast<const PropertyAccess&>(expr);
-            std::string s = to_php_source(*n.object);
-            s += "->";
-            s += n.property.empty() ? std::string_view("{...}") : n.property;
-            return s;
+            append_php_source(*n.object, out);
+            out += "->";
+            out += n.property.empty() ? std::string_view("{...}") : n.property;
+            return;
         }
         case NodeKind::kStaticPropertyAccess: {
             const auto& n = static_cast<const StaticPropertyAccess&>(expr);
-            std::string s(n.class_name);
-            s += "::$";
-            s += n.property;
-            return s;
+            out += n.class_name;
+            out += "::$";
+            out += n.property;
+            return;
         }
         case NodeKind::kFunctionCall: {
             const auto& n = static_cast<const FunctionCall&>(expr);
-            std::string s(n.name.empty() ? std::string_view("{expr}") : n.name);
-            s += "(";
-            for (size_t i = 0; i < n.args.size(); ++i) {
-                if (i) s += ", ";
-                s += to_php_source(*n.args[i].value);
-            }
-            s += ")";
-            return s;
+            out += n.name.empty() ? std::string_view("{expr}") : n.name;
+            append_args(n.args, out);
+            return;
         }
         case NodeKind::kMethodCall: {
             const auto& n = static_cast<const MethodCall&>(expr);
-            std::string s = to_php_source(*n.object);
-            s += "->";
-            s += n.method.empty() ? std::string_view("{...}") : n.method;
-            s += "(";
-            for (size_t i = 0; i < n.args.size(); ++i) {
-                if (i) s += ", ";
-                s += to_php_source(*n.args[i].value);
-            }
-            s += ")";
-            return s;
+            append_php_source(*n.object, out);
+            out += "->";
+            out += n.method.empty() ? std::string_view("{...}") : n.method;
+            append_args(n.args, out);
+            return;
         }
         case NodeKind::kStaticCall: {
             const auto& n = static_cast<const StaticCall&>(expr);
-            std::string s(n.class_name);
-            s += "::";
-            s += n.method;
-            s += "(";
-            for (size_t i = 0; i < n.args.size(); ++i) {
-                if (i) s += ", ";
-                s += to_php_source(*n.args[i].value);
-            }
-            s += ")";
-            return s;
+            out += n.class_name;
+            out += "::";
+            out += n.method;
+            append_args(n.args, out);
+            return;
         }
-        case NodeKind::kBinary: {
-            const auto& n = static_cast<const Binary&>(expr);
-            return to_php_source(*n.lhs) + " " + to_string(n.op) + " " +
-                   to_php_source(*n.rhs);
-        }
+        case NodeKind::kBinary:
+            append_binary(static_cast<const Binary&>(expr), out);
+            return;
         case NodeKind::kInterpString: {
             const auto& n = static_cast<const InterpString&>(expr);
-            std::string s = "\"";
+            out += '"';
             for (const ExprPtr& p : n.parts) {
-                if (p->kind == NodeKind::kLiteral)
-                    s += static_cast<const Literal&>(*p).value;
-                else
-                    s += "{" + to_php_source(*p) + "}";
+                if (p->kind == NodeKind::kLiteral) {
+                    out += static_cast<const Literal&>(*p).value;
+                } else {
+                    out += '{';
+                    append_php_source(*p, out);
+                    out += '}';
+                }
             }
-            s += "\"";
-            return s;
+            out += '"';
+            return;
         }
         case NodeKind::kCast: {
             const auto& n = static_cast<const Cast&>(expr);
-            std::string s = "(";
-            s += n.type;
-            s += ") ";
-            s += to_php_source(*n.operand);
-            return s;
+            out += '(';
+            out += n.type;
+            out += ") ";
+            append_php_source(*n.operand, out);
+            return;
         }
         case NodeKind::kNew: {
             const auto& n = static_cast<const New&>(expr);
-            std::string s = "new ";
-            s += n.class_name.empty() ? std::string_view("{expr}") : n.class_name;
-            return s;
+            out += "new ";
+            out += n.class_name.empty() ? std::string_view("{expr}") : n.class_name;
+            return;
         }
         default:
-            return dump(expr);
+            out += dump(expr);
+            return;
     }
+}
+
+}  // namespace
+
+std::string to_php_source(const Expr& expr) {
+    std::string out;
+    append_php_source(expr, out);
+    return out;
 }
 
 }  // namespace phpsafe::php

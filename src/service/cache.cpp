@@ -46,91 +46,12 @@ uint64_t approx_bytes(const Finding& finding) {
     return bytes;
 }
 
-uint64_t approx_bytes(const SummaryArtifact& artifact) {
-    uint64_t bytes = 256;
-    for (const Finding& finding : artifact.findings) bytes += approx_bytes(finding);
-    for (const SummaryDep& dep : artifact.deps)
-        bytes += 56 + dep.name.size() + dep.file.size();
-    const FunctionSummary& s = artifact.summary;
-    bytes += s.param_to_return.size() * 24 + s.param_outputs.size() * 160;
-    for (const ParamSinkFlow& psf : s.param_sinks)
-        bytes += 96 + psf.location.file.size() + psf.sink_name.size() +
-                 psf.variable.size();
-    return bytes;
-}
-
 uint64_t approx_bytes(const AnalysisResult& result) {
     uint64_t bytes = 256 + result.tool.size() + result.plugin.size();
     for (const Finding& finding : result.findings) bytes += approx_bytes(finding);
     for (const Diagnostic& d : result.diagnostics)
         bytes += 64 + d.location.file.size() + d.message.size();
     return bytes;
-}
-
-bool DepCheckMemo::validate(const SummaryArtifact& artifact) {
-    ++obs::tls().cache_dep_walks;
-    for (const SummaryDep& dep : artifact.deps) {
-        if (dep.kind == SummaryDep::Kind::kFile) {
-            // The project's file-name index is the memo for file deps.
-            ++obs::tls().cache_dep_walk_memo_hits;
-            const php::ParsedFile* file = project_.file_named(dep.name);
-            if (!file || file->content_hash != dep.hash) return false;
-            continue;
-        }
-        auto key = std::make_pair(static_cast<int>(dep.kind), dep.name);
-        auto memo = resolutions_.find(key);
-        if (memo == resolutions_.end()) {
-            ++obs::tls().cache_dep_walk_steps;
-            std::string resolved;
-            switch (dep.kind) {
-                case SummaryDep::Kind::kFunction: {
-                    const php::FunctionRef* ref =
-                        project_.find_function(dep.name);
-                    if (ref) resolved.assign(ref->file);
-                    break;
-                }
-                case SummaryDep::Kind::kMethod: {
-                    const size_t sep = dep.name.find("::");
-                    if (sep == std::string::npos) {
-                        // A malformed record never validates: the sentinel
-                        // cannot be a file.
-                        resolved = "\x1f<malformed>";
-                        break;
-                    }
-                    const php::FunctionRef* ref = project_.find_method(
-                        std::string_view(dep.name).substr(0, sep),
-                        std::string_view(dep.name).substr(sep + 2));
-                    if (ref) resolved.assign(ref->file);
-                    break;
-                }
-                case SummaryDep::Kind::kMethodAny: {
-                    const php::FunctionRef* ref =
-                        project_.find_method_any(dep.name);
-                    if (ref) resolved.assign(ref->file);
-                    break;
-                }
-                case SummaryDep::Kind::kClass: {
-                    if (project_.find_class(dep.name))
-                        resolved = project_.file_of_class(dep.name);
-                    break;
-                }
-                case SummaryDep::Kind::kInclude: {
-                    const php::ParsedFile* file =
-                        project_.resolve_include(dep.name);
-                    if (file) resolved = file->source->name();
-                    break;
-                }
-                case SummaryDep::Kind::kFile:
-                    break;  // handled above
-            }
-            memo = resolutions_.emplace(std::move(key), std::move(resolved))
-                       .first;
-        } else {
-            ++obs::tls().cache_dep_walk_memo_hits;
-        }
-        if (memo->second != dep.file) return false;
-    }
-    return true;
 }
 
 void AnalysisCache::init_pool(Pool& pool, uint64_t budget, int shards) {
@@ -150,7 +71,6 @@ void AnalysisCache::init_pool(Pool& pool, uint64_t budget, int shards) {
 
 AnalysisCache::AnalysisCache(CacheBudgets budgets) {
     init_pool(files_, budgets.file_bytes, budgets.shards);
-    init_pool(summaries_, budgets.summary_bytes, budgets.shards);
     init_pool(results_, budgets.result_bytes, budgets.shards);
 }
 
@@ -249,9 +169,9 @@ uint64_t AnalysisCache::shed_from(Shard& shard, uint64_t target) {
 
 uint64_t AnalysisCache::shed(uint64_t target_bytes) {
     uint64_t freed = 0;
-    // Results first (pure cost savers), summaries second, parsed files
-    // last — the warm model pools are what keep a deep queue draining.
-    for (Pool* pool : {&results_, &summaries_, &files_}) {
+    // Results first (pure cost savers), parsed files last — the warm file
+    // pool is what keeps a deep queue draining.
+    for (Pool* pool : {&results_, &files_}) {
         for (const auto& shard : pool->shards) {
             if (freed >= target_bytes) return freed;
             freed += shed_from(*shard, target_bytes - freed);
@@ -299,47 +219,6 @@ void AnalysisCache::insert_file(
     insert(shard, key, file, bytes);
 }
 
-std::shared_ptr<const SummaryArtifact> AnalysisCache::find_summary(
-    std::string_view preset, std::string_view qualified_lower,
-    uint64_t declaring_hash) {
-    std::string key;
-    key.reserve(preset.size() + qualified_lower.size() + 18);
-    key.assign(preset);
-    key += kSep;
-    key += qualified_lower;
-    key += kSep;
-    key += hex64(declaring_hash);
-    Shard& shard = shard_for(summaries_, key);
-    std::shared_ptr<const void> payload;
-    {
-        auto lock = lock_shard(shard.mutex);
-        payload = find(shard, key);
-    }
-    if (payload) {
-        summary_hits_.fetch_add(1, relaxed);
-    } else {
-        summary_misses_.fetch_add(1, relaxed);
-    }
-    return std::static_pointer_cast<const SummaryArtifact>(payload);
-}
-
-void AnalysisCache::insert_summary(std::string_view preset,
-                                   std::string_view qualified_lower,
-                                   uint64_t declaring_hash,
-                                   SummaryArtifact artifact) {
-    std::string key;
-    key.assign(preset);
-    key += kSep;
-    key += qualified_lower;
-    key += kSep;
-    key += hex64(declaring_hash);
-    auto shared = std::make_shared<const SummaryArtifact>(std::move(artifact));
-    const uint64_t bytes = approx_bytes(*shared);
-    Shard& shard = shard_for(summaries_, key);
-    auto lock = lock_shard(shard.mutex);
-    insert(shard, key, std::move(shared), bytes);
-}
-
 std::shared_ptr<const AnalysisResult> AnalysisCache::find_result(
     std::string_view preset, uint64_t project_fingerprint) {
     std::string key;
@@ -373,11 +252,6 @@ void AnalysisCache::insert_result(std::string_view preset,
     insert(shard, key, std::move(shared), bytes);
 }
 
-void AnalysisCache::note_invalidation() {
-    ++obs::tls().cache_invalidations;
-    invalidations_.fetch_add(1, relaxed);
-}
-
 CacheStats AnalysisCache::stats() const {
     // Entirely lock-free: totals come from the cache-level atomics,
     // occupancy from the per-shard gauges. The snapshot is not a single
@@ -387,20 +261,16 @@ CacheStats AnalysisCache::stats() const {
     CacheStats out;
     out.file_hits = file_hits_.load(relaxed);
     out.file_misses = file_misses_.load(relaxed);
-    out.summary_hits = summary_hits_.load(relaxed);
-    out.summary_misses = summary_misses_.load(relaxed);
     out.result_hits = result_hits_.load(relaxed);
     out.evictions = evictions_.load(relaxed);
-    out.invalidations = invalidations_.load(relaxed);
     out.shed_entries = shed_entries_.load(relaxed);
     out.bytes_resident = bytes_resident_.load(relaxed);
-    const Pool* pools[] = {&files_, &summaries_, &results_};
-    uint64_t* entry_totals[] = {&out.file_entries, &out.summary_entries,
-                                &out.result_entries};
+    const Pool* pools[] = {&files_, &results_};
+    uint64_t* entry_totals[] = {&out.file_entries, &out.result_entries};
     size_t width = 0;
     for (const Pool* pool : pools) width = std::max(width, pool->shards.size());
     out.shards.resize(width);
-    for (size_t p = 0; p < 3; ++p) {
+    for (size_t p = 0; p < 2; ++p) {
         for (size_t i = 0; i < pools[p]->shards.size(); ++i) {
             const Shard& shard = *pools[p]->shards[i];
             const uint64_t entries = shard.entries_gauge.load(relaxed);
@@ -413,7 +283,7 @@ CacheStats AnalysisCache::stats() const {
 }
 
 void AnalysisCache::clear() {
-    for (Pool* pool : {&files_, &summaries_, &results_}) {
+    for (Pool* pool : {&files_, &results_}) {
         for (const auto& shard : pool->shards) {
             auto lock = lock_shard(shard->mutex);
             bytes_resident_.fetch_sub(shard->bytes, relaxed);

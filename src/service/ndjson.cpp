@@ -284,8 +284,6 @@ std::string render_scan_line(const ScanResponse& response,
     w.kv("from_result_cache", response.from_result_cache);
     w.kv("deduplicated", response.deduplicated);
     w.kv("files_reused", response.files_reused);
-    w.kv("summaries_seeded", response.summaries_seeded);
-    w.kv("summaries_invalidated", response.summaries_invalidated);
     w.kv("wall_seconds", deterministic ? 0.0 : response.wall_seconds, 4);
     w.key("report");
     // render_json_report emits a complete compact object; splice it in as
@@ -300,16 +298,12 @@ std::string render_stats_line(const CacheStats& stats, bool deterministic) {
     w.begin_object();
     w.kv("ok", true);
     w.kv("file_entries", stats.file_entries);
-    w.kv("summary_entries", stats.summary_entries);
     w.kv("result_entries", stats.result_entries);
     w.kv("bytes_resident", deterministic ? uint64_t{0} : stats.bytes_resident);
     w.kv("file_hits", stats.file_hits);
     w.kv("file_misses", stats.file_misses);
-    w.kv("summary_hits", stats.summary_hits);
-    w.kv("summary_misses", stats.summary_misses);
     w.kv("result_hits", stats.result_hits);
     w.kv("evictions", stats.evictions);
-    w.kv("invalidations", stats.invalidations);
     w.kv("shed_entries", stats.shed_entries);
     w.kv("shards", static_cast<uint64_t>(stats.shards.size()));
     w.end_object();
@@ -329,8 +323,6 @@ std::string render_watch_line(const ScanResponse& response, int files,
     w.kv("from_result_cache", response.from_result_cache);
     w.kv("deduplicated", response.deduplicated);
     w.kv("files_reused", response.files_reused);
-    w.kv("summaries_seeded", response.summaries_seeded);
-    w.kv("summaries_invalidated", response.summaries_invalidated);
     w.kv("wall_seconds", deterministic ? 0.0 : response.wall_seconds, 4);
     w.key("report");
     line << render_json_report(response.result) << "}";
@@ -349,8 +341,6 @@ std::string render_edit_line(const WatchDelta& delta, bool deterministic) {
     w.kv("cone_files", delta.cone_files);
     w.kv("cone_functions", delta.cone_functions);
     w.kv("files_reused", delta.response.files_reused);
-    w.kv("summaries_seeded", delta.response.summaries_seeded);
-    w.kv("summaries_invalidated", delta.response.summaries_invalidated);
     w.kv("wall_seconds",
          deterministic ? 0.0 : delta.response.wall_seconds, 4);
     w.key("added").begin_array();

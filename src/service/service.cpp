@@ -51,9 +51,11 @@ uint64_t AnalysisService::request_fingerprint(const ScanRequest& request) {
 
 AnalysisService::AnalysisService(ServiceOptions options)
     : options_(std::move(options)), cache_(options_.budgets) {
-    // Every preset runs hermetic: summaries are computed context-free in
-    // declaration order, the property that makes cross-run reuse sound (see
-    // AnalysisOptions::hermetic_summaries).
+    // Every preset runs hermetic (AnalysisOptions::hermetic_summaries):
+    // summaries are computed context-free in declaration order. The served
+    // result is then what validate::validate_result's hermetic baseline
+    // scan reproduces trace-for-trace (finding_signature), and only that
+    // match arms summary seeding for the per-fix verification rescans.
     Tool phpsafe = make_phpsafe_tool();
     phpsafe.options.hermetic_summaries = true;
     presets_.emplace("phpsafe", std::move(phpsafe));
@@ -354,91 +356,14 @@ ScanResponse AnalysisService::perform_scan(PendingScan& scan) {
         }
         response.files_reused = project.build_stats().files_reused;
 
-        // Summary seeding: sound only for presets that pre-summarize every
-        // declared function ("pixy" skips uncalled functions, so its stage
-        // order — and therefore summary purity — is call-driven; it gets
-        // AST and result caching only).
-        const bool summary_reuse = options_.reuse_summaries &&
-                                   options.hermetic_summaries &&
-                                   options.analyze_uncalled_functions;
-        std::map<std::string, const SummaryArtifact*> seeds;
-        std::vector<std::shared_ptr<const SummaryArtifact>> pins;
-        if (summary_reuse) {
-            auto seed_span =
-                tracer.span("service.seed", {{"plugin", scan.request.plugin}});
-            // One memo per request: distinct dependency names resolve
-            // against the project tables once, not once per summary
-            // mentioning them (see DepCheckMemo).
-            DepCheckMemo dep_memo(project);
-            for (const php::FunctionRef& ref : project.all_functions()) {
-                if (!ref.decl) continue;
-                const std::string key = ascii_lower(ref.qualified_name());
-                // Duplicate declarations: the project tables keep the first
-                // one, so only it may be seeded.
-                if (seeds.count(key)) continue;
-                const php::ParsedFile* declaring = project.file_named(ref.file);
-                if (!declaring) continue;
-                auto artifact = cache_.find_summary(preset_fp, key,
-                                                    declaring->content_hash);
-                if (!artifact) continue;
-                if (!dep_memo.validate(*artifact)) {
-                    cache_.note_invalidation();
-                    ++response.summaries_invalidated;
-                    continue;
-                }
-                seeds.emplace(key, artifact.get());
-                pins.push_back(std::move(artifact));
-            }
-            response.summaries_seeded = static_cast<int>(seeds.size());
-        }
-
-        SummaryExchange exchange;
-        std::map<std::string, SummaryArtifact> capture;
-        if (summary_reuse) {
-            exchange.seeds = &seeds;
-            exchange.capture = &capture;
-        }
-
         Engine engine(tool.kb, options);
         {
             auto run_span =
                 tracer.span("service.analyze", {{"plugin", scan.request.plugin},
                                                 {"tool", tool.name}});
             const double cpu_start = thread_cpu_seconds();
-            response.result = engine.analyze(project, exchange);
+            response.result = engine.analyze(project);
             response.result.cpu_seconds = thread_cpu_seconds() - cpu_start;
-        }
-
-        // Admit this run's reusable summaries, pinning each kFile dep to
-        // the content hash it was computed against.
-        if (summary_reuse) {
-            std::map<std::string, const std::string_view*> declaring_file;
-            for (const php::FunctionRef& ref : project.all_functions()) {
-                if (!ref.decl) continue;
-                declaring_file.emplace(ascii_lower(ref.qualified_name()),
-                                       &ref.file);
-            }
-            for (auto& [key, artifact] : capture) {
-                if (!artifact.reusable) continue;
-                const auto owner = declaring_file.find(key);
-                if (owner == declaring_file.end()) continue;
-                const php::ParsedFile* owner_file =
-                    project.file_named(*owner->second);
-                if (!owner_file) continue;
-                bool hashes_ok = true;
-                for (SummaryDep& dep : artifact.deps) {
-                    if (dep.kind != SummaryDep::Kind::kFile) continue;
-                    const php::ParsedFile* file = project.file_named(dep.name);
-                    if (!file) {
-                        hashes_ok = false;
-                        break;
-                    }
-                    dep.hash = file->content_hash;
-                }
-                if (!hashes_ok) continue;
-                cache_.insert_summary(preset_fp, key, owner_file->content_hash,
-                                      std::move(artifact));
-            }
         }
 
         if (options_.reuse_results) {

@@ -6,18 +6,17 @@
 //   1. result pool hit — the exact (plugin content, preset) was scanned
 //      before: the stored AnalysisResult is returned without running
 //      anything.
-//   2. warm scan — unchanged files come from the file pool pre-parsed, and
-//      function summaries whose dependency records still validate against
-//      the new project are seeded into the engine (core/summaries.h
-//      SummaryExchange); only summaries invalidated by the edit are
-//      recomputed.
+//   2. warm scan — unchanged files come from the file pool pre-parsed
+//      (or arrive pinned by a watch session); the engine then analyzes
+//      the whole project.
 //   3. cold scan — everything misses; the scan also populates the cache.
 //
-// Every path returns byte-identical findings: the engine runs in hermetic-
-// summaries mode (AnalysisOptions::hermetic_summaries), seeded summaries
-// replay their recorded findings, and deduplicate() imposes a total order.
-// tests/determinism_test.cpp and tests/service_test.cpp assert equality
-// across cache states, worker counts and request interleavings.
+// Function summaries are never carried from one scan to the next: the
+// engine reuses a summary within one run only (paper §III.C). Every path
+// therefore runs the same analysis on the same ASTs, and deduplicate()
+// imposes a total order, so findings are byte-identical across cache
+// states. tests/determinism_test.cpp and tests/service_test.cpp assert
+// equality across cache states, worker counts and request interleavings.
 //
 // Concurrency: submit() enqueues a request and returns a ticket; a
 // TaskTeam of worker threads drains the queue continuously, highest
@@ -60,9 +59,8 @@ struct ServiceOptions {
     /// hardware concurrency, via WorkerPool::resolve_parallelism).
     int workers = 0;
     CacheBudgets budgets;
-    /// Master switches for the summary and result pools (the file pool is
-    /// always on — AST reuse is unconditionally sound).
-    bool reuse_summaries = true;
+    /// Master switch for the result pool (the file pool is always on — AST
+    /// reuse is unconditionally sound).
     bool reuse_results = true;
     /// Admission control: submit() rejects once this many scans are queued
     /// and not yet started. 0 = unbounded (library default; the NDJSON
@@ -102,8 +100,7 @@ struct ScanRequest {
     std::string plugin;
     /// Analysis preset: "phpsafe" (default), "rips" or "pixy". The preset
     /// picks the knowledge base and engine options; all presets run with
-    /// hermetic_summaries on. Summary seeding applies only to presets that
-    /// analyze uncalled functions ("pixy" gets AST caching only).
+    /// hermetic_summaries on (see the AnalysisService constructor).
     std::string preset = "phpsafe";
     /// Scheduling priority: higher runs sooner; never affects results or
     /// the request fingerprint (identical content at different priorities
@@ -124,9 +121,11 @@ struct ScanResponse {
     bool cancelled = false;
     /// True when admission control refused the request (no result).
     bool rejected = false;
-    int files_reused = 0;          ///< parsed files injected from the cache
-    int summaries_seeded = 0;      ///< summaries installed without analysis
-    int summaries_invalidated = 0; ///< cache hits rejected by dep validation
+    int files_reused = 0;      ///< parsed files injected from the cache
+    /// Always 0: the service seeds no summaries across scans. Kept because
+    /// the benchmark harness (phpbench/watch_edits.cpp) compiles against
+    /// it and checks it as an exact per-edit count.
+    int summaries_seeded = 0;
     double wall_seconds = 0;
     /// 1-based order in which a worker picked this scan off the queue
     /// (0 for rejected/cancelled-before-dispatch responses) — observable

@@ -179,8 +179,9 @@ WatchDelta WatchSession::edit(const WatchEditBatch& batch) {
     if (new_files > 0 || !batch.removals.empty()) graph_stale_ = true;
 
     // Full re-scan: unchanged files ride as pinned ASTs, so the request
-    // costs O(edit) to assemble and the engine reuses every out-of-cone
-    // summary. Identical findings to a cold scan of the same content.
+    // costs O(edit) to assemble and nothing is re-parsed outside the edit;
+    // the engine analyzes the whole project. Identical findings to a cold
+    // scan of the same content.
     delta.response = service_.scan(assemble_request());
     if (delta.response.rejected || delta.response.cancelled) {
         delta.error = delta.response.rejected

@@ -22,18 +22,15 @@
 // ProjectGraph::dependency_cone — is computed per batch and reported in
 // the delta (cone_files/cone_functions, plus the watch_* obs counters).
 //
-// Soundness: the cone is *advisory*. The re-scan always covers the full
-// updated file set through the same AnalysisService::perform_scan path as
-// a cold scan, so delta findings are byte-identical to the diff of two
-// full cold re-scans by the service's standing warm==cold invariant — at
-// any PHPSAFE_JOBS, any cache state. What the cone bounds is
-// *cost*, not correctness: out-of-cone files ride through as pinned ASTs
-// with cached summaries whose dependency validation is memoized
-// (DepCheckMemo), so re-analysis work scales with the cone, not the tree
-// (BENCH_graph.json). A cone-gated scan that skipped out-of-cone files
-// outright would be unsound: a changed file can shadow a declaration an
-// out-of-cone summary resolved, which only dependency validation against
-// the full project catches.
+// Soundness: the cone is *reported*, never used to skip work. The re-scan
+// always analyzes the full updated file set through the same
+// AnalysisService::perform_scan path as a cold scan, so delta findings are
+// byte-identical to the diff of two full cold re-scans — at any
+// PHPSAFE_JOBS, any cache state. An edit saves the re-parse of every
+// unchanged file (pinned ASTs) but re-analyzes the whole project: no
+// summary survives from one scan to the next. A cone-gated scan that
+// skipped out-of-cone files outright would be unsound: a changed file can
+// shadow a declaration an out-of-cone function resolved.
 #pragma once
 
 #include <map>

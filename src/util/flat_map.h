@@ -29,14 +29,19 @@ constexpr uint32_t kTombstoneKey = 0xFFFFFFFEu;
 
 /// Open-addressed Symbol → V map with linear probing and tombstone erase.
 /// Iteration order is unspecified; callers that need determinism must sort.
+/// Slots are allocated on the first insert, not on construction: most
+/// engine scopes never bind a variable, and an empty map costs no heap.
 template <typename V>
 class SymbolMap {
 public:
-    SymbolMap() : slots_(kInitialCapacity) {}
+    SymbolMap() = default;
 
     V& operator[](Symbol key) {
         if (V* found = find(key)) return *found;
-        if ((used_ + 1) * 10 >= slots_.size() * 7) rehash(slots_.size() * 2);
+        if (slots_.empty())
+            slots_.resize(kInitialCapacity);
+        else if ((used_ + 1) * 10 >= slots_.size() * 7)
+            rehash(slots_.size() * 2);
         const size_t mask = slots_.size() - 1;
         size_t i = detail::symbol_slot(key, mask);
         while (slots_[i].key != detail::kEmptyKey &&
@@ -50,6 +55,7 @@ public:
     }
 
     V* find(Symbol key) noexcept {
+        if (slots_.empty()) return nullptr;
         const size_t mask = slots_.size() - 1;
         size_t i = detail::symbol_slot(key, mask);
         for (;;) {
@@ -67,6 +73,7 @@ public:
     bool contains(Symbol key) const noexcept { return find(key) != nullptr; }
 
     bool erase(Symbol key) noexcept {
+        if (slots_.empty()) return false;
         const size_t mask = slots_.size() - 1;
         size_t i = detail::symbol_slot(key, mask);
         for (;;) {
@@ -85,8 +92,9 @@ public:
     size_t size() const noexcept { return size_; }
     bool empty() const noexcept { return size_ == 0; }
 
+    /// Frees the slots; the next insert allocates them afresh.
     void clear() {
-        slots_.assign(kInitialCapacity, Slot{});
+        std::vector<Slot>().swap(slots_);
         used_ = 0;
         size_ = 0;
     }

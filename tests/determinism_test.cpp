@@ -104,7 +104,7 @@ TEST(DeterminismTest, ServiceFindingsIndependentOfCacheStateAndWorkers) {
             service::AnalysisService svc(options);
             if (warm) {
                 // Prime with the pre-edit revision so the judged scan runs
-                // against populated file and summary pools.
+                // against a populated file pool.
                 for (service::ScanRequest request : requests) {
                     request.files[0].text.resize(
                         request.files[0].text.size() - 10);
@@ -121,12 +121,11 @@ TEST(DeterminismTest, ServiceFindingsIndependentOfCacheStateAndWorkers) {
         EXPECT_EQ(arms[0], arms[i]) << "arm " << i << " diverged";
 }
 
-// Arena-lifetime probe: with a parsed-file pool too small to hold anything,
-// every scan's arenas (and all string_views into them) are destroyed as soon
-// as the scan finishes, while the summary pool keeps artifacts computed from
-// those arenas alive across scans. Re-editing only the entry file forces the
-// next scan to re-resolve includes and validate those surviving summaries
-// against hashes and names captured during the evicted scan — anything a
+// Arena-lifetime probe: with a parsed-file pool too small to hold more than
+// one file, arenas (and all string_views into them) are destroyed while the
+// scans that parsed them may still be referenced — by the responses handed
+// out and by the parses the next scan reuses. Re-editing only the entry file
+// forces each scan to mix fresh and evicted-then-reparsed files; anything a
 // summary or finding kept by view instead of by copy dangles here, which a
 // -DPHPSAFE_SANITIZE=address build turns into a hard failure. Findings must
 // also stay byte-identical to an eviction-free service.
@@ -148,7 +147,7 @@ TEST(DeterminismTest, SummariesSurviveParsedFileEviction) {
     service::ServiceOptions starved;
     // Holds roughly one parsed file (each charges its 1 KiB arena block
     // plus text): admitting the next file evicts the previous one, so
-    // arenas churn constantly while summaries persist.
+    // arenas churn constantly.
     starved.budgets.file_bytes = 1536;
     starved.budgets.result_bytes = 0;  // force the full pipeline every scan
     service::AnalysisService churn(starved);

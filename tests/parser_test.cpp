@@ -338,5 +338,18 @@ TEST(ParserTest, ParseExpressionText) {
     EXPECT_EQ(expr->line, 7);
 }
 
+TEST(ParserTest, ToPhpSourceRendersNestedChainsInSourceOrder) {
+    // Left- and right-nested binary chains, calls, casts and interpolation
+    // render through one output buffer; parentheses are not retained.
+    DiagnosticSink sink;
+    Arena arena;
+    const ExprPtr expr = Parser::parse_expression_text(
+        "$a . ($b . 'x') . f($c[1], $d->e) . (int) $n + \"v{$w}\"",
+        "f.php", 1, sink, arena);
+    ASSERT_NE(expr, nullptr);
+    EXPECT_EQ(to_php_source(*expr),
+              "$a . $b . 'x' . f($c[1], $d->e) . (int) $n + \"v{$w}\"");
+}
+
 }  // namespace
 }  // namespace phpsafe::php

@@ -163,6 +163,37 @@ TEST(RobustnessTest, FortyThousandTermConcatBuildsModelAndGraph) {
         << line.substr(0, 200);
 }
 
+/// Serves one NDJSON scan of `<?php echo $_GET['a'] . … ;` with `terms`
+/// operands and returns the response line. The engine renders the echo
+/// argument for the finding (to_php_source), which walks the whole chain.
+std::string serve_echo_concat(int terms) {
+    std::string code = "<?php echo $_GET['a']";
+    for (int i = 1; i < terms; ++i) code += " . $_GET['a']";
+    code += ";";
+    std::istringstream in(
+        "{\"op\":\"scan\",\"plugin\":\"deep\",\"files\":[{\"name\":"
+        "\"deep.php\",\"text\":\"" + code + "\"}]}\n");
+    std::ostringstream out;
+    service::ServerOptions options;
+    options.deterministic = true;
+    EXPECT_EQ(service::AnalysisServer(options).serve_serial(in, out), 1);
+    return out.str();
+}
+
+TEST(RobustnessTest, TwentyThousandTermEchoScanAnswers) {
+    const std::string line = serve_echo_concat(20000);
+    EXPECT_EQ(line.rfind("{\"ok\":true", 0), 0u) << line.substr(0, 200);
+    EXPECT_NE(line.find("\"kind\":\"XSS\""), std::string::npos);
+}
+
+TEST(RobustnessTest, ThirtyThousandTermEchoScanAnswers) {
+    // Rendering the sink argument must not take a C++ frame per binary
+    // level: 30k levels overflow an 8 MiB stack.
+    const std::string line = serve_echo_concat(30000);
+    EXPECT_EQ(line.rfind("{\"ok\":true", 0), 0u) << line.substr(0, 200);
+    EXPECT_NE(line.find("\"kind\":\"XSS\""), std::string::npos);
+}
+
 TEST(RobustnessTest, ManyVariablesManyFindings) {
     std::string code = "<?php\n";
     for (int i = 0; i < 500; ++i) {

@@ -98,11 +98,10 @@ TEST(ShardedCacheTest, DistributesEntriesAndAggregatesStats) {
 TEST(ShardedCacheTest, TinyBudgetCollapsesToOneShard) {
     CacheBudgets budgets;
     budgets.file_bytes = 2048;  // 8 shards would get 256 useless bytes each
-    budgets.summary_bytes = 128ull << 10;  // room for exactly two 64K shards
+    budgets.result_bytes = 128ull << 10;  // room for exactly two 64K shards
     AnalysisCache cache(budgets);
     EXPECT_EQ(cache.file_shards(), 1);
-    EXPECT_EQ(cache.summary_shards(), 2);
-    EXPECT_EQ(cache.result_shards(), CacheBudgets{}.shards);
+    EXPECT_EQ(cache.result_shards(), 2);
 }
 
 TEST(ShardedCacheTest, ShedDropsResultsBeforeParsedFiles) {
@@ -114,13 +113,12 @@ TEST(ShardedCacheTest, ShedDropsResultsBeforeParsedFiles) {
     ASSERT_GT(before.file_entries, 0u);
 
     // A small target must be satisfied entirely from the result pool: the
-    // warm file/summary pools are what keep the queue draining fast.
+    // warm file pool is what keeps the queue draining fast.
     const uint64_t freed = service.cache().shed(1);
     EXPECT_GT(freed, 0u);
     const CacheStats after = service.cache_stats();
     EXPECT_LT(after.result_entries, before.result_entries);
     EXPECT_EQ(after.file_entries, before.file_entries);
-    EXPECT_EQ(after.summary_entries, before.summary_entries);
     EXPECT_GT(after.shed_entries, 0u);
 
     // An unbounded target drains every pool, files last but gone too.
@@ -128,7 +126,6 @@ TEST(ShardedCacheTest, ShedDropsResultsBeforeParsedFiles) {
     const CacheStats empty = service.cache_stats();
     EXPECT_EQ(empty.result_entries, 0u);
     EXPECT_EQ(empty.file_entries, 0u);
-    EXPECT_EQ(empty.summary_entries, 0u);
     EXPECT_EQ(empty.bytes_resident, 0u);
 }
 
@@ -300,7 +297,7 @@ TEST(NdjsonFramingTest, TruncatedFinalLineWithoutNewlineIsServed) {
     std::istringstream in("{\"op\":\"stats\"}");  // EOF, no '\n'
     std::ostringstream out;
     EXPECT_EQ(AnalysisServer(options).serve_serial(in, out), 1);
-    EXPECT_NE(out.str().find("\"summary_entries\":0"), std::string::npos);
+    EXPECT_NE(out.str().find("\"file_entries\":0"), std::string::npos);
 }
 
 TEST(NdjsonFramingTest, ShutdownIsAnUnknownOp) {
@@ -676,8 +673,7 @@ TEST(WatchModeTest, SoakFilePoolChargesEveryReservedArenaByte) {
     ServiceOptions so;
     so.workers = 1;
     so.budgets.file_bytes = 256ull << 10;
-    so.budgets.summary_bytes = 0;  // bytes_resident = the file pool alone
-    so.budgets.result_bytes = 0;
+    so.budgets.result_bytes = 0;  // bytes_resident = the file pool alone
     AnalysisService service(so);
     service::WatchSession watch(service);
     ScanRequest open;

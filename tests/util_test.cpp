@@ -5,8 +5,11 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <iterator>
 #include <stdexcept>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "util/diagnostics.h"
 #include "util/flat_map.h"
@@ -169,6 +172,51 @@ TEST(SymbolMapTest, FindAfterEraseProbesPastTombstone) {
     map[Symbol{0}] = 3;
     EXPECT_EQ(*map.find(Symbol{0}), 3);
     EXPECT_EQ(*map.find(Symbol{16}), 2);
+}
+
+TEST(SymbolMapTest, EmptyMapAnswersWithoutSlots) {
+    SymbolMap<int> map;
+    const SymbolMap<int>& view = map;
+    EXPECT_TRUE(map.empty());
+    EXPECT_EQ(map.find(Symbol{0}), nullptr);
+    EXPECT_EQ(view.find(Symbol{7}), nullptr);
+    EXPECT_FALSE(map.contains(Symbol{7}));
+    size_t visited = 0;
+    map.for_each([&](Symbol, int) { ++visited; });
+    EXPECT_EQ(visited, 0u);
+    EXPECT_EQ(map.size(), 0u);
+}
+
+TEST(SymbolMapTest, EraseOnEmptyMapReturnsFalse) {
+    SymbolMap<int> map;
+    EXPECT_FALSE(map.erase(Symbol{3}));
+    map[Symbol{3}] = 1;
+    map.clear();
+    EXPECT_FALSE(map.erase(Symbol{3}));
+    EXPECT_TRUE(map.empty());
+}
+
+TEST(SymbolMapTest, ClearThenInsertMatchesAFreshMap) {
+    // clear() frees the slots; the next insert must lay them out exactly as
+    // a fresh map would, so iteration order (and every output built from
+    // it) does not depend on a map's history.
+    const uint32_t keys[] = {5, 21, 0, 16, 42, 3};
+    SymbolMap<int> fresh;
+    for (const uint32_t k : keys) fresh[Symbol{k}] = static_cast<int>(k);
+    SymbolMap<int> reused;
+    for (uint32_t i = 0; i < 100; ++i) reused[Symbol{i}] = -1;
+    reused.clear();
+    EXPECT_TRUE(reused.empty());
+    EXPECT_EQ(reused.find(Symbol{5}), nullptr);
+    for (const uint32_t k : keys) reused[Symbol{k}] = static_cast<int>(k);
+
+    std::vector<std::pair<uint32_t, int>> a, b;
+    fresh.for_each([&](Symbol k, int v) { a.emplace_back(k.id(), v); });
+    reused.for_each([&](Symbol k, int v) { b.emplace_back(k.id(), v); });
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(reused.size(), std::size(keys));
+    ASSERT_NE(reused.find(Symbol{16}), nullptr);
+    EXPECT_EQ(*reused.find(Symbol{16}), 16);
 }
 
 TEST(SymbolMapTest, GrowthPreservesEntries) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/analyzers.h"
@@ -26,14 +27,19 @@ struct Pipeline {
     AnalysisResult analysis;
 };
 
-Pipeline analyze(const std::string& code) {
+Pipeline analyze_files(
+    const std::vector<std::pair<std::string, std::string>>& files) {
     Pipeline p;
-    p.project.add_file("main.php", code);
+    for (const auto& [name, code] : files) p.project.add_file(name, code);
     DiagnosticSink sink;
     p.project.parse_all(sink);
     p.analysis =
         Analyzer::borrowing(p.tool.kb, p.tool.options).scan(p.project).result;
     return p;
+}
+
+Pipeline analyze(const std::string& code) {
+    return analyze_files({{"main.php", code}});
 }
 
 ValidationReport run(Pipeline& p, const ValidateOptions& vopts = {}) {
@@ -243,6 +249,62 @@ TEST(QuickfixTest, PrepareStatementRewriteForMysqliQuery) {
     EXPECT_NE(fix->after.find("mysqli_prepare"), std::string::npos);
     EXPECT_NE(fix->after.find("?"), std::string::npos);
     EXPECT_NE(fix->after.find("mysqli_stmt_bind_param"), std::string::npos);
+}
+
+/// a.php stores a mysqli_query result (a DB source) in the global $res;
+/// its SQLi fix rewrites the line into a prepared statement, which leaves
+/// $res clean. `reader` is the second entry file, walked after a.php.
+Pipeline global_writer_and(const std::string& reader) {
+    return analyze_files(
+        {{"a.php",
+          "<?php\n"
+          "$conn = mysqli_connect('h', 'u', 'p');\n"
+          "$res = mysqli_query($conn, \"SELECT * FROM t WHERE id = '\" . "
+          "$_GET['id'] . \"'\");\n"},
+         {"b.php", reader}});
+}
+
+const CaseOutcome& sqli_case(const Pipeline& p, const ValidationReport& r) {
+    for (size_t i = 0; i < p.analysis.findings.size(); ++i)
+        if (p.analysis.findings[i].kind == VulnKind::kSqli) return r.cases[i];
+    ADD_FAILURE() << "no SQLi finding";
+    return r.cases.at(0);
+}
+
+TEST(QuickfixTest, FixChangingAGlobalReadByAnotherEntryReWalksIt) {
+    // Control: b.php reads nothing a.php writes, so its seeded walk is
+    // sound and the prepared-statement fix verifies.
+    Pipeline control = global_writer_and("<?php\necho $_COOKIE['c'];\n");
+    ASSERT_EQ(control.analysis.findings.size(), 2u);
+    const ValidationReport control_report = run(control);
+    ASSERT_TRUE(sqli_case(control, control_report).fix.has_value());
+    EXPECT_EQ(sqli_case(control, control_report).fix->kind,
+              Quickfix::Kind::kPrepareStatement);
+
+    // b.php echoes $res. The fix makes $res clean, so b.php's XSS finding
+    // disappears too and the "nothing else changed" gate must reject the
+    // fix. Fix verification seeds b.php's entry walk (its dependency
+    // record never names a.php); only the foreign-read guard — $res no
+    // longer holds the captured value — forces the re-walk that sees it.
+    Pipeline p = global_writer_and("<?php\necho $res;\n");
+    ASSERT_EQ(p.analysis.findings.size(), 2u);
+    const ValidationReport report = run(p);
+    EXPECT_FALSE(sqli_case(p, report).fix.has_value());
+
+    // A from-scratch scan of the patched project confirms the reason.
+    const std::optional<Quickfix> fix = propose_quickfix(
+        p.project, p.tool.kb,
+        *std::find_if(p.analysis.findings.begin(), p.analysis.findings.end(),
+                      [](const Finding& f) {
+                          return f.kind == VulnKind::kSqli;
+                      }));
+    ASSERT_TRUE(fix.has_value());
+    const std::optional<std::string> patched_text =
+        apply_quickfix(p.project, *fix);
+    ASSERT_TRUE(patched_text.has_value());
+    const Pipeline patched =
+        analyze_files({{"a.php", *patched_text}, {"b.php", "<?php\necho $res;\n"}});
+    EXPECT_TRUE(patched.analysis.findings.empty());
 }
 
 TEST(QuickfixTest, ApplyRefusesOnDriftedSource) {

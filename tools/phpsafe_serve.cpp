@@ -2,8 +2,8 @@
 //
 // Default mode reads one JSON request object per stdin line and writes one
 // JSON response object per stdout line, one request at a time; editors/CI
-// keep the process alive so consecutive scans hit the warm
-// AST/summary/result caches. The protocol lives in service/ndjson.h and
+// keep the process alive so consecutive scans hit the warm AST and
+// result caches. The protocol lives in service/ndjson.h and
 // both loops in service/server.h (drivable from tests); this binary binds
 // them to streams.
 //
