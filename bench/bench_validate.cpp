@@ -15,10 +15,7 @@
 //                (entry file, payload, seed class) share one interpreter
 //                run each; fix verification re-parses only the patched file
 //                (php::Project::fork_with_replacement shares every other
-//                AST and declaration-table entry) and seeds hermetic
-//                function summaries captured once from the original
-//                project, so each rescan recomputes only what the patch
-//                can influence.
+//                AST and declaration-table entry) before its rescan.
 //
 // Both judge with the same Validator::judge on deterministic executions
 // and hold verified fixes to the same gates, so their outcomes agree
@@ -30,8 +27,8 @@
 //
 // Correctness gates (always a hard fail):
 //   - batched tiers/replays AND per-case fix verdicts equal the sequential
-//     ones case-by-case (this pins the fork+seeding fast path to the
-//     from-scratch rebuild),
+//     ones case-by-case (this pins the fork fast path to the from-scratch
+//     rebuild),
 //   - validation_signature (tiers + verified fixes) is byte-identical at
 //     workers 1 and 4.
 //
@@ -474,8 +471,8 @@ int main(int argc, char** argv) {
          "per finding, then per fix a from-text project rebuild + cold "
          "analyzer rescan + replay) vs the batch pipeline (findings sharing "
          "an execution key share one run; fix rescans re-parse only the "
-         "patched file via fork_with_replacement and seed hermetic "
-         "summaries captured once). Outcomes byte-identical case by case, "
+         "patched file via fork_with_replacement). Outcomes "
+         "byte-identical case by case, "
          "best-of-reps, single worker so the speedup is algorithmic");
     w.kv("timing_reps", reps);
     w.kv("corpus_scale", 1.0, 2);

@@ -27,8 +27,7 @@ AnalysisResult run_tool(const Tool& tool, const php::Project& project,
     // compatibility; new code should construct an Analyzer directly. The
     // borrowing constructor keeps the old zero-copy semantics for tool.kb.
     const Analyzer analyzer = Analyzer::borrowing(tool.kb, tool.options);
-    return analyzer.scan(project, tool.options, SummaryExchange{}, observer)
-        .result;
+    return analyzer.scan(project, tool.options, observer).result;
 }
 
 }  // namespace phpsafe

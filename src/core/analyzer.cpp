@@ -34,17 +34,11 @@ Analyzer Analyzer::borrowing(const KnowledgeBase& kb, AnalysisOptions options) {
 }
 
 ScanResult Analyzer::scan(const php::Project& project) const {
-    return scan(project, options_, SummaryExchange{});
-}
-
-ScanResult Analyzer::scan(const php::Project& project,
-                          const AnalysisOptions& options) const {
-    return scan(project, options, SummaryExchange{});
+    return scan(project, options_);
 }
 
 ScanResult Analyzer::scan(const php::Project& project,
                           const AnalysisOptions& options,
-                          const SummaryExchange& exchange,
                           Engine::Observer* observer) const {
     Engine engine(*kb_, options);
     engine.set_observer(observer);
@@ -54,7 +48,7 @@ ScanResult Analyzer::scan(const php::Project& project,
     const obs::CounterDelta delta;
     const double start = thread_cpu_seconds();
     ScanResult scan_result;
-    scan_result.result = engine.analyze(project, exchange);
+    scan_result.result = engine.analyze(project);
     scan_result.result.cpu_seconds = thread_cpu_seconds() - start;
     scan_result.result.counters = delta.take();
     return scan_result;

@@ -51,14 +51,9 @@ public:
     ScanResult scan(const php::Project& project) const;
 
     /// Analyzes with per-scan options (e.g. a loop-iteration override
-    /// built with options().to_builder()).
-    ScanResult scan(const php::Project& project,
-                    const AnalysisOptions& options) const;
-
-    /// Full-control variant: per-scan options, cross-run summary exchange
-    /// (see core/summaries.h) and an optional observer for the run.
+    /// built with options().to_builder()) and an optional observer for the
+    /// run.
     ScanResult scan(const php::Project& project, const AnalysisOptions& options,
-                    const SummaryExchange& exchange,
                     Engine::Observer* observer = nullptr) const;
 
 private:

@@ -31,8 +31,8 @@ void append_ascii_lower(std::string& out, std::string_view s) {
 }
 
 /// Summary-store key for a function: ascii_lower(ref.qualified_name()) in a
-/// single allocation. Stage 1 recomputes this for every declared function on
-/// every scan, so the two-allocation spelling shows up in seeded rescans.
+/// single allocation. Stage 3 recomputes this for every declared function on
+/// every scan.
 std::string lowered_key(const php::FunctionRef& ref) {
     std::string key;
     if (!ref.decl) return "<null>";
@@ -130,8 +130,6 @@ std::string AnalysisOptions::fingerprint() const {
     flag(assume_params_tainted_in_uncalled);
     flag(track_object_types);
     flag(analyze_closures);
-    flag(hermetic_summaries);
-    flag(capture_entry_files);
     fp += '|' + std::to_string(loop_iterations);
     fp += '|' + std::to_string(max_include_depth);
     fp += '|' + std::to_string(max_call_depth);
@@ -142,15 +140,7 @@ Engine::Engine(const KnowledgeBase& kb, AnalysisOptions options)
     : kb_(kb), options_(std::move(options)) {}
 
 AnalysisResult Engine::analyze(const php::Project& project) {
-    return analyze(project, SummaryExchange{});
-}
-
-AnalysisResult Engine::analyze(const php::Project& project,
-                               const SummaryExchange& exchange) {
     project_ = &project;
-    exchange_ = exchange;
-    capture_stack_.clear();
-    run_artifacts_.clear();
     symbols_.clear();
     this_sym_ = symbols_.intern("$this");
     diagnostics_.clear();
@@ -174,27 +164,11 @@ AnalysisResult Engine::analyze(const php::Project& project,
     result.files_total = static_cast<int>(project.files().size());
 
     // Stage 1 (paper §III.C): inter-procedural parsing of the functions that
-    // are not called from the source code of the plugin. Hermetic mode
-    // widens this to every declared function (in declaration order) so that
-    // which summaries exist — and what they contain — never depends on which
-    // caller reached them first.
-    if (options_.analyze_uncalled_functions) {
-        if (options_.hermetic_summaries) {
-            summarize_all_declared();
-            if (options_.assume_params_tainted_in_uncalled) summarize_uncalled();
-        } else {
-            summarize_uncalled();
-        }
-    }
+    // are not called from the source code of the plugin.
+    if (options_.analyze_uncalled_functions) summarize_uncalled();
 
     // Stage 2: inter-procedural analysis starting from each file's "main
     // function", following the program flow (calls, includes) from there.
-    // With capture_entry_files on, each walk runs inside an entry capture
-    // frame (keyed "file:<name>" — a name no function key can collide with)
-    // and a seeded run replays reusable entry artifacts instead of walking.
-    const bool entry_exchange = options_.capture_entry_files &&
-                                options_.hermetic_summaries &&
-                                (exchange_.seeds || exchange_.capture);
     std::set<std::string> failed_files;
     for (const std::shared_ptr<const php::ParsedFile>& file_ptr : project.files()) {
         const php::ParsedFile& file = *file_ptr;
@@ -212,28 +186,8 @@ AnalysisResult Engine::analyze(const php::Project& project,
             if (observer_) observer_->on_file_end(file, /*failed=*/true);
             continue;
         }
-        const std::string entry_key = "file:" + file.source->name();
         current_file_failed_ = false;
-        if (entry_exchange && apply_entry_seed(entry_key)) {
-            // apply_entry_seed replayed the walk's diagnostics and failure
-            // state (a deterministic include-depth abort seeds like any
-            // other walk).
-            if (current_file_failed_) failed_files.insert(file.source->name());
-            if (observer_) observer_->on_file_end(file, current_file_failed_);
-            continue;
-        }
-        const bool capture_entry = entry_exchange && exchange_.capture;
-        if (capture_entry) {
-            CaptureFrame frame;
-            frame.key = entry_key;
-            frame.entry = true;
-            frame.diag_mark = diagnostics_.diagnostics().size();
-            capture_stack_.push_back(std::move(frame));
-            note_dep(SummaryDep::Kind::kFile, file.source->name(),
-                     file.source->name());
-        }
         analyze_entry_file(file);
-        if (capture_entry) finish_capture(entry_key, FunctionSummary{});
         if (current_file_failed_) failed_files.insert(file.source->name());
         if (observer_) observer_->on_file_end(file, current_file_failed_);
     }
@@ -262,7 +216,6 @@ AnalysisResult Engine::analyze(const php::Project& project,
         diagnostics_.count(Severity::kError) + diagnostics_.count(Severity::kFatal);
     result.diagnostics = diagnostics_.diagnostics();
     findings_.clear();
-    exchange_ = SummaryExchange{};  // seed/capture pointers die with the call
     return result;
 }
 
@@ -285,222 +238,6 @@ void Engine::summarize_uncalled() {
     }
 }
 
-void Engine::summarize_all_declared() {
-    // Hermetic stage 1': summarize every declared function
-    // context-free before any entry file runs. Cold and warm runs therefore
-    // visit summaries in the same (declaration) order, and each summary is a
-    // pure function of the project content its computation observed — the
-    // property the cross-run seed/capture exchange relies on.
-    for (const php::FunctionRef& ref : project_->all_functions()) {
-        if (!ref.decl) continue;
-        summarize(ref);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cross-run summary capture
-// ---------------------------------------------------------------------------
-
-void Engine::note_dep(SummaryDep::Kind kind, std::string_view name,
-                      std::string_view file) {
-    if (capture_stack_.empty()) return;
-    SummaryDep dep;
-    dep.kind = kind;
-    dep.name.assign(name);
-    dep.file.assign(file);
-    capture_stack_.back().artifact.deps.push_back(std::move(dep));
-}
-
-void Engine::touch_shared_state() {
-    // Cheap no-op outside capture: the loop body never runs.
-    for (CaptureFrame& frame : capture_stack_) frame.reusable = false;
-}
-
-const TaintValue* Engine::find_shared_slot(Symbol name) {
-    const std::string_view text = symbols_.name(name);
-    if (!text.empty() && text.front() == '$') return globals_.vars.find(name);
-    return properties_.find_slot(text);
-}
-
-void Engine::note_shared_read(Symbol name) {
-    for (CaptureFrame& frame : capture_stack_) {
-        if (!frame.entry) {
-            // A summary replay cannot reproduce shared state.
-            frame.reusable = false;
-            continue;
-        }
-        // Foreign read: the value came from another computation's write (or
-        // the deterministic default). Record what was observed — the seed
-        // applies later only while the slot still matches — instead of
-        // disqualifying outright. Only the first touch matters: within one
-        // walk nothing else runs, so the pre-walk value is stable.
-        if (frame.slots_written.contains(name) ||
-            frame.foreign_observed.contains(name))
-            continue;
-        const TaintValue* value = find_shared_slot(name);
-        frame.foreign_observed.emplace(name,
-                                       value ? value_fingerprint(*value) : 0);
-    }
-}
-
-void Engine::note_shared_write(Symbol name, bool strong) {
-    // Call BEFORE mutating the store: a weak merge observes the prior state
-    // like a read, and the observation must capture the pre-write value.
-    for (CaptureFrame& frame : capture_stack_) {
-        if (!frame.entry) {
-            frame.reusable = false;  // summary replay cannot re-execute it
-            continue;
-        }
-        if (!strong && !frame.slots_written.contains(name) &&
-            !frame.foreign_observed.contains(name)) {
-            const TaintValue* value = find_shared_slot(name);
-            frame.foreign_observed.emplace(
-                name, value ? value_fingerprint(*value) : 0);
-        }
-        // Strong or weak, the final value is snapshotted at finish_capture
-        // and replayed on seeding (a weak merge's prior-state input is
-        // pinned by the observation above).
-        frame.slots_written.insert(name);
-    }
-}
-
-bool Engine::apply_summary_seed(const std::string& key, FunctionSummary& slot) {
-    if (!exchange_.seeds) return false;
-    if (exchange_.seed_block && exchange_.seed_block->count(key)) return false;
-    const auto it = exchange_.seeds->find(key);
-    if (it == exchange_.seeds->end()) return false;
-    const SummaryArtifact* artifact = it->second;
-    slot = artifact->summary;
-    slot.analyzed = true;
-    slot.in_progress = false;
-    // Replay the findings the original computation reported, through the
-    // same counter and observer hooks a fresh analysis would hit.
-    for (const Finding& finding : artifact->findings) {
-        if (finding.kind == VulnKind::kSqli)
-            ++obs::tls().findings_sqli;
-        else
-            ++obs::tls().findings_xss;
-        if (observer_) observer_->on_finding(finding);
-        findings_.push_back(finding);
-    }
-    // An enclosing capture inherits everything the seeded summary's original
-    // computation observed: the caller's artifact embeds its content.
-    if (!capture_stack_.empty()) {
-        CaptureFrame& top = capture_stack_.back();
-        top.artifact.deps.insert(top.artifact.deps.end(), artifact->deps.begin(),
-                                 artifact->deps.end());
-    }
-    run_artifacts_[key] = artifact;
-    ++obs::tls().cache_summary_hits;
-    return true;
-}
-
-bool Engine::apply_entry_seed(const std::string& key) {
-    if (!exchange_.seeds) return false;
-    if (exchange_.seed_block && exchange_.seed_block->count(key)) return false;
-    const auto it = exchange_.seeds->find(key);
-    if (it == exchange_.seeds->end()) return false;
-    const SummaryArtifact* artifact = it->second;
-    // The walk's cross-entry inputs must be unchanged: every shared slot it
-    // observed must still hold a value with the captured fingerprint.
-    // Checked against the live stores — state left by whatever mix of
-    // seeded and re-walked entries ran before this one — so no mutation may
-    // happen before all checks pass.
-    for (const auto& [name, expected] : artifact->foreign_reads) {
-        const TaintValue* value = find_shared_slot(sym(name));
-        if ((value ? value_fingerprint(*value) : 0) != expected) return false;
-    }
-    // Replay the walk's findings through the same counter and observer
-    // hooks a fresh walk would hit, then re-apply its final shared-slot
-    // writes (plain globals and persistent property slots) so later entry
-    // files observe the state the walk would have left.
-    for (const Finding& finding : artifact->findings) {
-        if (finding.kind == VulnKind::kSqli)
-            ++obs::tls().findings_sqli;
-        else
-            ++obs::tls().findings_xss;
-        if (observer_) observer_->on_finding(finding);
-        findings_.push_back(finding);
-    }
-    for (const auto& [name, value] : artifact->shared_writes) {
-        if (!name.empty() && name.front() == '$')
-            globals_.vars[sym(name)] = value;
-        else
-            properties_.slot(name) = value;
-    }
-    for (const Diagnostic& d : artifact->diagnostics)
-        diagnostics_.add(d.severity, d.location, d.message);
-    current_file_failed_ = artifact->file_failed;
-    run_artifacts_[key] = artifact;
-    ++obs::tls().cache_summary_hits;
-    return true;
-}
-
-void Engine::finish_capture(const std::string& key,
-                            const FunctionSummary& summary) {
-    CaptureFrame frame = std::move(capture_stack_.back());
-    capture_stack_.pop_back();
-    frame.artifact.summary = summary;
-    if (frame.entry) {
-        // Snapshot the final value of every shared slot the walk wrote —
-        // plain globals from globals_, property slots from the persistent
-        // store; apply_entry_seed replays these. Name-sorted so the
-        // artifact's bytes do not depend on this run's interning order.
-        frame.artifact.shared_writes.reserve(frame.slots_written.size());
-        for (const Symbol name : frame.slots_written) {
-            const std::string_view text = symbols_.name(name);
-            const TaintValue* value = (!text.empty() && text.front() == '$')
-                                          ? globals_.vars.find(name)
-                                          : properties_.find_slot(text);
-            frame.artifact.shared_writes.emplace_back(
-                std::string(text), value ? *value : TaintValue::clean());
-        }
-        std::sort(frame.artifact.shared_writes.begin(),
-                  frame.artifact.shared_writes.end(),
-                  [](const auto& a, const auto& b) { return a.first < b.first; });
-    }
-    if (frame.entry) {
-        // The walk's observed cross-entry inputs become the seed-time
-        // validity check (apply_entry_seed). Name-sorted like the writes.
-        frame.artifact.foreign_reads.reserve(frame.foreign_observed.size());
-        for (const auto& [name, sig] : frame.foreign_observed)
-            frame.artifact.foreign_reads.emplace_back(
-                std::string(symbols_.name(name)), sig);
-        std::sort(frame.artifact.foreign_reads.begin(),
-                  frame.artifact.foreign_reads.end(),
-                  [](const auto& a, const auto& b) { return a.first < b.first; });
-    }
-    if (frame.entry) {
-        // The walk's diagnostic stream and failure state replay on seeding
-        // (a deterministic abort is as replayable as a clean walk).
-        const auto& all = diagnostics_.diagnostics();
-        frame.artifact.diagnostics.assign(all.begin() + frame.diag_mark,
-                                          all.end());
-        frame.artifact.file_failed = current_file_failed_;
-    }
-    // A function body cut short by a failing file would yield a truncated
-    // summary; never offer it for reuse. Entry artifacts instead record the
-    // failure and stay seedable.
-    frame.artifact.reusable =
-        frame.reusable && (frame.entry || !current_file_failed_);
-    std::sort(frame.artifact.deps.begin(), frame.artifact.deps.end());
-    frame.artifact.deps.erase(std::unique(frame.artifact.deps.begin(),
-                                          frame.artifact.deps.end()),
-                              frame.artifact.deps.end());
-    if (!capture_stack_.empty()) {
-        // The caller transitively depends on everything this callee observed.
-        CaptureFrame& parent = capture_stack_.back();
-        parent.artifact.deps.insert(parent.artifact.deps.end(),
-                                    frame.artifact.deps.begin(),
-                                    frame.artifact.deps.end());
-        if (!frame.artifact.reusable) parent.reusable = false;
-    }
-    const auto [it, inserted] =
-        exchange_.capture->insert_or_assign(key, std::move(frame.artifact));
-    run_artifacts_[key] = &it->second;
-    (void)inserted;
-}
-
 void Engine::analyze_entry_file(const php::ParsedFile& file) {
     Scope scope;
     scope.is_global = true;
@@ -512,9 +249,7 @@ void Engine::analyze_entry_file(const php::ParsedFile& file) {
     exec_stmts(file.unit.statements, scope);
     // The file-level scope dies here, but `global $x` statements alias into
     // globals_, which persists across entry files: taint written to a plain
-    // global by one entry is visible to every later entry in the run (the
-    // entry-capture machinery tracks those reads/writes for exactly that
-    // reason).
+    // global by one entry is visible to every later entry in the run.
 }
 
 // ---------------------------------------------------------------------------
@@ -645,8 +380,6 @@ void Engine::exec_stmt(const php::Stmt& stmt, Scope& scope) {
                 if (!prop.default_value) continue;
                 TaintValue value = eval(*prop.default_value, *outer);
                 // Defaults merge into the persistent store (weak write).
-                note_shared_write(slot_sym(n.name, prop.is_static, prop.name),
-                                  /*strong=*/false);
                 if (prop.is_static)
                     properties_.static_slot(n.name, prop.name).merge(value);
                 else
@@ -708,12 +441,8 @@ void Engine::exec_unset(const php::UnsetStmt& stmt, Scope& scope) {
         if (var->kind == NodeKind::kVariable) {
             const auto& v = static_cast<const php::Variable&>(*var);
             const Symbol name_sym = sym(v.name);
-            if (scope.global_aliases.contains(name_sym) || scope.is_global) {
-                // Destroying the variable is a strong write of the clean
-                // state.
-                note_shared_write(name_sym, /*strong=*/true);
+            if (scope.global_aliases.contains(name_sym) || scope.is_global)
                 global_slot(name_sym).reset();
-            }
             if (!scope.is_global) scope.vars[name_sym].reset();
         } else if (var->kind == NodeKind::kPropertyAccess) {
             // Weak store: resetting a property of one instance must not
@@ -739,12 +468,6 @@ TaintValue Engine::eval(const php::Expr& expr, Scope& scope) {
                          "expression nesting exceeds " +
                              std::to_string(kMaxEvalDepth) +
                              " levels; taint evaluation truncated");
-        // Entry frames capture the walk's diagnostics and replay them on
-        // seeding; a function-summary seed replays only findings, so a
-        // warning emitted during summarization would be dropped — don't
-        // reuse function frames that saw one.
-        for (CaptureFrame& frame : capture_stack_)
-            if (!frame.entry) frame.reusable = false;
         return TaintValue::clean();
     }
     const EvalDepthScope depth_scope(eval_depth_);
@@ -1014,8 +737,6 @@ TaintValue Engine::eval_property_access(const php::PropertyAccess& access,
 
     // Class-level slot when the receiver class is known.
     if (!object.object_class.empty()) {
-        note_shared_read(
-            slot_sym(object.object_class, /*is_static=*/false, access.property));
         if (const TaintValue* slot =
                 properties_.find_class_slot(object.object_class, access.property))
             out.merge(*slot);
@@ -1034,7 +755,6 @@ TaintValue Engine::read_static_property(const php::StaticPropertyAccess& access,
     const std::string cls =
         resolve_class_name(access.class_name, scope.current_class, *project_);
     if (cls.empty()) return TaintValue::clean();
-    note_shared_read(slot_sym(cls, /*is_static=*/true, access.property));
     if (const TaintValue* slot = properties_.find_static_slot(cls, access.property)) {
         TaintValue out = *slot;
         if (out.tainted_any()) out.via_oop = true;
@@ -1116,7 +836,6 @@ void Engine::assign_to(const php::Expr& target, TaintValue value, Scope& scope,
             const Symbol name_sym = sym(var.name);
             const bool is_global_var =
                 scope.is_global || scope.global_aliases.contains(name_sym);
-            if (is_global_var) note_shared_write(name_sym, /*strong=*/!weak);
             TaintValue& slot = is_global_var
                                    ? global_slot(name_sym)
                                    : scope.vars[resolve_alias(name_sym, scope)];
@@ -1140,7 +859,6 @@ void Engine::assign_to(const php::Expr& target, TaintValue value, Scope& scope,
                     const auto& lit = static_cast<const php::Literal&>(*access.index);
                     std::string gname = "$";
                     gname += lit.value;
-                    note_shared_write(sym(gname), /*strong=*/false);
                     global_slot(gname).merge(value);
                     return;
                 }
@@ -1173,9 +891,6 @@ void Engine::assign_to(const php::Expr& target, TaintValue value, Scope& scope,
             }
             if (!object.object_class.empty()) {
                 // Class-level store is always weak (merged over instances).
-                note_shared_write(slot_sym(object.object_class,
-                                           /*is_static=*/false, access.property),
-                                  /*strong=*/false);
                 properties_.class_slot(object.object_class, access.property)
                     .merge(value);
             }
@@ -1188,8 +903,6 @@ void Engine::assign_to(const php::Expr& target, TaintValue value, Scope& scope,
                 resolve_class_name(access.class_name, scope.current_class, *project_);
             if (cls.empty()) return;
             value.via_oop = value.via_oop || value.tainted_any();
-            note_shared_write(slot_sym(cls, /*is_static=*/true, access.property),
-                              /*strong=*/!weak);
             TaintValue& slot = properties_.static_slot(cls, access.property);
             if (weak)
                 slot.merge(value);
@@ -1217,7 +930,6 @@ void Engine::assign_to(const php::Expr& target, TaintValue value, Scope& scope,
 
 TaintValue Engine::read_global(std::string_view name, SourceLocation loc) {
     (void)loc;
-    note_shared_read(sym(name));
     if (const TaintValue* found = globals_.vars.find(sym(name))) return *found;
     TaintValue v;
     if (const std::string* cls = kb_.known_global_class(name)) {
@@ -1226,10 +938,6 @@ TaintValue Engine::read_global(std::string_view name, SourceLocation loc) {
     return v;
 }
 
-// Callers must report the access through note_shared_write (or
-// note_shared_read for read-modify uses) before taking the slot — the
-// strong/weak distinction only the call site knows decides whether an
-// entry capture stays reusable.
 TaintValue& Engine::global_slot(std::string_view name) {
     return globals_.vars[sym(name)];
 }
@@ -1281,13 +989,8 @@ TaintValue Engine::eval_function_call(const php::FunctionCall& call, Scope& scop
 
     // User-defined functions take priority (PHP forbids redefining
     // built-ins, and plugins guard declarations with function_exists).
-    if (const php::FunctionRef* ref = project_->find_function(call.name)) {
-        note_dep(SummaryDep::Kind::kFunction, ascii_lower(call.name), ref->file);
+    if (const php::FunctionRef* ref = project_->find_function(call.name))
         return apply_user_function(*ref, args, loc, scope, call.name, &call.args);
-    }
-    // Record the failed project lookup too: declaring this name later must
-    // invalidate summaries that resolved it to a built-in (or to nothing).
-    note_dep(SummaryDep::Kind::kFunction, ascii_lower(call.name), {});
 
     if (const FunctionInfo* info = kb_.function(call.name))
         return apply_builtin(*info, call.name, call.args, args, loc, scope,
@@ -1346,16 +1049,11 @@ TaintValue Engine::eval_method_call(const php::MethodCall& call, Scope& scope) {
 
     const php::FunctionRef* ref =
         cls.empty() ? nullptr : project_->find_method(cls, call.method);
-    if (!cls.empty())
-        note_dep(SummaryDep::Kind::kMethod, cls + "::" + ascii_lower(call.method),
-                 ref ? ref->file : std::string_view());
     if (!ref) {
         if (const FunctionInfo* wildcard = kb_.method("", call.method))
             return apply_builtin(*wildcard, call.method, call.args, args, loc,
                                  scope, /*via_oop=*/true);
         ref = project_->find_method_any(call.method);
-        note_dep(SummaryDep::Kind::kMethodAny, ascii_lower(call.method),
-                 ref ? ref->file : std::string_view());
     }
     if (ref) {
         TaintValue out = apply_user_function(*ref, args, loc, scope,
@@ -1387,11 +1085,7 @@ TaintValue Engine::eval_static_call(const php::StaticCall& call, Scope& scope) {
                              /*via_oop=*/true);
     }
 
-    const php::FunctionRef* ref = project_->find_method(cls, call.method);
-    if (!cls.empty())
-        note_dep(SummaryDep::Kind::kMethod, cls + "::" + ascii_lower(call.method),
-                 ref ? ref->file : std::string_view());
-    if (ref) {
+    if (const php::FunctionRef* ref = project_->find_method(cls, call.method)) {
         TaintValue out = apply_user_function(*ref, args, loc, scope,
                                              ref->qualified_name(), &call.args);
         if (out.tainted_any()) out.via_oop = true;
@@ -1415,8 +1109,6 @@ TaintValue Engine::eval_new(const php::New& expr, Scope& scope) {
     if (options_.track_object_types) out.object_class = cls;
 
     const php::ClassDecl* decl = project_->find_class(cls);
-    note_dep(SummaryDep::Kind::kClass, cls,
-             decl ? project_->file_of_class(cls) : std::string());
     // A property default can itself `new` this class (directly or through a
     // cycle of classes); evaluating defaults re-entrantly would never
     // terminate, so construction of a class already being constructed skips
@@ -1426,17 +1118,13 @@ TaintValue Engine::eval_new(const php::New& expr, Scope& scope) {
         for (const php::PropertyDecl& prop : decl->properties) {
             if (!prop.default_value) continue;
             TaintValue dv = eval(*prop.default_value, scope);
-            note_shared_write(slot_sym(cls, prop.is_static, prop.name),
-                              /*strong=*/false);
             if (prop.is_static)
                 properties_.static_slot(cls, prop.name).merge(dv);
             else
                 properties_.class_slot(cls, prop.name).merge(dv);
         }
-        const php::FunctionRef* ctor = project_->find_method(cls, "__construct");
-        note_dep(SummaryDep::Kind::kMethod, cls + "::__construct",
-                 ctor ? ctor->file : std::string_view());
-        if (ctor)
+        if (const php::FunctionRef* ctor =
+                project_->find_method(cls, "__construct"))
             apply_user_function(*ctor, args, loc_of(expr, scope), scope,
                                 cls + "::__construct");
         constructing_classes_.erase(cls);
@@ -1638,43 +1326,11 @@ FunctionSummary& Engine::summarize(const php::FunctionRef& ref,
     FunctionSummary& summary = summaries_.slot(key);
     if (summary.analyzed || summary.in_progress) {
         ++obs::tls().summaries_reused;
-        // A capture in progress embeds the reused summary's content, so it
-        // absorbs that summary's dependency record too (or, if the record is
-        // unknown, gives up on reuse — conservative, should not happen).
-        if (summary.analyzed && !capture_stack_.empty()) {
-            const auto it = run_artifacts_.find(key);
-            if (it != run_artifacts_.end()) {
-                CaptureFrame& top = capture_stack_.back();
-                top.artifact.deps.insert(top.artifact.deps.end(),
-                                         it->second->deps.begin(),
-                                         it->second->deps.end());
-                if (!it->second->reusable) top.reusable = false;
-            } else {
-                capture_stack_.back().reusable = false;
-            }
-        }
         return summary;
-    }
-    if (apply_summary_seed(key, summary)) {
-        if (observer_) observer_->on_function_summary(ref, summary);
-        return summary;
-    }
-
-    const bool capturing = exchange_.capture != nullptr;
-    if (capturing) {
-        ++obs::tls().cache_summary_misses;
-        CaptureFrame frame;
-        frame.key = key;
-        // Starting under an already-failing file is not a state a replay
-        // can reproduce.
-        frame.reusable = !current_file_failed_;
-        capture_stack_.push_back(std::move(frame));
-        if (!ref.file.empty()) note_dep(SummaryDep::Kind::kFile, ref.file, ref.file);
     }
 
     if (!ref.decl || ref.decl->is_abstract) {
         summary.analyzed = true;
-        if (capturing) finish_capture(key, summary);
         return summary;
     }
     ++obs::tls().summaries_computed;
@@ -1700,10 +1356,8 @@ FunctionSummary& Engine::summarize(const php::FunctionRef& ref,
             v.object_class = ascii_lower(param.type_hint);
         // First-call context (paper §III.C): the body is analyzed with the
         // arguments of the call that triggered it, so taint written into
-        // properties and globals materializes. Hermetic mode drops this —
-        // a summary must not depend on which caller reached it first.
-        if (!options_.hermetic_summaries && first_call_args &&
-            i < first_call_args->size())
+        // properties and globals materializes.
+        if (first_call_args && i < first_call_args->size())
             v.merge((*first_call_args)[i]);
         fn_scope.vars[sym(param.name)] = std::move(v);
     }
@@ -1731,7 +1385,6 @@ FunctionSummary& Engine::summarize(const php::FunctionRef& ref,
     --call_depth_;
     summary.in_progress = false;
     summary.analyzed = true;
-    if (capturing) finish_capture(key, summary);
     if (observer_) observer_->on_function_summary(ref, summary);
     return summary;
 }
@@ -1746,15 +1399,6 @@ TaintValue Engine::lookup_var(std::string_view name, Scope& scope) {
 }
 
 void Engine::eval_closure_body(const php::Closure& closure, Scope& scope) {
-    // Closure dedup (analyzed_closures_) is run-wide: whether THIS walk or
-    // an earlier entry's walk analyzes a closure shared through an include
-    // is an ordering fact a seeded replay would shift, so an entry frame
-    // that even reaches a closure is not reusable. Function frames need no
-    // extra handling here: a closure shared across bodies is only reachable
-    // through an include, which already disqualifies them in
-    // eval_include.
-    for (CaptureFrame& frame : capture_stack_)
-        if (frame.entry) frame.reusable = false;
     if (!analyzed_closures_.insert(&closure).second) return;
     Scope body_scope;
     body_scope.file = scope.file;
@@ -1765,10 +1409,7 @@ void Engine::eval_closure_body(const php::Closure& closure, Scope& scope) {
     if (closure.is_arrow) {
         // Arrow functions capture the whole enclosing scope by value.
         body_scope.vars = scope.vars;
-        if (scope.is_global) {
-            touch_shared_state();
-            body_scope.vars = globals_.vars;
-        }
+        if (scope.is_global) body_scope.vars = globals_.vars;
     }
     if (const TaintValue* self = scope.vars.find(this_sym_))
         body_scope.vars[this_sym_] = *self;
@@ -1780,21 +1421,8 @@ TaintValue Engine::eval_include(const php::IncludeExpr& inc, Scope& scope) {
     eval(*inc.path, scope);
     const std::string hint = static_path_hint(*inc.path);
     const php::ParsedFile* resolved = project_->resolve_include(hint);
-    if (!hint.empty())
-        note_dep(SummaryDep::Kind::kInclude, hint,
-                 resolved ? resolved->source->name() : std::string());
     if (!resolved || resolved->parse_failed) return TaintValue::clean();
     ++obs::tls().includes_resolved;
-    // From here on the include interacts with run-wide include state
-    // (included_once_, the include stack) and may execute the target file
-    // against the live global scope — none of which a seeded replay of a
-    // summarized body can reproduce. An entry-file frame, by contrast, owns
-    // the include state (reset per entry) and captures the included file's
-    // effects — its findings land in the frame, its global writes are
-    // tracked, and the kInclude dep above pins the content — so it stays
-    // reusable.
-    for (CaptureFrame& frame : capture_stack_)
-        if (!frame.entry) frame.reusable = false;
 
     // Cycle / repetition guards.
     for (const php::ParsedFile* active : include_stack_)
@@ -1887,11 +1515,6 @@ void Engine::report(VulnKind kind, SourceLocation loc, std::string_view sink_nam
     else
         ++obs::tls().findings_xss;
     if (observer_) observer_->on_finding(f);
-    // A finding discovered while a summary is being captured belongs to that
-    // summary's artifact: a later run that seeds the artifact skips this
-    // body, so the artifact must replay the finding verbatim.
-    if (!capture_stack_.empty())
-        capture_stack_.back().artifact.findings.push_back(f);
     findings_.push_back(std::move(f));
 }
 

@@ -12,7 +12,6 @@
 // the variable's classification from the right-hand side.
 #pragma once
 
-#include <map>
 #include <set>
 #include <string>
 #include <string_view>
@@ -70,32 +69,6 @@ struct AnalysisOptions {
     /// registered as anonymous functions as reachable).
     bool analyze_closures = true;
 
-    /// Hermetic summaries (the analysis service's presets, fix verification's
-    /// rescans): every declared function is summarized context-free, in
-    /// declaration order, before any entry file runs, and first-call
-    /// argument context is ignored. This makes a summary a pure function of
-    /// the project content reachable from it — the property that lets fix
-    /// verification seed summaries across rescans —
-    /// at the cost of the paper's "context of the first call" side-effect
-    /// materialization. Requires analyze_uncalled_functions to change stage
-    /// order; without it the flag only disables call-context sensitivity.
-    bool hermetic_summaries = false;
-
-    /// Capture/seed each entry file's top-level walk (its "main function",
-    /// paper §III.C) as an artifact alongside the function summaries, keyed
-    /// "file:<name>". The artifact stores the final value of every shared
-    /// slot (global, class-level or static property) the walk wrote, replayed
-    /// on seeding so later entry files see the state a fresh walk would have
-    /// left, and the fingerprint of every slot it read before writing; a
-    /// seed applies only while each of those still matches the live stores
-    /// (foreign reads). State a replay cannot reproduce (truncation
-    /// diagnostics, whole-scope captures) makes the artifact non-reusable.
-    /// Off by default; only the validation pipeline's
-    /// fix-verification rescans opt in. Requires
-    /// hermetic_summaries (stage-1' ordering is what makes the walk a pure
-    /// function of file content + replayed globals).
-    bool capture_entry_files = false;
-
     /// Stable key of every field that changes analysis semantics. Two
     /// engines with equal fingerprints produce identical results on equal
     /// input — the analysis-preset component of the service's cache keys.
@@ -146,8 +119,6 @@ public:
     Builder& max_call_depth(int v) { options_.max_call_depth = v; return *this; }
     Builder& track_object_types(bool v) { options_.track_object_types = v; return *this; }
     Builder& analyze_closures(bool v) { options_.analyze_closures = v; return *this; }
-    Builder& hermetic_summaries(bool v) { options_.hermetic_summaries = v; return *this; }
-    Builder& capture_entry_files(bool v) { options_.capture_entry_files = v; return *this; }
 
     AnalysisOptions build() const { return options_; }
 
@@ -190,15 +161,6 @@ public:
     /// Analyzes a whole plugin. Repeatable: all run state is reset.
     AnalysisResult analyze(const php::Project& project);
 
-    /// Analyze with cross-run summary exchange (see core/summaries.h).
-    /// Seeded summaries are installed instead of analyzing their bodies and
-    /// their recorded findings are replayed; computed summaries are captured
-    /// with their dependency records. Findings are identical to an
-    /// exchange-free run for any valid seed set — fix verification relies
-    /// on it (tests/validate_test.cpp, bench_validate's identity gate).
-    AnalysisResult analyze(const php::Project& project,
-                           const SummaryExchange& exchange);
-
     const AnalysisOptions& options() const noexcept { return options_; }
 
     /// Installs an observer for subsequent analyze() calls (null detaches).
@@ -228,40 +190,6 @@ private:
     // -- drivers -------------------------------------------------------------
     void analyze_entry_file(const php::ParsedFile& file);
     void summarize_uncalled();
-    void summarize_all_declared();
-
-    // -- cross-run summary capture ---------------------------------------------
-    /// Records a project observation on every active capture (no-op when the
-    /// capture stack is empty — the default-mode cost is one empty() check).
-    void note_dep(SummaryDep::Kind kind, std::string_view name,
-                  std::string_view file);
-    /// Marks every active capture non-reusable: the summarization touched
-    /// state a seed replay cannot reproduce and the shared-slot machinery
-    /// below cannot pin (truncation diagnostics, whole-scope captures).
-    void touch_shared_state();
-    /// Records a read of a shared slot — a plain global ("$x"), a
-    /// class-level property ("cls::prop") or a static property
-    /// ("cls::$prop"), all interned into one keyspace (variables carry the
-    /// '$' sigil, class names cannot). Function frames die (a summary
-    /// replay cannot reproduce shared state); an entry frame records the
-    /// observed value's signature unless it wrote the slot first, and the
-    /// artifact seeds later only while the slot still matches.
-    void note_shared_read(Symbol name);
-    /// Records a write to a shared slot. Function frames die as above; an
-    /// entry frame tracks the write (the final value is captured and
-    /// replayed on seeding), a weak write to a slot it does not own also
-    /// observing the prior state like a read (the merge consumes it).
-    void note_shared_write(Symbol name, bool strong);
-    /// The current value of a shared slot by interned key, or null when the
-    /// slot is absent from its store.
-    const TaintValue* find_shared_slot(Symbol name);
-    /// Installs a seeded artifact for `key`; true when a seed was applied.
-    bool apply_summary_seed(const std::string& key, FunctionSummary& slot);
-    /// Replays a seeded entry-file artifact (findings + final shared-slot
-    /// writes); true when a seed was applied and the walk can be skipped.
-    bool apply_entry_seed(const std::string& key);
-    /// Pops the innermost capture frame and stores its artifact.
-    void finish_capture(const std::string& key, const FunctionSummary& summary);
 
     // -- statements ----------------------------------------------------------
     void exec_stmts(const ArenaVector<php::StmtPtr>& stmts, Scope& scope);
@@ -326,20 +254,6 @@ private:
         return symbols_.intern(path_buf_);
     }
 
-    /// Interns the shared-slot key of a class-level ("cls::prop") or static
-    /// ("cls::$prop") property — byte-identical to the PropertyStore's own
-    /// key, class lowercased, so every call site maps one store slot to one
-    /// symbol. One keyspace with plain globals: variable names carry the
-    /// '$' sigil, class names cannot, so the forms never collide.
-    Symbol slot_sym(std::string_view cls, bool is_static, std::string_view prop) {
-        path_buf_.clear();
-        for (const char c : cls)
-            path_buf_ += (c >= 'A' && c <= 'Z') ? static_cast<char>(c + 32) : c;
-        path_buf_ += is_static ? "::$" : "::";
-        path_buf_ += prop;
-        return symbols_.intern(path_buf_);
-    }
-
     /// Resolves $a =& $b reference aliases to the canonical variable symbol.
     Symbol resolve_alias(Symbol name, const Scope& scope) const;
 
@@ -393,34 +307,6 @@ private:
     bool current_file_failed_ = false;
     AnalysisStats stats_;
     double include_cpu_seconds_ = 0;  ///< CPU spent executing included files
-
-    // -- cross-run summary exchange state ---------------------------------------
-    /// One frame per summarize() call currently on the stack while capture is
-    /// active. The innermost frame records findings and dependency
-    /// observations; when it pops, both propagate to the enclosing frame (a
-    /// caller transitively depends on everything its callees observed).
-    struct CaptureFrame {
-        std::string key;              ///< lowercased qualified name
-        SummaryArtifact artifact;     ///< deps + findings accumulate here
-        bool reusable = true;
-        bool entry = false;           ///< entry-file frame (stack bottom)
-        /// Entry frames: diagnostics_ size at frame push — everything the
-        /// sink accumulates past this mark was emitted by the walk and is
-        /// captured into the artifact for replay.
-        size_t diag_mark = 0;
-        /// Shared slots this entry wrote (see note_shared_read for the
-        /// keyspace); reads of these slots stay self-contained.
-        std::set<Symbol> slots_written;
-        /// Shared slots read (or weak-merged) before any own write, with
-        /// the value_fingerprint observed at first touch (0 = absent slot).
-        /// Becomes the artifact's seed-time validity check.
-        std::map<Symbol, uint64_t> foreign_observed;
-    };
-    SummaryExchange exchange_;
-    std::vector<CaptureFrame> capture_stack_;
-    /// Every summary this run installed (computed or seeded), so a later
-    /// reuse of it can absorb its dependency record into the active frame.
-    std::map<std::string, const SummaryArtifact*> run_artifacts_;
 };
 
 }  // namespace phpsafe

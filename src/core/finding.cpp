@@ -39,12 +39,9 @@ int AnalysisResult::count(VulnKind kind) const noexcept {
 namespace {
 
 /// Total order over findings: every field participates, so the sorted
-/// sequence is independent of insertion order. The incremental service
-/// replays cached findings in seed order rather than discovery order; a
-/// mere (file, line, kind) sort would let stable_sort preserve that replay
-/// order among ties and deduplicate() could then keep a different
-/// representative than a cold run — breaking the warm == cold byte-identity
-/// guarantee (tests/determinism_test.cpp).
+/// sequence, and the representative deduplicate() keeps among findings with
+/// one dedup key, is independent of the order the engine reported them in
+/// (tests/determinism_test.cpp).
 bool finding_less(const Finding& a, const Finding& b) {
     if (a.location.file != b.location.file) return a.location.file < b.location.file;
     if (a.location.line != b.location.line) return a.location.line < b.location.line;

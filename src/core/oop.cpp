@@ -26,15 +26,6 @@ const TaintValue* PropertyStore::find_static_slot(std::string_view class_name,
     return it == slots_.end() ? nullptr : &it->second;
 }
 
-TaintValue& PropertyStore::slot(std::string_view key) {
-    return slots_[std::string(key)];
-}
-
-const TaintValue* PropertyStore::find_slot(std::string_view key) const {
-    const auto it = slots_.find(std::string(key));
-    return it == slots_.end() ? nullptr : &it->second;
-}
-
 void PropertyStore::clear() { slots_.clear(); }
 
 std::string resolve_class_name(std::string_view name,

@@ -30,11 +30,6 @@ public:
     const TaintValue* find_static_slot(std::string_view class_name,
                                        std::string_view prop) const;
 
-    /// Raw-key access ("cls::prop" / "cls::$prop", class already lowercased)
-    /// for the engine's shared-slot snapshot/replay machinery.
-    TaintValue& slot(std::string_view key);
-    const TaintValue* find_slot(std::string_view key) const;
-
     void clear();
     size_t size() const noexcept { return slots_.size(); }
 

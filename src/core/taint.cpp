@@ -100,48 +100,4 @@ void TaintValue::add_param_flow(int param, VulnSet kinds) {
     param_flows.push_back(ParamFlow{param, kinds});
 }
 
-namespace {
-
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t fnv(uint64_t hash, std::string_view bytes) noexcept {
-    for (unsigned char c : bytes) hash = (hash ^ c) * kFnvPrime;
-    return hash;
-}
-
-uint64_t fnv(uint64_t hash, uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-        hash = (hash ^ (v & 0xff)) * kFnvPrime;
-        v >>= 8;
-    }
-    return hash;
-}
-
-}  // namespace
-
-uint64_t Trace::fold_fnv(uint64_t hash) const noexcept {
-    for (const Node* node = head_.get(); node; node = node->parent.get()) {
-        hash = fnv(hash, node->step.location.file);
-        hash = fnv(hash, static_cast<uint64_t>(node->step.location.line));
-        hash = fnv(hash, node->step.description);
-    }
-    return hash;
-}
-
-uint64_t value_fingerprint(const TaintValue& value) {
-    uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-    h = fnv(h, static_cast<uint64_t>(value.active.bits()));
-    h = fnv(h, static_cast<uint64_t>(value.latent.bits()));
-    h = fnv(h, static_cast<uint64_t>(value.vector));
-    h = fnv(h, static_cast<uint64_t>((value.user_input ? 1 : 0) |
-                                     (value.via_oop ? 2 : 0)));
-    h = fnv(h, value.object_class);
-    for (const ParamFlow& pf : value.param_flows) {
-        h = fnv(h, static_cast<uint64_t>(pf.param));
-        h = fnv(h, static_cast<uint64_t>(pf.kinds.bits()));
-    }
-    h = value.trace.fold_fnv(h);
-    return h ? h : 1;
-}
-
 }  // namespace phpsafe

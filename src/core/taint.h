@@ -47,10 +47,6 @@ public:
     /// Materializes the steps in source order (oldest first).
     std::vector<TaintStep> steps() const;
 
-    /// Folds every step (newest first) into an FNV-1a accumulator without
-    /// materializing the step vector; used by value_fingerprint.
-    uint64_t fold_fnv(uint64_t hash) const noexcept;
-
 private:
     struct Node {
         TaintStep step;
@@ -109,12 +105,5 @@ public:
     /// Drops everything (PHP unset(): paper marks the variable untainted).
     void reset() { *this = TaintValue{}; }
 };
-
-/// 64-bit FNV-1a digest of every field (trace steps included) such that two
-/// values with equal fingerprints are interchangeable for analysis: used by
-/// the entry-seeding machinery to check that a shared slot still holds the
-/// value a captured walk observed. Never returns 0, so observation records
-/// can use 0 to mean "slot absent".
-uint64_t value_fingerprint(const TaintValue& value);
 
 }  // namespace phpsafe

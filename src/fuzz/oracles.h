@@ -73,7 +73,8 @@ struct OracleOptions {
     bool check_concurrency = false;
     /// Off by default for the same budget reason: each case pays a full
     /// validation pipeline plus one rescan per emitted fix. The dedicated
-    /// fuzz-smoke batch and tests/fuzz_test.cpp turn it on.
+    /// fuzz-smoke batch (phpsafe_fuzz --quickfix) and
+    /// FuzzOracles.QuickfixOracleCleanOnVulnerableCase turn it on.
     bool check_quickfix = false;
     /// Static-analysis tool overrides (fault-injection seam for the tests;
     /// unset = make_phpsafe_tool() / make_rips_like_tool()).

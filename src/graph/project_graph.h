@@ -1,7 +1,6 @@
 // ProjectGraph: an explicit, queryable program graph for one scan request.
 // The include/call relationships phpSAFE relies on exist implicitly — as
-// resolution tables inside php::Project and as the dependency records of
-// captured summaries (core/summaries.h SummaryDep). This subsystem
+// resolution tables inside php::Project. This subsystem
 // materializes them once per scan into a dense graph artifact:
 //
 //   nodes  - files (every source file of the request) and functions (every

@@ -38,12 +38,10 @@ namespace phpsafe::obs {
     X(findings_sqli, "SQLi findings reported (pre-dedup)")                     \
     X(cache_file_hits, "parsed files served from the content-addressed cache") \
     X(cache_file_misses, "file lookups that had to lex+parse")                 \
-    X(cache_summary_hits, "function summaries and entry walks seeded from a "  \
-                          "SummaryExchange (fix verification); 0 on the "      \
-                          "service path, which seeds nothing")                 \
-    X(cache_summary_misses, "summaries computed while a SummaryExchange "      \
-                            "captures (fix verification's baseline); 0 on "    \
-                            "the service path, which captures nothing")        \
+    X(cache_summary_hits, "always 0: no summary is reused across scans; "     \
+                          "kept for the benchmark harness")                    \
+    X(cache_summary_misses, "always 0: no summary is reused across scans; "   \
+                            "kept for the benchmark harness")                  \
     X(cache_result_hits, "whole scan results served from the cache")           \
     X(cache_evictions, "cache entries evicted by the LRU byte budget")         \
     X(cache_bytes_inserted, "bytes admitted into the cache pools")             \

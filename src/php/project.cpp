@@ -399,24 +399,6 @@ void Project::merge_facts() {
     include_index_ = IncludeIndex(names);
 }
 
-std::string Project::declaration_fingerprint(std::string_view file) const {
-    std::string fp;
-    for (const auto& pf : files_) {
-        if (pf->unit.file_name != file) continue;
-        for (const ClassDecl* cls : pf->facts.classes) {
-            fp += "class ";
-            fp += cls->name;
-            fp += ';';
-        }
-    }
-    for (const FunctionRef& ref : function_list_) {
-        if (ref.file != file) continue;
-        fp += ref.qualified_name();
-        fp += ';';
-    }
-    return fp;
-}
-
 int Project::total_lines() const noexcept {
     int total = 0;
     for (const auto& pf : files_) total += pf->source->line_count();

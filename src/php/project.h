@@ -223,13 +223,6 @@ public:
         return function_list_;
     }
 
-    /// Rendering of every declaration the named file contributes (classes,
-    /// then functions/methods), in declaration order. Two projects agreeing
-    /// on a file's declaration fingerprint resolve every name outside that
-    /// file identically — the soundness gate for reusing function summaries
-    /// across a single-file patch (validate/).
-    std::string declaration_fingerprint(std::string_view file) const;
-
     /// Names of free functions called anywhere in plugin code, directly or
     /// through a callback API (lowercased, sorted, unique).
     const std::vector<std::string_view>& called_function_names() const noexcept {

@@ -51,20 +51,9 @@ uint64_t AnalysisService::request_fingerprint(const ScanRequest& request) {
 
 AnalysisService::AnalysisService(ServiceOptions options)
     : options_(std::move(options)), cache_(options_.budgets) {
-    // Every preset runs hermetic (AnalysisOptions::hermetic_summaries):
-    // summaries are computed context-free in declaration order. The served
-    // result is then what validate::validate_result's hermetic baseline
-    // scan reproduces trace-for-trace (finding_signature), and only that
-    // match arms summary seeding for the per-fix verification rescans.
-    Tool phpsafe = make_phpsafe_tool();
-    phpsafe.options.hermetic_summaries = true;
-    presets_.emplace("phpsafe", std::move(phpsafe));
-    Tool rips = make_rips_like_tool();
-    rips.options.hermetic_summaries = true;
-    presets_.emplace("rips", std::move(rips));
-    Tool pixy = make_pixy_like_tool();
-    pixy.options.hermetic_summaries = true;
-    presets_.emplace("pixy", std::move(pixy));
+    presets_.emplace("phpsafe", make_phpsafe_tool());
+    presets_.emplace("rips", make_rips_like_tool());
+    presets_.emplace("pixy", make_pixy_like_tool());
 
     team_ = std::make_unique<TaskTeam>(
         WorkerPool::resolve_parallelism(options_.workers));

@@ -99,8 +99,8 @@ struct SourceFileSpec {
 struct ScanRequest {
     std::string plugin;
     /// Analysis preset: "phpsafe" (default), "rips" or "pixy". The preset
-    /// picks the knowledge base and engine options; all presets run with
-    /// hermetic_summaries on (see the AnalysisService constructor).
+    /// picks the knowledge base and engine options, the same ones the
+    /// paper's Analyzer runs, so a served report equals its report.
     std::string preset = "phpsafe";
     /// Scheduling priority: higher runs sooner; never affects results or
     /// the request fingerprint (identical content at different priorities

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <map>
-#include <set>
 #include <sstream>
 
 #include "util/worker_pool.h"
@@ -38,22 +37,6 @@ std::string finding_signature(const Finding& finding) {
     return sig;
 }
 
-/// Hermetic summary artifacts captured from the original project, handed to
-/// every fix verification for seeding. Only set when the hermetic baseline
-/// scan reproduced the caller's result byte-for-byte — the precondition for
-/// judging seeded hermetic rescans against that result. The seed map is
-/// built once; each verification passes the engine the per-file block set
-/// (artifacts whose computation read that file) instead of filtering the
-/// map per fix.
-struct SeedContext {
-    const std::map<std::string, const SummaryArtifact*>* seeds = nullptr;
-    /// file → keys of reusable artifacts whose dependency record touches it
-    /// (kFile deps by file, unresolved deps by name).
-    const std::map<std::string, std::set<std::string>>* blocked_by_file =
-        nullptr;
-    AnalysisOptions hermetic;
-};
-
 /// Verification loop for one proposed fix: apply the edit, re-parse the one
 /// patched file (php::Project::fork_with_replacement shares every other
 /// file's AST and declaration-table entries), re-run the analyzer with the
@@ -64,23 +47,13 @@ struct SeedContext {
 ///   - every OTHER finding is byte-identical (same order, same trace),
 ///   - the interpreter replay no longer confirms the flow.
 ///
-/// When a SeedContext is supplied, the rescan reuses every captured summary
-/// whose computation never looked at the patched file. That is sound while
-/// the patch leaves the file's declaration set unchanged (then name
-/// resolution outside the file is untouched, so those summaries' inputs are
-/// byte-identical on the patched project) — gated here by comparing
-/// declaration fingerprints, falling back to an unseeded rescan otherwise.
-/// Entry-file artifacts carry their own second gate: the engine replays one
-/// only while every shared slot (global / property) the walk observed still
-/// holds the captured value, so cross-entry state flows re-run exactly when
-/// the patch actually changed their inputs.
 /// The kQuickfixSoundness fuzz oracle independently re-verifies accepted
-/// fixes against a from-scratch rebuild, so any divergence the gates missed
-/// surfaces as an oracle violation.
+/// fixes against a from-scratch rebuild, so any divergence between the
+/// fork and a rebuild surfaces as an oracle violation.
 bool verify_fix(const php::Project& project, const KnowledgeBase& kb,
                 const AnalysisOptions& options, const AnalysisResult& result,
                 size_t target, const Quickfix& fix,
-                const dynamic::ExecOptions& exec, const SeedContext& seed) {
+                const dynamic::ExecOptions& exec) {
     const std::optional<std::string> patched_text = apply_quickfix(project, fix);
     if (!patched_text) return false;
 
@@ -103,19 +76,7 @@ bool verify_fix(const php::Project& project, const KnowledgeBase& kb,
     const php::ParsedFile* parsed = patched.file_named(fix.file);
     if (!parsed || parsed->parse_failed) return false;
 
-    const Analyzer analyzer = Analyzer::borrowing(kb, options);
-    ScanResult rescan;
-    if (seed.seeds && project.declaration_fingerprint(fix.file) ==
-                          patched.declaration_fingerprint(fix.file)) {
-        SummaryExchange exchange;
-        exchange.seeds = seed.seeds;
-        const auto blocked = seed.blocked_by_file->find(fix.file);
-        if (blocked != seed.blocked_by_file->end())
-            exchange.seed_block = &blocked->second;
-        rescan = analyzer.scan(patched, seed.hermetic, exchange);
-    } else {
-        rescan = analyzer.scan(patched);
-    }
+    const ScanResult rescan = Analyzer::borrowing(kb, options).scan(patched);
     if (rescan.result.files_failed != result.files_failed) return false;
 
     const Finding& finding = result.findings[target];
@@ -234,51 +195,10 @@ ValidationReport validate_result(const php::Project& project,
             if (proposals[i]) ++report.fixes_proposed;
         }
 
-        // One hermetic capture scan of the original project amortizes the
-        // per-fix rescans: function summaries AND entry-file walks untouched
-        // by a patch are seeded instead of recomputed (capture_entry_files —
-        // the entry artifacts are what let a verification rescan skip
-        // re-walking every unchanged file's top-level code). Seeding only
-        // arms when the hermetic baseline reproduces the caller's result
-        // byte-for-byte — otherwise every verification falls back to a
-        // plain full rescan.
-        SeedContext seed;
-        std::map<std::string, SummaryArtifact> capture;
-        std::map<std::string, const SummaryArtifact*> seeds;
-        std::map<std::string, std::set<std::string>> blocked_by_file;
-        if (report.fixes_proposed > 0) {
-            seed.hermetic = options.to_builder()
-                                .hermetic_summaries(true)
-                                .capture_entry_files(true)
-                                .build();
-            SummaryExchange exchange;
-            exchange.capture = &capture;
-            const Analyzer analyzer = Analyzer::borrowing(kb, options);
-            const ScanResult baseline =
-                analyzer.scan(project, seed.hermetic, exchange);
-            bool reproduced =
-                baseline.result.files_failed == result.files_failed &&
-                baseline.result.findings.size() == result.findings.size();
-            for (size_t i = 0; reproduced && i < result.findings.size(); ++i)
-                reproduced = finding_signature(baseline.result.findings[i]) ==
-                             finding_signature(result.findings[i]);
-            if (reproduced) {
-                for (const auto& [name, artifact] : capture) {
-                    if (!artifact.reusable) continue;
-                    seeds.emplace_hint(seeds.end(), name, &artifact);
-                    for (const SummaryDep& dep : artifact.deps)
-                        blocked_by_file[dep.file.empty() ? dep.name : dep.file]
-                            .insert(name);
-                }
-                seed.seeds = &seeds;
-                seed.blocked_by_file = &blocked_by_file;
-            }
-        }
-
         pool.run(n, [&](size_t i) {
             if (!proposals[i]) return;
             if (verify_fix(project, kb, options, result, i, *proposals[i],
-                           vopts.exec, seed)) {
+                           vopts.exec)) {
                 proposals[i]->verified = true;
                 report.cases[i].fix = std::move(proposals[i]);
             }

@@ -8,11 +8,14 @@
 #include <vector>
 
 #include "baselines/analyzers.h"
+#include "core/analyzer.h"
 #include "corpus/patterns.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/mutator.h"
 #include "fuzz/oracles.h"
 #include "fuzz/reducer.h"
+#include "php/project.h"
+#include "validate/validate.h"
 
 #ifndef PHPSAFE_FUZZ_CORPUS_DIR
 #define PHPSAFE_FUZZ_CORPUS_DIR "tests/fuzz_corpus/regressions"
@@ -146,6 +149,49 @@ TEST(FuzzOracles, ConcurrencyOracleCleanOnVulnerableCase) {
          "<?php include 'lib.php'; echo fwd($_GET['q']);"});
     for (const Violation& v : runner.run(c))
         ADD_FAILURE() << "[" << to_string(v.oracle) << "] " << v.detail;
+}
+
+// The quickfix-soundness oracle re-checks every verified fix against a
+// from-scratch rebuild of the patched project and a fresh scan, so it
+// cross-checks fix verification's single-file fork and its gates. a.php
+// stores a DB result in the global $res and b.php echoes it: the SQLi fix
+// in a.php also clears b.php's XSS finding, so verification must reject
+// it (the oracle would flag it as perturbing an unrelated finding), while
+// b.php's own XSS fix verifies and is re-checked.
+TEST(FuzzOracles, QuickfixOracleCleanOnVulnerableCase) {
+    OracleOptions options;
+    options.check_no_crash = false;
+    options.check_determinism = false;
+    options.check_monotonicity = false;
+    options.check_agreement = false;
+    options.check_quickfix = true;
+    OracleRunner runner(options);
+
+    FuzzCase c;
+    c.name = "quickfix-clean";
+    c.files.push_back(
+        {"a.php",
+         "<?php\n$conn = mysqli_connect('h', 'u', 'p');\n"
+         "$res = mysqli_query($conn, \"SELECT * FROM t WHERE id = '\" . "
+         "$_GET['id'] . \"'\");\n"});
+    c.files.push_back({"b.php", "<?php\necho $res;\n"});
+    for (const Violation& v : runner.run(c))
+        ADD_FAILURE() << "[" << to_string(v.oracle) << "] " << v.detail;
+
+    // Not vacuous: both findings get a proposal and exactly one verifies,
+    // so the oracle re-checked one emitted fix.
+    php::Project project("quickfix-clean");
+    for (const FuzzFile& file : c.files) project.add_file(file.name, file.text);
+    DiagnosticSink sink;
+    project.parse_all(sink);
+    const Tool tool = make_phpsafe_tool();
+    const AnalysisResult result =
+        Analyzer::borrowing(tool.kb, tool.options).scan(project).result;
+    ASSERT_EQ(result.findings.size(), 2u);
+    const validate::ValidationReport report = validate::validate_result(
+        project, tool.kb, tool.options, result, validate::ValidateOptions{});
+    EXPECT_EQ(report.fixes_proposed, 2);
+    EXPECT_EQ(report.fixes_verified, 1);
 }
 
 TEST(FuzzOracles, ConcurrencyOracleNameRoundTrips) {

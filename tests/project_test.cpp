@@ -276,8 +276,21 @@ std::vector<std::string> observe(const Project& p) {
     for (const std::string_view name : p.called_method_names())
         out.push_back("called method " + std::string(name));
     for (const auto& file : p.files()) {
-        out.push_back("file " + file->unit.file_name + " " +
-                      p.declaration_fingerprint(file->unit.file_name));
+        const std::string& name = file->unit.file_name;
+        out.push_back("file " + name);
+        // Each declaration the file contributes, with the file its lookup
+        // resolves to.
+        for (const ClassDecl* cls : file->facts.classes)
+            out.push_back("  class " + std::string(cls->name) + " in " +
+                          p.file_of_class(cls->name));
+        for (const FunctionRef& ref : p.all_functions()) {
+            if (ref.file != name) continue;
+            const FunctionRef* found =
+                ref.owner ? p.find_method(ref.owner->name, ref.decl->name)
+                          : p.find_function(ref.decl->name);
+            out.push_back("  declares " + ref.qualified_name() + " in " +
+                          (found ? std::string(found->file) : std::string("-")));
+        }
         for (const std::string_view path : file->facts.include_paths) {
             const ParsedFile* to = p.resolve_include(path);
             out.push_back("  include " + std::string(path) + " -> " +

@@ -5,10 +5,12 @@
 // reader.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/analyzer.h"
 #include "corpus/generator.h"
 #include "report/export.h"
 #include "service/cache.h"
@@ -55,20 +57,30 @@ TEST(ServiceTest, FindsSimpleXss) {
 }
 
 TEST(ServiceTest, ParameterFlowFindingEndsWithOneSinkStep) {
-    // The sink is reached through f()'s summarized parameter flow. The
-    // trace must close with exactly one "reaches sink" step: the
-    // parameter-flow replay leaves that step to report().
+    // f() is first called with a clean argument, so its body reports
+    // nothing and its summary records the parameter-to-sink flow. The
+    // second call reaches the sink through that summarized flow; the trace
+    // must close with exactly one "reaches sink" step: the parameter-flow
+    // replay leaves that step to report().
     AnalysisService service;
     const ScanResponse response = service.scan(simple_request(
         "p", {{"a.php",
-               "<?php\nfunction f($x) { echo $x; }\nf($_GET[\"a\"]);\n"}}));
+               "<?php\nfunction f($x) { echo $x; }\nf('safe');\n"
+               "f($_GET[\"a\"]);\n"}}));
     ASSERT_EQ(response.result.findings.size(), 1u);
     const std::vector<TaintStep>& trace = response.result.findings[0].trace;
     ASSERT_EQ(trace.size(), 3u);
     EXPECT_EQ(trace[0].description, "source: $_GET['a']");
     EXPECT_EQ(trace[1].description, "passed to f() argument #1");
+    EXPECT_EQ(trace[1].location.line, 4);
     EXPECT_EQ(trace[2].description, "reaches sink echo");
     EXPECT_EQ(trace[2].location.line, 2);
+    EXPECT_EQ(std::count_if(trace.begin(), trace.end(),
+                            [](const TaintStep& step) {
+                                return step.description.starts_with(
+                                    "reaches sink");
+                            }),
+              1);
 }
 
 TEST(ServiceTest, IdenticalRescanHitsResultPool) {
@@ -304,6 +316,35 @@ TEST(ServiceTest, WarmScanOfCorpusPluginMatchesColdByteForByte) {
     AnalysisService cold_service;
     const ScanResponse cold = cold_service.scan(touched);
     EXPECT_EQ(render_json_report(warm.result), render_json_report(cold.result));
+}
+
+TEST(ServiceTest, ServedReportEqualsPaperAnalyzerReportOnTheCorpus) {
+    // The service runs the paper's semantics (summaries in the context of
+    // the first call), so a served report is the paper Analyzer's report
+    // byte for byte, on every plugin-version of the default corpus.
+    const corpus::Corpus corpus = corpus::generate_corpus({});
+    const Analyzer analyzer;  // WordPress profile, phpSAFE preset
+    AnalysisService service;
+    int versions = 0;
+    for (const corpus::GeneratedPlugin& plugin : corpus.plugins) {
+        for (const corpus::PluginVersionSource* version :
+             {&plugin.v2012, &plugin.v2014}) {
+            ScanRequest request;
+            request.plugin = plugin.name;
+            php::Project project(plugin.name);
+            for (const auto& [name, text] : version->files) {
+                request.files.push_back({name, text});
+                project.add_file(name, text);
+            }
+            DiagnosticSink sink;
+            project.parse_all(sink);
+            EXPECT_EQ(render_json_report(service.scan(request).result),
+                      render_json_report(analyzer.scan(project).result))
+                << plugin.name << " " << version->version;
+            ++versions;
+        }
+    }
+    EXPECT_EQ(versions, 70);
 }
 
 // ---------------------------------------------------------------------------

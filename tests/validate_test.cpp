@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -45,6 +46,27 @@ Pipeline analyze(const std::string& code) {
 ValidationReport run(Pipeline& p, const ValidateOptions& vopts = {}) {
     return validate_result(p.project, p.tool.kb, p.tool.options, p.analysis,
                            vopts);
+}
+
+/// Every class and function the named file declares, in declaration order,
+/// each with the file the project's lookup resolves it to (file_of_class,
+/// find_method, find_function).
+std::vector<std::string> declared_in(const php::Project& project,
+                                     std::string_view file) {
+    std::vector<std::string> out;
+    if (const php::ParsedFile* parsed = project.file_named(file))
+        for (const php::ClassDecl* cls : parsed->facts.classes)
+            out.push_back("class " + std::string(cls->name) + "@" +
+                          project.file_of_class(cls->name));
+    for (const php::FunctionRef& ref : project.all_functions()) {
+        if (ref.file != file) continue;
+        const php::FunctionRef* found =
+            ref.owner ? project.find_method(ref.owner->name, ref.decl->name)
+                      : project.find_function(ref.decl->name);
+        out.push_back(ref.qualified_name() + "@" +
+                      (found ? std::string(found->file) : std::string("-")));
+    }
+    return out;
 }
 
 TEST(ValidateTest, TiersMatchSequentialReplay) {
@@ -153,10 +175,13 @@ TEST(ValidateTest, ForkWithReplacementMatchesFullRebuild) {
     DiagnosticSink rebuilt_sink;
     rebuilt.parse_all(rebuilt_sink);
 
-    EXPECT_EQ(fork->declaration_fingerprint("lib.php"),
-              rebuilt.declaration_fingerprint("lib.php"));
-    EXPECT_EQ(fork->declaration_fingerprint("entry.php"),
-              rebuilt.declaration_fingerprint("entry.php"));
+    EXPECT_EQ(declared_in(*fork, "lib.php"),
+              (std::vector<std::string>{"class Page@lib.php",
+                                        "Page::title@lib.php", "fmt@lib.php"}));
+    EXPECT_EQ(declared_in(*fork, "lib.php"), declared_in(rebuilt, "lib.php"));
+    EXPECT_TRUE(declared_in(*fork, "entry.php").empty());
+    EXPECT_EQ(declared_in(*fork, "entry.php"),
+              declared_in(rebuilt, "entry.php"));
     EXPECT_EQ(fork->called_function_names(), rebuilt.called_function_names());
     EXPECT_EQ(fork->called_method_names(), rebuilt.called_method_names());
     EXPECT_EQ(fork->all_functions().size(), rebuilt.all_functions().size());
@@ -173,22 +198,23 @@ TEST(ValidateTest, ForkWithReplacementMatchesFullRebuild) {
 }
 
 TEST(ValidateTest, ForkTracksDeclarationChanges) {
-    // The fork must stay exact even when the replacement adds declarations
-    // (the seeding gate then sees differing fingerprints and stands down).
+    // The fork must stay exact even when the replacement adds declarations:
+    // the new function resolves to the patched file in the fork only.
     php::Project original("decl");
     original.add_file("a.php", "<?php echo 'a';\n");
     original.add_file("b.php", "<?php echo 'b';\n");
     DiagnosticSink sink;
     original.parse_all(sink);
-    EXPECT_EQ(original.declaration_fingerprint("a.php"), "");
+    EXPECT_TRUE(declared_in(original, "a.php").empty());
 
     DiagnosticSink fork_sink;
     const std::optional<php::Project> fork = original.fork_with_replacement(
         "a.php", "<?php function added() { return 1; } echo added();\n",
         fork_sink);
     ASSERT_TRUE(fork.has_value());
-    EXPECT_NE(fork->declaration_fingerprint("a.php"),
-              original.declaration_fingerprint("a.php"));
+    EXPECT_EQ(declared_in(*fork, "a.php"),
+              std::vector<std::string>{"added@a.php"});
+    EXPECT_TRUE(declared_in(original, "a.php").empty());
     ASSERT_NE(fork->find_function("added"), nullptr);
     EXPECT_EQ(fork->find_function("added")->file, "a.php");
     EXPECT_EQ(original.find_function("added"), nullptr);
@@ -272,8 +298,8 @@ const CaseOutcome& sqli_case(const Pipeline& p, const ValidationReport& r) {
 }
 
 TEST(QuickfixTest, FixChangingAGlobalReadByAnotherEntryReWalksIt) {
-    // Control: b.php reads nothing a.php writes, so its seeded walk is
-    // sound and the prepared-statement fix verifies.
+    // Control: b.php reads nothing a.php writes, so the fix changes no
+    // other finding and the prepared-statement fix verifies.
     Pipeline control = global_writer_and("<?php\necho $_COOKIE['c'];\n");
     ASSERT_EQ(control.analysis.findings.size(), 2u);
     const ValidationReport control_report = run(control);
@@ -283,9 +309,9 @@ TEST(QuickfixTest, FixChangingAGlobalReadByAnotherEntryReWalksIt) {
 
     // b.php echoes $res. The fix makes $res clean, so b.php's XSS finding
     // disappears too and the "nothing else changed" gate must reject the
-    // fix. Fix verification seeds b.php's entry walk (its dependency
-    // record never names a.php); only the foreign-read guard — $res no
-    // longer holds the captured value — forces the re-walk that sees it.
+    // fix. b.php's text is unchanged by the patch; only re-walking it after
+    // the patched a.php, against the globals a.php now leaves, shows that
+    // its finding is gone.
     Pipeline p = global_writer_and("<?php\necho $res;\n");
     ASSERT_EQ(p.analysis.findings.size(), 2u);
     const ValidationReport report = run(p);
