@@ -2,21 +2,15 @@
 // hammer ONE shared AnalysisService with the three request kinds real
 // front-ends send — cold scans of unseen plugins, warm re-scans of content
 // the cache already holds, and single-file edits (the BENCH_incremental
-// scenario) — while the service dispatches across its TaskTeam and the
-// sharded AnalysisCache. Reported per client count: p50/p95/p99 request
+// scenario) — while the service dispatches across its TaskTeam and shares
+// one AnalysisCache. Reported per client count: p50/p95/p99 request
 // latency and throughput; the saturation row is the client count with the
 // highest throughput.
 //
-// Two correctness/performance gates ride along:
-//   - byte-identity: every concurrent response's report must equal the
-//     report a serial single-client service produces for the same request
-//     fingerprint (the repo's standing invariant — scheduling must never
-//     change output);
-//   - sharding: a microbenchmark drives the cache's result pool from 8
-//     threads with the production shard count vs. a single-mutex (shards=1)
-//     configuration. The sharded cache must not lose; on multi-core hosts
-//     it should win outright, and the shard contention counters quantify
-//     why (fewer blocked lock acquisitions).
+// Byte-identity rides along as a hard gate: every concurrent response's
+// report must equal the report a serial single-client service produces for
+// the same request fingerprint (the repo's standing invariant — scheduling
+// must never change output).
 //
 // Results go to BENCH_serve.json at the repo root (committed, like the
 // other BENCH_*.json files).
@@ -45,9 +39,7 @@
 #include <vector>
 
 #include "corpus/generator.h"
-#include "obs/counters.h"
 #include "report/export.h"
-#include "service/cache.h"
 #include "service/service.h"
 #include "util/json_reader.h"
 #include "util/json_writer.h"
@@ -59,9 +51,7 @@
 #endif
 
 using namespace phpsafe;
-using service::AnalysisCache;
 using service::AnalysisService;
-using service::CacheBudgets;
 using service::ScanRequest;
 using service::ScanResponse;
 using service::ServiceOptions;
@@ -121,7 +111,6 @@ struct LoadResult {
     double p50 = 0, p95 = 0, p99 = 0;
     std::vector<double> latencies;  ///< every request's, sorted
     double throughput = 0;
-    obs::Counters counters;  ///< summed per-scan deltas (includes shard stats)
     bool identical = true;
 };
 
@@ -148,13 +137,11 @@ LoadResult run_load(const std::vector<std::vector<ScanRequest>>& schedules,
     for (const std::vector<ScanRequest>& schedule : schedules) {
         threads.emplace_back([&, &schedule = schedule] {
             std::vector<double> local;
-            obs::Counters local_counters;
             local.reserve(schedule.size());
             for (const ScanRequest& request : schedule) {
                 const double t0 = wall_seconds();
                 ScanResponse response = service.scan(request);
                 local.push_back(wall_seconds() - t0);
-                local_counters += response.counters;
                 const auto expect = reference.find(
                     AnalysisService::request_fingerprint(request));
                 if (expect == reference.end() ||
@@ -163,7 +150,6 @@ LoadResult run_load(const std::vector<std::vector<ScanRequest>>& schedules,
             }
             std::lock_guard<std::mutex> lock(merge_mutex);
             latencies.insert(latencies.end(), local.begin(), local.end());
-            result.counters += local_counters;
         });
     }
     for (std::thread& t : threads) t.join();
@@ -195,74 +181,6 @@ std::map<uint64_t, std::string> serial_reference(
             reference.emplace(AnalysisService::request_fingerprint(request),
                               render_json_report(service.scan(request).result));
     return reference;
-}
-
-struct ShardBenchResult {
-    double single_ops_per_sec = 0;
-    double sharded_ops_per_sec = 0;
-    uint64_t single_contention = 0;
-    uint64_t sharded_contention = 0;
-};
-
-/// Hammers the result pool from `threads` threads: mostly lookups over a
-/// pre-populated key range, one insert per 64 ops. The only difference
-/// between the two configurations is CacheBudgets::shards.
-double hammer_cache(int shards, int threads, int ops_per_thread,
-                    uint64_t& contention_out) {
-    CacheBudgets budgets;
-    budgets.shards = shards;
-    AnalysisCache cache(budgets);
-    AnalysisResult payload;
-    payload.plugin = "shard-bench";
-    constexpr uint64_t kKeys = 512;
-    for (uint64_t key = 0; key < kKeys; ++key)
-        cache.insert_result("bench", key, payload);
-
-    std::atomic<uint64_t> contention{0};
-    std::vector<std::thread> team;
-    team.reserve(static_cast<size_t>(threads));
-    const double start = wall_seconds();
-    for (int t = 0; t < threads; ++t) {
-        team.emplace_back([&, t] {
-            const obs::CounterDelta delta;
-            uint64_t state = static_cast<uint64_t>(t) * 0x9E3779B97F4A7C15ull + 1;
-            for (int i = 0; i < ops_per_thread; ++i) {
-                state = state * 6364136223846793005ull + 1442695040888963407ull;
-                const uint64_t key = (state >> 33) % kKeys;
-                if (i % 64 == 63)
-                    cache.insert_result("bench", kKeys + key, payload);
-                else
-                    (void)cache.find_result("bench", key);
-            }
-            contention.fetch_add(delta.take().cache_shard_contention,
-                                 std::memory_order_relaxed);
-        });
-    }
-    for (std::thread& t : team) t.join();
-    const double wall = wall_seconds() - start;
-    contention_out = contention.load();
-    const double total_ops =
-        static_cast<double>(threads) * static_cast<double>(ops_per_thread);
-    return wall > 0 ? total_ops / wall : 0;
-}
-
-ShardBenchResult shard_microbench(int threads, int reps) {
-    ShardBenchResult best;
-    for (int rep = 0; rep < reps; ++rep) {
-        uint64_t contention = 0;
-        const double single = hammer_cache(1, threads, 200000, contention);
-        if (single > best.single_ops_per_sec) {
-            best.single_ops_per_sec = single;
-            best.single_contention = contention;
-        }
-        const double sharded =
-            hammer_cache(CacheBudgets{}.shards, threads, 200000, contention);
-        if (sharded > best.sharded_ops_per_sec) {
-            best.sharded_ops_per_sec = sharded;
-            best.sharded_contention = contention;
-        }
-    }
-    return best;
 }
 
 std::vector<std::vector<ScanRequest>> build_schedules(
@@ -434,18 +352,6 @@ int main(int argc, char** argv) {
             return a.throughput < b.throughput;
         });
 
-    const ShardBenchResult shard = shard_microbench(8, 3);
-    const double shard_speedup =
-        shard.single_ops_per_sec > 0
-            ? shard.sharded_ops_per_sec / shard.single_ops_per_sec
-            : 0;
-    std::cout << "shard microbench (8 threads): single-mutex "
-              << shard.single_ops_per_sec / 1e6 << "M ops/s ("
-              << shard.single_contention << " contended), sharded "
-              << shard.sharded_ops_per_sec / 1e6 << "M ops/s ("
-              << shard.sharded_contention << " contended), x" << shard_speedup
-              << "\n";
-
     std::ofstream out(out_path);
     JsonWriter w(out, 2);
     w.begin_object();
@@ -473,27 +379,12 @@ int main(int argc, char** argv) {
         w.kv("p50_ms", load.p50 * 1e3, 3);
         w.kv("p95_ms", load.p95 * 1e3, 3);
         w.kv("p99_ms", load.p99 * 1e3, 3);
-        w.kv("cache_shard_probes", load.counters.cache_shard_probes);
-        w.kv("cache_shard_contention", load.counters.cache_shard_contention);
         w.end_object();
     }
     w.end_array();
     w.key("saturation").begin_object();
     w.kv("clients", saturation.clients);
     w.kv("throughput_rps", saturation.throughput, 2);
-    w.end_object();
-    w.key("shard_microbench").begin_object();
-    w.kv("threads", 8);
-    w.kv("shards", CacheBudgets{}.shards);
-    w.kv("single_mutex_mops_per_sec", shard.single_ops_per_sec / 1e6, 3);
-    w.kv("sharded_mops_per_sec", shard.sharded_ops_per_sec / 1e6, 3);
-    w.kv("speedup", shard_speedup, 2);
-    w.kv("single_mutex_contended_locks", shard.single_contention);
-    w.kv("sharded_contended_locks", shard.sharded_contention);
-    if (std::thread::hardware_concurrency() < 2)
-        w.kv("note",
-             "measured on a single-core host where lock contention cannot "
-             "cost parallel throughput; the sharded win needs real cores");
     w.end_object();
     w.key("smoke").begin_object();
     w.kv("corpus_scale", kSmokeScale);
@@ -513,16 +404,6 @@ int main(int argc, char** argv) {
         std::cerr << "FATAL: a concurrent response differed from the serial "
                      "reference\n";
         return 1;
-    }
-    if (shard_speedup < 1.0) {
-        if (std::thread::hardware_concurrency() < 2)
-            std::cerr << "note: sharded == single-mutex throughput is "
-                         "expected on a single-core host (blocked waiters "
-                         "never idle the only core); re-run on a multi-core "
-                         "machine to see the sharded win\n";
-        else
-            std::cerr << "WARNING: sharded cache did not beat the "
-                         "single-mutex baseline\n";
     }
     return 0;
 }

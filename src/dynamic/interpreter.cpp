@@ -713,23 +713,14 @@ Value Interpreter::eval_assign(const php::Assign& assign, Frame& frame) {
     return value;
 }
 
-Value Interpreter::eval_binary(const php::Binary& bin, Frame& frame) {
+namespace {
+
+/// One strict (both-operands) binary operator applied to its values.
+Value apply_binary(php::BinaryOp op, Value lhs, const Value& rhs) {
     using php::BinaryOp;
-    if (!bin.lhs || !bin.rhs) return Value();
-    // Short-circuit logical operators.
-    if (bin.op == BinaryOp::kAnd) {
-        if (!eval(*bin.lhs, frame).to_bool()) return Value::boolean(false);
-        return Value::boolean(eval(*bin.rhs, frame).to_bool());
-    }
-    if (bin.op == BinaryOp::kOr) {
-        if (eval(*bin.lhs, frame).to_bool()) return Value::boolean(true);
-        return Value::boolean(eval(*bin.rhs, frame).to_bool());
-    }
-    const Value lhs = eval(*bin.lhs, frame);
-    const Value rhs = eval(*bin.rhs, frame);
-    switch (bin.op) {
+    switch (op) {
         case BinaryOp::kConcat:
-            return Value::string(lhs.to_string() + rhs.to_string());
+            return Value::string(std::move(lhs).to_string() + rhs.to_string());
         case BinaryOp::kAdd: return Value::integer(lhs.to_int() + rhs.to_int());
         case BinaryOp::kSub: return Value::integer(lhs.to_int() - rhs.to_int());
         case BinaryOp::kMul: return Value::integer(lhs.to_int() * rhs.to_int());
@@ -755,6 +746,44 @@ Value Interpreter::eval_binary(const php::Binary& bin, Frame& frame) {
         default:
             return Value::integer(0);
     }
+}
+
+}  // namespace
+
+Value Interpreter::eval_binary(const php::Binary& bin, Frame& frame) {
+    using php::BinaryOp;
+    // A left-deep chain (`$a . $b . … . $z`, parsed as ((a . b) . …) . z)
+    // is folded over an explicit spine instead of recursing once per term,
+    // so a 40k-term chain cannot overflow the stack. The order of work is
+    // the recursion's: each nested lhs takes its step() top-down, then the
+    // operands are evaluated left to right, so step budgets are exhausted
+    // at the same node. spine_ is shared by nested calls; this call owns
+    // the entries above `base`.
+    const size_t base = spine_.size();
+    const php::Binary* node = &bin;
+    Value value;  // the value of the lhs of spine_.back()
+    for (;;) {
+        if (!node->lhs || !node->rhs) break;  // the node's value is null
+        spine_.push_back(node);
+        if (node->lhs->kind != NodeKind::kBinary) {
+            value = eval(*node->lhs, frame);
+            break;
+        }
+        if (!step()) break;  // what eval() answers for an lhs out of budget
+        node = static_cast<const php::Binary*>(node->lhs);
+    }
+    while (spine_.size() > base) {
+        const php::Binary& top = *spine_.back();
+        spine_.pop_back();
+        // Short-circuit logical operators skip their rhs.
+        if (top.op == BinaryOp::kAnd)
+            value = Value::boolean(value.to_bool() && eval(*top.rhs, frame).to_bool());
+        else if (top.op == BinaryOp::kOr)
+            value = Value::boolean(value.to_bool() || eval(*top.rhs, frame).to_bool());
+        else
+            value = apply_binary(top.op, std::move(value), eval(*top.rhs, frame));
+    }
+    return value;
 }
 
 // ---------------------------------------------------------------------------

@@ -123,6 +123,8 @@ private:
     std::string cms_store_ = "option-value";
     int steps_ = 0;
     int call_depth_ = 0;
+    /// Pending nodes of the left-deep binary chains eval_binary is folding.
+    std::vector<const php::Binary*> spine_;
     /// Classes currently inside eval_new: a property default that `new`s
     /// its own class (directly or via a cycle) must not re-enter default
     /// initialization forever.

@@ -95,7 +95,12 @@ double Value::to_float() const {
     }
 }
 
-std::string Value::to_string() const {
+std::string Value::to_string() && {
+    if (type_ == Type::kString) return std::move(string_);
+    return static_cast<const Value&>(*this).to_string();
+}
+
+std::string Value::to_string() const& {
     switch (type_) {
         case Type::kNull: return "";
         case Type::kBool: return bool_ ? "1" : "";

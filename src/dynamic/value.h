@@ -54,7 +54,11 @@ public:
     bool to_bool() const;
     long to_int() const;
     double to_float() const;
-    std::string to_string() const;
+    std::string to_string() const&;
+    /// Moves a string payload out instead of copying it, so a folded
+    /// concatenation chain appends in place rather than copying its
+    /// growing prefix once per term.
+    std::string to_string() &&;
 
     /// PHP loose comparison (== semantics, simplified).
     bool loose_equals(const Value& other) const;

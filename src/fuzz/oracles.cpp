@@ -126,9 +126,9 @@ void OracleRunner::ensure_services() {
     service::ServiceOptions one;
     one.workers = 1;
     // With the result pool on, a repeat scan would be answered from the
-    // stored result — trivially identical. Turning it off forces the
+    // stored result — trivially identical. A zero result budget forces the
     // second scan through the warm file-pool path under test.
-    one.reuse_results = false;
+    one.budgets.result_bytes = 0;
     serial_ = std::make_unique<service::AnalysisService>(one);
     service::ServiceOptions four = one;
     four.workers = 4;
@@ -211,7 +211,7 @@ void OracleRunner::run_concurrency(const FuzzCase& c,
 
     // N clients submit every variant in a seed-derived order with mixed
     // priorities, pipelined (submit everything, then await), so requests
-    // genuinely overlap: coalescing, priority dispatch and shard locking
+    // genuinely overlap: coalescing, priority dispatch and cache locking
     // all engage on the shared 4-worker service. Each client additionally
     // drives its own watch session on that service, with the edit batches
     // interleaved between submission and the awaits — incremental deltas

@@ -31,7 +31,7 @@
 //                   the same sequence replayed serially on a single-worker
 //                   service. This is the server's scheduling-independence
 //                   invariant under fuzz pressure: dedup, priorities and
-//                   shard locking may move WHEN a scan runs, never what it
+//                   cache locking may move WHEN a scan runs, never what it
 //                   reports.
 //
 // OracleOptions lets tests inject a deliberately broken Tool (e.g. a

@@ -5,7 +5,6 @@
 #include <set>
 #include <sstream>
 
-#include "util/json_reader.h"
 #include "util/json_writer.h"
 #include "util/strings.h"
 
@@ -31,19 +30,6 @@ std::string_view basename_of(std::string_view path) {
 std::string_view top_dir_of(std::string_view path) {
     const size_t slash = path.find('/');
     return slash == std::string_view::npos ? std::string_view() : path.substr(0, slash);
-}
-
-uint64_t parse_hex64(std::string_view hex, bool& ok) {
-    uint64_t value = 0;
-    ok = !hex.empty() && hex.size() <= 16;
-    for (const char c : hex) {
-        int digit;
-        if (c >= '0' && c <= '9') digit = c - '0';
-        else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-        else { ok = false; return 0; }
-        value = (value << 4) | static_cast<uint64_t>(digit);
-    }
-    return value;
 }
 
 std::string hex64(uint64_t value) {
@@ -426,76 +412,6 @@ std::string ProjectGraph::to_json() const {
     edge_array("uses", &FileNode::uses);
     w.end_object();
     return os.str();
-}
-
-bool ProjectGraph::from_json(std::string_view text, ProjectGraph& out,
-                             std::string* error) {
-    const auto fail = [&](const std::string& message) {
-        if (error) *error = message;
-        return false;
-    };
-    JsonValue doc;
-    std::string parse_error;
-    if (!JsonReader::parse(text, doc, &parse_error)) return fail(parse_error);
-    if (!doc.is_object()) return fail("graph document must be an object");
-    const JsonValue* files = doc.get("files");
-    const JsonValue* functions = doc.get("functions");
-    if (!files || !files->is_array() || !functions || !functions->is_array())
-        return fail("graph needs \"files\" and \"functions\" arrays");
-
-    ProjectGraph g;
-    for (const JsonValue& file : files->array) {
-        const JsonValue* name = file.get("name");
-        if (!name || !name->is_string())
-            return fail("file node needs a string \"name\"");
-        bool hash_ok = false;
-        const uint64_t hash =
-            parse_hex64(file.string_or("hash", ""), hash_ok);
-        if (!hash_ok) return fail("file node needs a hex \"hash\"");
-        const JsonValue* failed = file.get("failed");
-        FileNode node;
-        node.name = g.intern(name->string);
-        node.hash = hash;
-        node.parse_failed = failed && failed->is_bool() && failed->boolean;
-        g.files_.push_back(std::move(node));
-    }
-    g.index_files();
-    const int64_t file_count = static_cast<int64_t>(g.files_.size());
-    for (const JsonValue& fn : functions->array) {
-        const JsonValue* name = fn.get("name");
-        const int64_t file = fn.int_or("file", -1);
-        if (!name || !name->is_string() || file < 0 || file >= file_count)
-            return fail("function node needs \"name\" and an in-range \"file\"");
-        const FuncId fid = static_cast<FuncId>(g.functions_.size());
-        g.functions_.push_back({g.intern(name->string),
-                                static_cast<FileId>(file)});
-        g.files_[static_cast<size_t>(file)].functions.push_back(fid);
-    }
-    const auto load_edges = [&](const char* key,
-                                std::vector<FileId> FileNode::* member) {
-        const JsonValue* edges = doc.get(key);
-        if (!edges) return true;
-        if (!edges->is_array()) return false;
-        for (const JsonValue& edge : edges->array) {
-            if (!edge.is_array() || edge.array.size() != 2) return false;
-            const JsonValue& from = edge.array[0];
-            const JsonValue& to = edge.array[1];
-            if (!from.number_is_integer || !to.number_is_integer) return false;
-            if (from.integer < 0 || from.integer >= file_count ||
-                to.integer < 0 || to.integer >= file_count)
-                return false;
-            (g.files_[static_cast<size_t>(from.integer)].*member)
-                .push_back(static_cast<FileId>(to.integer));
-        }
-        return true;
-    };
-    if (!load_edges("includes", &FileNode::includes))
-        return fail("\"includes\" must be [from,to] id pairs in range");
-    if (!load_edges("uses", &FileNode::uses))
-        return fail("\"uses\" must be [from,to] id pairs in range");
-    g.finish_edges();
-    out = std::move(g);
-    return true;
 }
 
 ProjectGraph build_project_graph(const php::Project& project) {

@@ -31,8 +31,8 @@
 // edges. The cone is advisory (scheduling and reporting); the watch mode's
 // byte-identity guarantee never depends on its precision (service/watch.h).
 //
-// Serialization round-trips through util/json_writer + util/json_reader so
-// a front-end can persist or diff graphs across scans.
+// to_json() serializes the nodes and edges (util/json_writer) so a
+// front-end can persist or diff graphs across scans.
 #pragma once
 
 #include <cstdint>
@@ -167,13 +167,9 @@ public:
     Analytics analyze(int hub_limit = 5) const;
 
     // -- serialization -------------------------------------------------------
-    /// Compact JSON: nodes with names/hashes, edges as [from,to] id pairs.
+    /// Compact JSON: nodes with names/hashes, edges as [from,to] id pairs
+    /// (the NDJSON `graph` op's `detail`).
     std::string to_json() const;
-    /// Rebuilds a graph from to_json() output. Round-trip is exact:
-    /// to_json(parse(j)) == j. Returns false (with `error`) on malformed
-    /// or out-of-range input.
-    static bool from_json(std::string_view text, ProjectGraph& out,
-                          std::string* error = nullptr);
 
 private:
     struct FileNode {

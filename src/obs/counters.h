@@ -49,12 +49,6 @@ namespace phpsafe::obs {
                            "minus evicted)")                                    \
     X(cache_bytes_parsed, "bytes charged for parsed-file entries "              \
                           "(arena bytes + retained source text)")               \
-    X(cache_shard_probes, "cache shard lock acquisitions")                      \
-    X(cache_shard_contention, "shard lock acquisitions that had to wait "       \
-                              "behind another thread")                          \
-    X(cache_shed_entries, "cache entries dropped by admission-control "         \
-                          "pressure shedding (results before parsed files)")    \
-    X(cache_shed_bytes, "bytes released by pressure shedding")                  \
     X(cache_dep_walk_memo_hits, "always 0: the service validates no cached "   \
                                 "summaries; kept for the benchmark's exact "   \
                                 "per-edit count check")                        \

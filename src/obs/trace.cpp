@@ -112,7 +112,7 @@ std::string Tracer::flat_json() const {
         w.kv("wall_ms", span.wall_seconds * 1e3, 3);
         w.kv("cpu_ms", span.cpu_seconds * 1e3, 3);
         // Only the counters the span actually moved: a scan span shows its
-        // cache traffic and shard contention without 30 zero fields.
+        // cache traffic and taint work without 30 zero fields.
         w.key("counters").begin_object();
         span.counters.for_each_field([&](const char* name, uint64_t value) {
             if (value) w.kv(name, value);

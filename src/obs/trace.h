@@ -49,8 +49,8 @@ struct SpanRecord {
     double cpu_seconds = 0;     ///< CPU consumed by the recording thread
     int thread = 0;             ///< dense per-tracer thread index
     /// Counter increments the recording thread performed inside the span
-    /// (a CounterDelta over its lifetime) — shard lock contention, cache
-    /// traffic, taint work. The flat exporter emits the nonzero fields.
+    /// (a CounterDelta over its lifetime) — cache traffic, taint work.
+    /// The flat exporter emits the nonzero fields.
     Counters counters;
 };
 

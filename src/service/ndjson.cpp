@@ -304,8 +304,6 @@ std::string render_stats_line(const CacheStats& stats, bool deterministic) {
     w.kv("file_misses", stats.file_misses);
     w.kv("result_hits", stats.result_hits);
     w.kv("evictions", stats.evictions);
-    w.kv("shed_entries", stats.shed_entries);
-    w.kv("shards", static_cast<uint64_t>(stats.shards.size()));
     w.end_object();
     return line.str();
 }

@@ -7,7 +7,7 @@
 //     requests as fast as the client sends them, and a per-session writer
 //     thread emits the responses in request order as the scans complete.
 //     Clients therefore overlap — all sessions share the service's
-//     TaskTeam, its priority queue, and the sharded AnalysisCache — while
+//     TaskTeam, its priority queue, and its AnalysisCache — while
 //     each client still observes the simple serial protocol: response N on
 //     its stream answers request N.
 // Both read through read_next_request, so a line beyond max_line_bytes is
@@ -23,7 +23,7 @@
 //     "cancelled":true},
 //   - admission control: when the service's queue depth limit is reached,
 //     submissions are answered {"ok":false,"rejected":true} immediately
-//     and cache pressure shedding kicks in (see ServiceOptions).
+//     (see ServiceOptions::max_queue_depth).
 //
 // Sessions that write to the SAME sink (many FIFO clients multiplexed
 // onto one log, tests driving two sessions into one string stream) hand
@@ -31,7 +31,7 @@
 // line atomic — interleaving happens only at line granularity.
 //
 // Responses stay byte-identical to a serial single-client replay of the
-// same requests: scheduling (priorities, coalescing, shard locking) moves
+// same requests: scheduling (priorities, coalescing, cache locking) moves
 // *when* a scan runs, never what it reports. tests/server_test.cpp and the
 // fuzz concurrency oracle hold that invariant.
 #pragma once

@@ -107,7 +107,6 @@ AnalysisService::Ticket AnalysisService::submit(ScanRequest request) {
         scan->fingerprint = fingerprint;
         in_flight_[fingerprint] = scan;
     }
-    maybe_shed();
     team_->post(priority,
                 [this, scan] { run_scan(scan); });
     ticket.scan_ = std::move(scan);
@@ -213,22 +212,6 @@ bool AnalysisService::cancel(const Ticket& ticket) {
     return true;
 }
 
-void AnalysisService::maybe_shed() {
-    const size_t watermark = options_.pressure_queue_depth != 0
-                                 ? options_.pressure_queue_depth
-                                 : options_.max_queue_depth / 2;
-    if (watermark == 0) return;
-    if (team_->depth() < watermark) {
-        shed_armed_.store(true, std::memory_order_relaxed);
-        return;
-    }
-    // Rising edge only: a sustained deep queue sheds once, then re-arms
-    // after it drains. Target half the resident bytes — AnalysisCache::shed
-    // takes whole results first and parsed files last.
-    if (shed_armed_.exchange(false, std::memory_order_relaxed))
-        cache_.shed(cache_.stats().bytes_resident / 2);
-}
-
 void AnalysisService::release_fingerprint(
     const std::shared_ptr<PendingScan>& scan) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -302,16 +285,10 @@ ScanResponse AnalysisService::perform_scan(PendingScan& scan) {
     const std::string preset_fp = options.fingerprint();
 
     // Path 1: the exact (content, preset) pair was scanned before.
-    bool served = false;
-    if (options_.reuse_results) {
-        if (auto cached = cache_.find_result(preset_fp, scan.fingerprint)) {
-            response.result = *cached;
-            response.from_result_cache = true;
-            served = true;
-        }
-    }
-
-    if (!served) {
+    if (auto cached = cache_.find_result(preset_fp, scan.fingerprint)) {
+        response.result = *cached;
+        response.from_result_cache = true;
+    } else {
         // Model construction, with per-file AST reuse.
         php::Project project(scan.request.plugin);
         {
@@ -355,10 +332,8 @@ ScanResponse AnalysisService::perform_scan(PendingScan& scan) {
             response.result.cpu_seconds = thread_cpu_seconds() - cpu_start;
         }
 
-        if (options_.reuse_results) {
-            response.result.counters = delta.take();
-            cache_.insert_result(preset_fp, scan.fingerprint, response.result);
-        }
+        response.result.counters = delta.take();
+        cache_.insert_result(preset_fp, scan.fingerprint, response.result);
     }
 
     response.counters = delta.take();

@@ -28,9 +28,8 @@
 // `cancelled` set and no result. When `max_queue_depth` is configured,
 // submit() applies admission control: requests beyond the depth limit are
 // rejected immediately (`rejected` in the response) instead of growing the
-// queue without bound, and crossing the pressure watermark sheds cache
-// bytes — whole-result entries first, parsed files last (AnalysisCache::
-// shed) — so a request wave doesn't meet a memory-squeezed engine.
+// queue without bound. The cache's byte budgets bound its memory on their
+// own, whatever the queue depth.
 // await() blocks until the ticket's scan is done; scan() is the
 // synchronous submit+await convenience.
 #pragma once
@@ -58,17 +57,13 @@ struct ServiceOptions {
     /// Worker threads for scan dispatch; <= 0 means auto (PHPSAFE_JOBS or
     /// hardware concurrency, via WorkerPool::resolve_parallelism).
     int workers = 0;
+    /// Pool byte budgets; `result_bytes = 0` turns the result pool off, so
+    /// every scan runs the engine.
     CacheBudgets budgets;
-    /// Master switch for the result pool (the file pool is always on — AST
-    /// reuse is unconditionally sound).
-    bool reuse_results = true;
     /// Admission control: submit() rejects once this many scans are queued
     /// and not yet started. 0 = unbounded (library default; the NDJSON
     /// server configures a bound).
     size_t max_queue_depth = 0;
-    /// Queue depth at which cache pressure shedding kicks in; 0 derives
-    /// half of max_queue_depth (so it stays off when that is unbounded).
-    size_t pressure_queue_depth = 0;
     /// Optional span sink (not owned; must outlive the service).
     obs::Tracer* tracer = nullptr;
 };
@@ -224,7 +219,6 @@ private:
     void finish(const std::shared_ptr<PendingScan>& scan,
                 ScanResponse response);
     void release_fingerprint(const std::shared_ptr<PendingScan>& scan);
-    void maybe_shed();
 
     ServiceOptions options_;
     AnalysisCache cache_;
@@ -243,9 +237,6 @@ private:
     /// fingerprint → queued or running scan (for in-flight dedup).
     std::map<uint64_t, std::weak_ptr<PendingScan>> in_flight_;
     std::atomic<uint64_t> dispatch_counter_{0};
-    /// Rising-edge latch for pressure shedding: re-arms when the queue
-    /// drains below the watermark, so a sustained deep queue sheds once.
-    std::atomic<bool> shed_armed_{true};
     /// Declared last: destroyed first, so worker threads have finished
     /// (running every queued scan to completion) before any state above
     /// goes away.

@@ -271,6 +271,48 @@ TEST(InterpreterTest, InfiniteLoopHitsBudget) {
     EXPECT_TRUE(r.budget_exhausted);
 }
 
+TEST(InterpreterTest, BinaryChainsSpendTheSameStepsAsNestedEvaluation) {
+    // Left-deep chains are folded over an explicit spine, not recursion;
+    // each case's exact step need was measured on the recursive evaluator,
+    // so a fold that moved a step would move these budget verdicts.
+    std::string long_chain = "<?php $z = $_GET['a']";
+    for (int i = 0; i < 300; ++i)
+        long_chain += i % 3 == 0 ? " . 'p'" : i % 3 == 1 ? " + 1" : " . $_GET['b']";
+    long_chain += "; echo $z;";
+    const struct {
+        std::string code;
+        int steps;
+        const char* output;
+    } cases[] = {
+        {"<?php $x = $_GET['a'] . 'b' . $_GET['c'] . 'd'; echo $x;", 13,
+         "Ab<X>d"},
+        {"<?php function f($v){ return $v . '!'; } echo f($_GET['a']) . "
+         "f('x') . f(f('y')) . (3 % 0) . (7 / 2) . (1 == '1') . (1 === '1')"
+         " . (2 < 3);",
+         48, "A!x!y!!311"},
+        {"<?php echo 0 && $_GET['a'] && 1; echo 1 || $_GET['x'] || 0;", 8,
+         "1"},
+        {long_chain, 706, "100<X>"},
+    };
+    for (const auto& c : cases) {
+        const php::Project project = make_project(c.code);
+        for (const int budget : {c.steps - 1, c.steps}) {
+            ExecOptions options;
+            options.max_steps = budget;
+            Interpreter interpreter(project, options);
+            interpreter.set_superglobal("$_GET", "a", "A");
+            interpreter.set_superglobal_default("$_GET", "<X>");
+            const ExecResult r = interpreter.run_file("main.php");
+            const bool enough = budget == c.steps;
+            EXPECT_EQ(r.budget_exhausted, !enough) << c.code << " @" << budget;
+            EXPECT_EQ(r.completed, enough) << c.code << " @" << budget;
+            if (enough) {
+                EXPECT_EQ(r.output, c.output) << c.code;
+            }
+        }
+    }
+}
+
 TEST(InterpreterTest, UnsetRemovesVariable) {
     const ExecResult r = run(
         "<?php $a = 'v'; unset($a); echo isset($a) ? 'set' : 'unset';");

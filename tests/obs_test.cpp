@@ -168,16 +168,16 @@ TEST(ObsTraceTest, SpansRecordTheirCounterDeltas) {
     obs::Tracer tracer(/*enabled=*/true);
     {
         auto span = tracer.span("work");
-        obs::tls().cache_shard_probes += 3;
-        obs::tls().cache_shard_contention += 1;
+        obs::tls().cache_file_hits += 3;
+        obs::tls().cache_evictions += 1;
     }
     const std::vector<obs::SpanRecord> records = tracer.records();
     ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].counters.cache_shard_probes, 3u);
-    EXPECT_EQ(records[0].counters.cache_shard_contention, 1u);
+    EXPECT_EQ(records[0].counters.cache_file_hits, 3u);
+    EXPECT_EQ(records[0].counters.cache_evictions, 1u);
     // The flat exporter emits exactly the nonzero fields.
     const std::string flat = tracer.flat_json();
-    EXPECT_NE(flat.find("\"cache_shard_probes\": 3"), std::string::npos);
+    EXPECT_NE(flat.find("\"cache_file_hits\": 3"), std::string::npos);
     EXPECT_EQ(flat.find("\"tokens_lexed\""), std::string::npos);
 }
 

@@ -194,6 +194,42 @@ TEST(RobustnessTest, ThirtyThousandTermEchoScanAnswers) {
     EXPECT_NE(line.find("\"kind\":\"XSS\""), std::string::npos);
 }
 
+/// Serves one NDJSON validate of `<?php $x = $_GET['a'] . … ; echo $x;`
+/// with `terms` operands and returns the response line. The exploit replay
+/// evaluates the whole chain in the interpreter, and fix verification
+/// replays it again.
+std::string serve_validate_concat(int terms) {
+    std::string code = "<?php $x = $_GET['a']";
+    for (int i = 1; i < terms; ++i) code += " . $_GET['a']";
+    code += ";\\necho $x;";
+    std::istringstream in(
+        "{\"op\":\"validate\",\"plugin\":\"deep\",\"files\":[{\"name\":"
+        "\"deep.php\",\"text\":\"" + code + "\"}]}\n");
+    std::ostringstream out;
+    service::ServerOptions options;
+    options.deterministic = true;
+    EXPECT_EQ(service::AnalysisServer(options).serve_serial(in, out), 1);
+    return out.str();
+}
+
+TEST(RobustnessTest, TenThousandTermConcatValidateAnswers) {
+    // The interpreter folds a left-deep binary chain over an explicit
+    // spine; recursing once per term overflowed the stack at 10k terms.
+    const std::string line = serve_validate_concat(10000);
+    EXPECT_EQ(line.rfind("{\"ok\":true,\"validate\":true", 0), 0u)
+        << line.substr(0, 200);
+    EXPECT_NE(line.find("\"validated\":1,"), std::string::npos);
+    EXPECT_NE(line.find("\"fixes_verified\":1,"), std::string::npos);
+}
+
+TEST(RobustnessTest, FortyThousandTermConcatValidateAnswers) {
+    const std::string line = serve_validate_concat(40000);
+    EXPECT_EQ(line.rfind("{\"ok\":true,\"validate\":true", 0), 0u)
+        << line.substr(0, 200);
+    EXPECT_NE(line.find("\"validated\":1,"), std::string::npos);
+    EXPECT_NE(line.find("\"fixes_verified\":1,"), std::string::npos);
+}
+
 TEST(RobustnessTest, ManyVariablesManyFindings) {
     std::string code = "<?php\n";
     for (int i = 0; i < 500; ++i) {

@@ -1,5 +1,5 @@
-// The multi-client server stack: sharded AnalysisCache (distribution,
-// aggregated stats, pressure shedding order), AnalysisService scheduling
+// The multi-client server stack: the AnalysisCache under concurrent
+// lookups (LRU order, totals, budgets), AnalysisService scheduling
 // (priorities, cancellation, admission control), NDJSON framing edge cases
 // (oversized lines, truncated final line), pipelined sessions
 // (request-order responses, supersede slots, atomic interleaving on a
@@ -12,7 +12,9 @@
 //     --session tests/golden/ndjson_multi_b.in:tests/golden/ndjson_multi_b.out
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -29,6 +31,7 @@
 #include "service/server.h"
 #include "service/service.h"
 #include "service/watch.h"
+#include "util/diagnostics.h"
 #include "util/json_reader.h"
 
 namespace phpsafe {
@@ -66,67 +69,88 @@ void wait_for(Predicate predicate, const char* what) {
     }
 }
 
-// ---------------------------------------------------------------- sharding
+// ------------------------------------------------------------------- cache
 
-TEST(ShardedCacheTest, DistributesEntriesAndAggregatesStats) {
-    AnalysisCache cache;  // default budgets: 8 shards per pool
-    EXPECT_EQ(cache.result_shards(), CacheBudgets{}.shards);
-
+TEST(ServiceCacheTest, EvictsLeastRecentlyUsedFirst) {
     AnalysisResult payload;
-    payload.plugin = "shard";
-    constexpr uint64_t kEntries = 64;
-    for (uint64_t key = 0; key < kEntries; ++key)
-        cache.insert_result("preset", key, payload);
+    payload.plugin = "lru";
+    CacheBudgets budgets;
+    budgets.result_bytes = 2 * service::approx_bytes(payload);  // two fit
+    AnalysisCache cache(budgets);
+    cache.insert_result("preset", 1, payload);
+    cache.insert_result("preset", 2, payload);
+    ASSERT_NE(cache.find_result("preset", 1), nullptr);  // 2 is now LRU
+    cache.insert_result("preset", 3, payload);
+
+    EXPECT_NE(cache.find_result("preset", 1), nullptr);
+    EXPECT_EQ(cache.find_result("preset", 2), nullptr);
+    EXPECT_NE(cache.find_result("preset", 3), nullptr);
+    const CacheStats stats = cache.stats();
+    EXPECT_EQ(stats.result_entries, 2u);
+    EXPECT_EQ(stats.evictions, 1u);
+    EXPECT_EQ(stats.bytes_resident, budgets.result_bytes);
+}
+
+TEST(ServiceCacheConcurrencyTest, ThreadsKeepTotalsAndBudgets) {
+    // Parsed files to share: enough that the small file budget churns.
+    php::Project project("cache-race");
+    for (int i = 0; i < 12; ++i)
+        project.add_file("f" + std::to_string(i) + ".php",
+                         "<?php echo $_GET['v" + std::to_string(i) + "'];");
+    DiagnosticSink sink;
+    project.parse_all(sink);
+    const auto& files = project.files();
+
+    CacheBudgets budgets;
+    budgets.file_bytes = 4 * service::approx_bytes(*files.front());
+    AnalysisResult payload;
+    payload.plugin = "race";
+    budgets.result_bytes = 8 * service::approx_bytes(payload);
+    AnalysisCache cache(budgets);
+
+    constexpr int kThreads = 4;
+    constexpr int kOps = 2000;
+    std::atomic<uint64_t> file_lookups{0}, file_found{0};
+    std::atomic<uint64_t> result_found{0};
+    std::vector<std::thread> team;
+    for (int t = 0; t < kThreads; ++t) {
+        team.emplace_back([&, t] {
+            uint64_t state = static_cast<uint64_t>(t) * 0x9E3779B97F4A7C15ull + 1;
+            for (int i = 0; i < kOps; ++i) {
+                state = state * 6364136223846793005ull + 1442695040888963407ull;
+                const uint64_t pick = state >> 33;
+                const auto& file = files[pick % files.size()];
+                switch (i % 4) {
+                    case 0: cache.insert_file(file); break;
+                    case 1: cache.insert_result("p", pick % 32, payload); break;
+                    case 2:
+                        ++file_lookups;
+                        if (cache.find_file(file->source->name(),
+                                            file->content_hash))
+                            ++file_found;
+                        break;
+                    default:
+                        if (cache.find_result("p", pick % 32)) ++result_found;
+                }
+            }
+        });
+    }
+    for (std::thread& thread : team) thread.join();
 
     const CacheStats stats = cache.stats();
-    EXPECT_EQ(stats.result_entries, kEntries);
-    uint64_t shard_entries = 0, shard_bytes = 0;
-    int occupied = 0;
-    for (const auto& shard : stats.shards) {
-        shard_entries += shard.entries;
-        shard_bytes += shard.bytes;
-        occupied += shard.entries > 0 ? 1 : 0;
-    }
-    // The lock-free per-shard gauges must reconcile with the pool totals,
-    // and fnv1a spreading 64 keys over 8 shards must not degenerate into
-    // one hot shard.
-    EXPECT_EQ(shard_entries, kEntries);
-    EXPECT_EQ(shard_bytes, stats.bytes_resident);
-    EXPECT_GT(occupied, 1);
-}
+    EXPECT_EQ(stats.file_hits + stats.file_misses, file_lookups.load());
+    EXPECT_EQ(stats.file_hits, file_found.load());
+    EXPECT_EQ(stats.result_hits, result_found.load());
+    EXPECT_GT(stats.file_hits, 0u);
+    EXPECT_GT(stats.result_hits, 0u);
+    EXPECT_GT(stats.evictions, 0u);
+    EXPECT_LE(stats.bytes_resident, budgets.file_bytes + budgets.result_bytes);
 
-TEST(ShardedCacheTest, TinyBudgetCollapsesToOneShard) {
-    CacheBudgets budgets;
-    budgets.file_bytes = 2048;  // 8 shards would get 256 useless bytes each
-    budgets.result_bytes = 128ull << 10;  // room for exactly two 64K shards
-    AnalysisCache cache(budgets);
-    EXPECT_EQ(cache.file_shards(), 1);
-    EXPECT_EQ(cache.result_shards(), 2);
-}
-
-TEST(ShardedCacheTest, ShedDropsResultsBeforeParsedFiles) {
-    AnalysisService service;
-    (void)service.scan(one_file("p1", "a.php", "<?php echo $_GET['a'];"));
-    (void)service.scan(one_file("p2", "b.php", "<?php echo $_GET['b'];"));
-    const CacheStats before = service.cache_stats();
-    ASSERT_EQ(before.result_entries, 2u);
-    ASSERT_GT(before.file_entries, 0u);
-
-    // A small target must be satisfied entirely from the result pool: the
-    // warm file pool is what keeps the queue draining fast.
-    const uint64_t freed = service.cache().shed(1);
-    EXPECT_GT(freed, 0u);
-    const CacheStats after = service.cache_stats();
-    EXPECT_LT(after.result_entries, before.result_entries);
-    EXPECT_EQ(after.file_entries, before.file_entries);
-    EXPECT_GT(after.shed_entries, 0u);
-
-    // An unbounded target drains every pool, files last but gone too.
-    (void)service.cache().shed(~0ull);
-    const CacheStats empty = service.cache_stats();
-    EXPECT_EQ(empty.result_entries, 0u);
-    EXPECT_EQ(empty.file_entries, 0u);
-    EXPECT_EQ(empty.bytes_resident, 0u);
+    cache.clear();
+    const CacheStats cleared = cache.stats();
+    EXPECT_EQ(cleared.bytes_resident, 0u);
+    EXPECT_EQ(cleared.file_entries, 0u);
+    EXPECT_EQ(cleared.result_entries, 0u);
 }
 
 // -------------------------------------------------------------- scheduling
@@ -228,29 +252,6 @@ TEST(ServerSchedulingTest, AdmissionControlRejectsWhenQueueIsFull) {
     ASSERT_EQ(served.result.findings.size(), 1u);
 }
 
-TEST(ServerSchedulingTest, QueuePressureShedsCacheBytes) {
-    ServiceOptions options;
-    options.workers = 1;
-    options.max_queue_depth = 16;
-    options.pressure_queue_depth = 2;
-    AnalysisService service(options);
-
-    // Populate the result pool, then build a backlog past the watermark.
-    (void)service.scan(one_file("warm", "a.php", "<?php echo $_GET['a'];"));
-    ASSERT_GT(service.cache_stats().bytes_resident, 0u);
-
-    service.pause();
-    std::vector<AnalysisService::Ticket> tickets;
-    for (int i = 0; i < 4; ++i)
-        tickets.push_back(service.submit(one_file(
-            "backlog-" + std::to_string(i), "b.php",
-            "<?php echo $_GET['b" + std::to_string(i) + "'];")));
-    EXPECT_GT(service.cache_stats().shed_entries, 0u);
-
-    service.resume();
-    for (const auto& ticket : tickets) (void)service.await(ticket);
-}
-
 // ---------------------------------------------------------- NDJSON framing
 
 TEST(NdjsonFramingTest, ReadLineCapsBufferingAndRecovers) {
@@ -305,6 +306,75 @@ TEST(NdjsonFramingTest, ShutdownIsAnUnknownOp) {
         service::parse_ndjson_request("{\"op\":\"shutdown\"}");
     EXPECT_EQ(request.op, service::NdjsonRequest::Op::kInvalid);
     EXPECT_EQ(request.error, "unknown op: \"shutdown\"");
+}
+
+/// Answers one request line on a fresh deterministic server.
+std::string serve_one(const std::string& request) {
+    ServerOptions options;
+    options.deterministic = true;
+    std::istringstream in(request + "\n");
+    std::ostringstream out;
+    EXPECT_EQ(AnalysisServer(options).serve_serial(in, out), 1);
+    return out.str();
+}
+
+/// A fresh directory under the test temp dir, removed with the object.
+struct ScratchDir {
+    explicit ScratchDir(const std::string& name)
+        : path(std::filesystem::path(::testing::TempDir()) / name) {
+        std::filesystem::remove_all(path);
+        std::filesystem::create_directories(path);
+    }
+    ~ScratchDir() { std::filesystem::remove_all(path); }
+    void write(const std::string& name, const std::string& text) const {
+        std::filesystem::create_directories((path / name).parent_path());
+        std::ofstream(path / name, std::ios::binary) << text;
+    }
+    std::filesystem::path path;
+};
+
+TEST(NdjsonScanPathTest, DirectoryScanEqualsTheSameFilesSentInline) {
+    const ScratchDir dir("phpsafe-scan-path-tree");
+    // Inline order is the path order the directory loader sorts into.
+    const std::vector<std::pair<std::string, std::string>> files = {
+        {"lib/deep/x.php", "<?php function show($v) { echo $v; }"},
+        {"lib/util.php", "<?php include 'deep/x.php'; show($_GET['u']);"},
+        {"main.php", "<?php include 'lib/util.php'; echo $_POST['m'];"},
+    };
+    for (const auto& [name, text] : files) dir.write(name, text);
+    dir.write("lib/readme.txt", "<?php echo $_GET['not_php'];");
+
+    std::string inline_files;
+    for (const auto& [name, text] : files)
+        inline_files += std::string(inline_files.empty() ? "" : ",") +
+                        "{\"name\":\"" + name + "\",\"text\":\"" + text + "\"}";
+    const std::string by_path = serve_one(
+        "{\"op\":\"scan\",\"plugin\":\"tree\",\"path\":\"" +
+        dir.path.generic_string() + "\"}");
+    const std::string by_files = serve_one(
+        "{\"op\":\"scan\",\"plugin\":\"tree\",\"files\":[" + inline_files +
+        "]}");
+    EXPECT_EQ(by_path, by_files);
+    EXPECT_EQ(by_path.rfind("{\"ok\":true", 0), 0u) << by_path;
+    EXPECT_NE(by_path.find("\"files_total\":3"), std::string::npos) << by_path;
+    EXPECT_EQ(by_path.find("not_php"), std::string::npos) << by_path;
+}
+
+TEST(NdjsonScanPathTest, PathThatIsNotADirectoryAnswersItsError) {
+    const ScratchDir dir("phpsafe-scan-path-file");
+    dir.write("only.php", "<?php echo 1;");
+    const std::string file = (dir.path / "only.php").generic_string();
+    EXPECT_EQ(serve_one("{\"op\":\"scan\",\"path\":\"" + file + "\"}"),
+              "{\"ok\":false,\"error\":\"not a directory: " + file + "\"}\n");
+}
+
+TEST(NdjsonScanPathTest, DirectoryWithoutPhpFilesAnswersItsError) {
+    const ScratchDir dir("phpsafe-scan-path-empty");
+    dir.write("notes/readme.txt", "no code here");
+    const std::string root = dir.path.generic_string();
+    EXPECT_EQ(serve_one("{\"op\":\"scan\",\"path\":\"" + root + "\"}"),
+              "{\"ok\":false,\"error\":\"no .php files under " + root +
+                  "\"}\n");
 }
 
 TEST(NdjsonProtocolTest, EveryOpAndKeyIsDocumentedInServiceMd) {
@@ -534,8 +604,9 @@ void cold_diff(const std::vector<Finding>& before,
 
 /// Watch-mode byte-identity: the delta an edit answers must equal the diff
 /// of two *cold* scans on fresh services — at any worker count, with a
-/// mixed upsert + remove batch.
-void expect_delta_matches_cold_rescan(int workers) {
+/// mixed upsert + remove batch, and with any file-pool budget.
+void expect_delta_matches_cold_rescan(
+    int workers, uint64_t file_bytes = CacheBudgets{}.file_bytes) {
     using FileSet = std::vector<std::pair<std::string, std::string>>;
     const FileSet before = {
         {"app.php",
@@ -568,6 +639,7 @@ void expect_delta_matches_cold_rescan(int workers) {
 
     ServiceOptions so;
     so.workers = workers;
+    so.budgets.file_bytes = file_bytes;
     AnalysisService service(so);
     service::WatchSession watch(service);
     ScanRequest open;
@@ -577,6 +649,13 @@ void expect_delta_matches_cold_rescan(int workers) {
     const ScanResponse opened = watch.open(std::move(open));
     ASSERT_FALSE(opened.rejected);
     EXPECT_EQ(finding_keys(opened.result.findings), finding_keys(cold_before));
+    // Every file is pinned after the open; with a zero file budget the pool
+    // held none of them, so each pin is the session's own parse.
+    for (const service::SourceFileSpec& spec : watch.request().files)
+        EXPECT_NE(spec.parsed, nullptr) << spec.name;
+    if (file_bytes == 0) {
+        EXPECT_EQ(service.cache_stats().file_entries, 0u);
+    }
 
     service::WatchEditBatch batch;
     batch.upserts.push_back(
@@ -599,6 +678,12 @@ TEST(WatchModeTest, DeltaMatchesColdRescanDiffSerial) {
 
 TEST(WatchModeTest, DeltaMatchesColdRescanDiffParallel) {
     expect_delta_matches_cold_rescan(4);
+}
+
+TEST(WatchModeTest, DeltaMatchesColdRescanDiffWithoutFilePool) {
+    // A zero file budget keeps no parse, so every state refresh falls back
+    // to parsing the file on its own.
+    expect_delta_matches_cold_rescan(1, 0);
 }
 
 /// Applies one upsert to a watch session opened on `before`, checks the

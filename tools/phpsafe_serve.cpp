@@ -10,8 +10,8 @@
 // Multi-client mode (one or more --session IN:OUT flags) runs pipelined
 // sessions instead: every IN:OUT pair — named pipes for live clients,
 // regular files for scripted ones — gets its own session thread against
-// ONE shared service, so all clients share the sharded cache, the priority
-// queue, and admission control. Sessions end on quit or EOF of their
+// ONE shared service, so all clients share the cache, the priority queue,
+// and admission control. Sessions end on quit or EOF of their
 // input; the process exits when every session has ended.
 //
 //   phpsafe_serve --session /tmp/a.in:/tmp/a.out --session /tmp/b.in:/tmp/b.out
