@@ -1,11 +1,11 @@
 // Multi-client load benchmark for the analysis server: N synthetic clients
 // hammer ONE shared AnalysisService with the three request kinds real
 // front-ends send — cold scans of unseen plugins, warm re-scans of content
-// the cache already holds, and single-file edits (the BENCH_incremental
-// scenario) — while the service dispatches across its TaskTeam and shares
-// one AnalysisCache. Reported per client count: p50/p95/p99 request
-// latency and throughput; the saturation row is the client count with the
-// highest throughput.
+// the cache already holds, and single-file edits (the warm-rescan
+// scenario of tests/service_test.cpp) — while the service dispatches
+// across its TaskTeam and shares one AnalysisCache. Reported per client
+// count: p50/p95/p99 request latency and throughput; the saturation row is
+// the client count with the highest throughput.
 //
 // Byte-identity rides along as a hard gate: every concurrent response's
 // report must equal the report a serial single-client service produces for

@@ -42,18 +42,4 @@ std::string resolve_class_name(std::string_view name,
     return ascii_lower(name);
 }
 
-std::string find_property_owner(std::string_view class_name, std::string_view prop,
-                                const php::Project& project) {
-    std::string cls = ascii_lower(class_name);
-    for (int depth = 0; depth < 16; ++depth) {
-        const php::ClassDecl* decl = project.find_class(cls);
-        if (!decl) return {};
-        for (const php::PropertyDecl& p : decl->properties)
-            if (p.name == prop) return cls;
-        if (decl->parent.empty()) return {};
-        cls = ascii_lower(decl->parent);
-    }
-    return {};
-}
-
 }  // namespace phpsafe

@@ -43,10 +43,4 @@ std::string resolve_class_name(std::string_view name,
                                const php::ClassDecl* current_class,
                                const php::Project& project);
 
-/// Looks up a declared property walking the inheritance chain. Returns the
-/// declaring class (lowercased) or empty when not found.
-std::string find_property_owner(std::string_view class_name,
-                                std::string_view prop,
-                                const php::Project& project);
-
 }  // namespace phpsafe

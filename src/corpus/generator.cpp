@@ -75,12 +75,6 @@ int scaled(int base, double scale) {
     return std::max(1, static_cast<int>(std::lround(base * scale)));
 }
 
-const BudgetRow* find_budget(Family family) {
-    for (const BudgetRow& row : kBudgets)
-        if (row.family == family) return &row;
-    return nullptr;
-}
-
 /// Which plugins carry deep-include chains in each version.
 bool has_chain(int plugin_index, const std::string& version) {
     if (version == "2012") return plugin_index == 0;
@@ -285,11 +279,6 @@ std::map<Family, int> family_budget(const std::string& version, double scale) {
     for (const BudgetRow& row : kBudgets)
         budget[row.family] = scaled(version == "2012" ? row.v2012 : row.v2014, scale);
     return budget;
-}
-
-double carry_ratio(Family family) {
-    const BudgetRow* row = find_budget(family);
-    return row ? row->carry : 0.0;
 }
 
 std::vector<SeededVuln> Corpus::all_truth(const std::string& version) const {

@@ -86,9 +86,6 @@ php::Project build_project(const GeneratedPlugin& plugin,
 /// the calibration notes in EXPERIMENTS.md.
 std::map<Family, int> family_budget(const std::string& version, double scale);
 
-/// Share of a family's 2012 instances that survive (unfixed) into 2014.
-double carry_ratio(Family family);
-
 // ---------------------------------------------------------------------------
 // Vendored-monorepo corpus — the shape the graph subsystem and watch mode
 // are benchmarked against (docs/graph.md): many small plugins sharing one

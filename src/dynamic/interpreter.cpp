@@ -136,6 +136,7 @@ ExecResult Interpreter::run_file(const std::string& file_name) {
     pending_flow_ = Flow::kNormal;
     globals_.vars.clear();
     include_stack_.clear();
+    constants_.clear();
 
     // The $wpdb global every WordPress request provides.
     Value wpdb = Value::object("wpdb");
@@ -342,10 +343,14 @@ Interpreter::Flow Interpreter::exec_stmt(const php::Stmt& stmt, Frame& frame) {
         case NodeKind::kNamespaceStmt:
             return exec_stmts(static_cast<const php::NamespaceStmt&>(stmt).body,
                               frame);
+        case NodeKind::kConstStmt:
+            for (const auto& [name, value] :
+                 static_cast<const php::ConstStmt&>(stmt).constants)
+                constants_.try_emplace(std::string(name), eval(*value, frame));
+            return Flow::kNormal;
         case NodeKind::kFunctionDecl:
         case NodeKind::kClassDecl:
         case NodeKind::kUseStmt:
-        case NodeKind::kConstStmt:
             return Flow::kNormal;
         default:
             return Flow::kNormal;
@@ -355,6 +360,55 @@ Interpreter::Flow Interpreter::exec_stmt(const php::Stmt& stmt, Frame& frame) {
 // ---------------------------------------------------------------------------
 // Expressions
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// PHP's + - * /: int op int stays an int unless it overflows (or, for /,
+/// leaves a remainder); a float operand makes the result a float. Division
+/// by zero yields null.
+Value arithmetic(php::BinaryOp op, const Value& lhs, const Value& rhs) {
+    using php::BinaryOp;
+    const Value a = lhs.to_number(), b = rhs.to_number();
+    if (a.type() == Value::Type::kInt && b.type() == Value::Type::kInt) {
+        const long x = a.to_int(), y = b.to_int();
+        long r = 0;
+        bool overflow = false;
+        switch (op) {
+            case BinaryOp::kAdd: overflow = __builtin_add_overflow(x, y, &r); break;
+            case BinaryOp::kSub: overflow = __builtin_sub_overflow(x, y, &r); break;
+            case BinaryOp::kMul: overflow = __builtin_mul_overflow(x, y, &r); break;
+            default:
+                if (y == 0) return Value();
+                // -1 is the one divisor whose quotient can overflow (and
+                // trap in x % y), so it is a negation.
+                if (y == -1) {
+                    overflow = __builtin_sub_overflow(0L, x, &r);
+                    break;
+                }
+                if (x % y != 0) return Value::real(static_cast<double>(x) / y);
+                r = x / y;
+                break;
+        }
+        if (!overflow) return Value::integer(r);
+    }
+    const double x = a.to_float(), y = b.to_float();
+    switch (op) {
+        case BinaryOp::kAdd: return Value::real(x + y);
+        case BinaryOp::kSub: return Value::real(x - y);
+        case BinaryOp::kMul: return Value::real(x * y);
+        default: return y == 0 ? Value() : Value::real(x / y);
+    }
+}
+
+/// PHP's %: integer operands; modulo by zero yields null. x % -1 is 0,
+/// computed without the division that traps on PHP_INT_MIN.
+Value modulo(const Value& lhs, const Value& rhs) {
+    const long x = lhs.to_int(), y = rhs.to_int();
+    if (y == 0) return Value();
+    return Value::integer(y == -1 ? 0 : x % y);
+}
+
+}  // namespace
 
 Value Interpreter::eval(const php::Expr& expr, Frame& frame) {
     if (!step()) return Value();
@@ -373,6 +427,11 @@ Value Interpreter::eval(const php::Expr& expr, Frame& frame) {
                 case php::Literal::Type::kBool:
                     return Value::boolean(n.value == "true");
                 case php::Literal::Type::kNull: return Value();
+                case php::Literal::Type::kConstant: {
+                    // Undefined and magic constants (not modelled) read as "".
+                    const auto it = constants_.find(n.value);
+                    return it == constants_.end() ? Value::string("") : it->second;
+                }
             }
             return Value();
         }
@@ -456,8 +515,9 @@ Value Interpreter::eval(const php::Expr& expr, Frame& frame) {
             const Value v = eval(*n.operand, frame);
             switch (n.op) {
                 case php::UnaryOp::kNot: return Value::boolean(!v.to_bool());
-                case php::UnaryOp::kMinus: return Value::integer(-v.to_int());
-                case php::UnaryOp::kPlus: return Value::integer(v.to_int());
+                case php::UnaryOp::kMinus:
+                    return arithmetic(php::BinaryOp::kSub, Value::integer(0), v);
+                case php::UnaryOp::kPlus: return v.to_number();
                 case php::UnaryOp::kBitNot: return Value::integer(~v.to_int());
                 case php::UnaryOp::kSuppress: return v;
             }
@@ -538,9 +598,11 @@ Value Interpreter::eval(const php::Expr& expr, Frame& frame) {
             if (!n.operand || n.operand->kind != NodeKind::kVariable)
                 return Value();
             const Value old = eval(*n.operand, frame);
-            const long delta = n.increment ? 1 : -1;
-            assign_to(*n.operand, Value::integer(old.to_int() + delta), frame);
-            return n.prefix ? Value::integer(old.to_int() + delta) : old;
+            const Value updated =
+                arithmetic(n.increment ? php::BinaryOp::kAdd : php::BinaryOp::kSub,
+                           old, Value::integer(1));
+            assign_to(*n.operand, updated, frame);
+            return n.prefix ? updated : old;
         }
         case NodeKind::kClosure: {
             const auto& n = static_cast<const php::Closure&>(expr);
@@ -693,12 +755,19 @@ Value Interpreter::eval_assign(const php::Assign& assign, Frame& frame) {
                                   value.to_string());
             break;
         case php::AssignOp::kPlus:
-            value = Value::integer(eval(*assign.target, frame).to_int() +
-                                   value.to_int());
+            value = arithmetic(php::BinaryOp::kAdd, eval(*assign.target, frame), value);
             break;
         case php::AssignOp::kMinus:
-            value = Value::integer(eval(*assign.target, frame).to_int() -
-                                   value.to_int());
+            value = arithmetic(php::BinaryOp::kSub, eval(*assign.target, frame), value);
+            break;
+        case php::AssignOp::kMul:
+            value = arithmetic(php::BinaryOp::kMul, eval(*assign.target, frame), value);
+            break;
+        case php::AssignOp::kDiv:
+            value = arithmetic(php::BinaryOp::kDiv, eval(*assign.target, frame), value);
+            break;
+        case php::AssignOp::kMod:
+            value = modulo(eval(*assign.target, frame), value);
             break;
         case php::AssignOp::kCoalesce: {
             const Value current = eval(*assign.target, frame);
@@ -721,15 +790,12 @@ Value apply_binary(php::BinaryOp op, Value lhs, const Value& rhs) {
     switch (op) {
         case BinaryOp::kConcat:
             return Value::string(std::move(lhs).to_string() + rhs.to_string());
-        case BinaryOp::kAdd: return Value::integer(lhs.to_int() + rhs.to_int());
-        case BinaryOp::kSub: return Value::integer(lhs.to_int() - rhs.to_int());
-        case BinaryOp::kMul: return Value::integer(lhs.to_int() * rhs.to_int());
+        case BinaryOp::kAdd:
+        case BinaryOp::kSub:
+        case BinaryOp::kMul:
         case BinaryOp::kDiv:
-            return rhs.to_int() == 0 ? Value()
-                                     : Value::integer(lhs.to_int() / rhs.to_int());
-        case BinaryOp::kMod:
-            return rhs.to_int() == 0 ? Value()
-                                     : Value::integer(lhs.to_int() % rhs.to_int());
+            return arithmetic(op, lhs, rhs);
+        case BinaryOp::kMod: return modulo(lhs, rhs);
         case BinaryOp::kEq: return Value::boolean(lhs.loose_equals(rhs));
         case BinaryOp::kNotEq: return Value::boolean(!lhs.loose_equals(rhs));
         case BinaryOp::kIdentical:
@@ -1305,8 +1371,14 @@ bool Interpreter::call_builtin(const std::string& name, std::vector<Value>& args
         out = Value::string(slash == std::string::npos ? "." : path.substr(0, slash));
         return true;
     }
+    if (name == "define") {
+        // The first definition wins, as in PHP.
+        out = Value::boolean(args.size() >= 2 &&
+                             constants_.try_emplace(arg_str(0), args[1]).second);
+        return true;
+    }
     if (name == "fclose" || name == "error_reporting" || name == "ini_set" ||
-        name == "header" || name == "ob_start" || name == "define") {
+        name == "header" || name == "ob_start") {
         out = Value::boolean(true);
         return true;
     }

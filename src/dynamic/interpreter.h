@@ -133,6 +133,8 @@ private:
     /// `static $x` slots persisting across calls, keyed by declaring
     /// statement pointer + variable name.
     std::map<std::pair<const void*, std::string>, Value> static_slots_;
+    /// Constants defined by `const` statements and define() this run.
+    std::map<std::string, Value, std::less<>> constants_;
     Value return_value_;
     Flow pending_flow_ = Flow::kNormal;
 };

@@ -1,6 +1,7 @@
 #include "dynamic/value.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -79,7 +80,11 @@ long Value::to_int() const {
         case Type::kNull: return 0;
         case Type::kBool: return bool_ ? 1 : 0;
         case Type::kInt: return int_;
-        case Type::kFloat: return static_cast<long>(float_);
+        case Type::kFloat:
+            // Out-of-range (and non-finite) floats convert to 0 rather
+            // than through an undefined cast.
+            return float_ >= -0x1p63 && float_ < 0x1p63 ? static_cast<long>(float_)
+                                                        : 0;
         case Type::kString: return std::strtol(string_.c_str(), nullptr, 10);
         case Type::kArray: return array_ && !array_->entries.empty() ? 1 : 0;
         case Type::kObject: return 1;
@@ -95,6 +100,36 @@ double Value::to_float() const {
     }
 }
 
+Value Value::to_number() const {
+    if (type_ == Type::kInt || type_ == Type::kFloat) return *this;
+    if (type_ != Type::kString) return integer(to_int());
+    // PHP's leading-number grammar: [space][sign]digits[.digits][e[sign]digits].
+    const std::string& s = string_;
+    size_t i = 0;
+    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+    const size_t start = i;
+    if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
+    const auto digits = [&] {
+        const size_t from = i;
+        while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) ++i;
+        return i > from;
+    };
+    bool mantissa = digits();
+    bool is_float = false;
+    if (i < s.size() && s[i] == '.') {
+        ++i;
+        if (digits() || mantissa) mantissa = is_float = true;
+    }
+    if (mantissa && i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
+        const size_t mark = i++;
+        if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
+        if (digits()) is_float = true;
+        else i = mark;
+    }
+    if (!is_float) return integer(to_int());
+    return real(std::strtod(s.substr(start, i - start).c_str(), nullptr));
+}
+
 std::string Value::to_string() && {
     if (type_ == Type::kString) return std::move(string_);
     return static_cast<const Value&>(*this).to_string();
@@ -106,9 +141,19 @@ std::string Value::to_string() const& {
         case Type::kBool: return bool_ ? "1" : "";
         case Type::kInt: return std::to_string(int_);
         case Type::kFloat: {
+            // PHP's echo: 14 significant digits, "1.0E+20" exponent form.
+            if (std::isnan(float_)) return "NAN";
+            if (std::isinf(float_)) return float_ > 0 ? "INF" : "-INF";
             char buf[64];
-            std::snprintf(buf, sizeof buf, "%g", float_);
-            return buf;
+            std::snprintf(buf, sizeof buf, "%.14G", float_);
+            std::string out = buf;
+            const size_t e = out.find('E');
+            if (e == std::string::npos) return out;
+            std::string mantissa = out.substr(0, e);
+            if (mantissa.find('.') == std::string::npos) mantissa += ".0";
+            size_t exponent = e + 2;  // past 'E' and its sign
+            while (exponent + 1 < out.size() && out[exponent] == '0') ++exponent;
+            return mantissa + 'E' + out[e + 1] + out.substr(exponent);
         }
         case Type::kString: return string_;
         case Type::kArray: return "Array";

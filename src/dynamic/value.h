@@ -54,6 +54,10 @@ public:
     bool to_bool() const;
     long to_int() const;
     double to_float() const;
+    /// The operand PHP arithmetic sees: an int, or a float when the value
+    /// is one or is a string whose leading number has a fraction or an
+    /// exponent ("1.5", "2e3"); anything else converts like to_int().
+    Value to_number() const;
     std::string to_string() const&;
     /// Moves a string payload out instead of copying it, so a folded
     /// concatenation chain appends in place rather than copying its

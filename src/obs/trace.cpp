@@ -1,7 +1,6 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
 #include "util/json_writer.h"
@@ -124,20 +123,6 @@ std::string Tracer::flat_json() const {
     w.end_object();
     os << "\n";
     return os.str();
-}
-
-bool Tracer::write_chrome_trace(const std::string& path) const {
-    std::ofstream out(path);
-    if (!out) return false;
-    out << chrome_trace_json() << "\n";
-    return static_cast<bool>(out);
-}
-
-bool Tracer::write_flat_json(const std::string& path) const {
-    std::ofstream out(path);
-    if (!out) return false;
-    out << flat_json();
-    return static_cast<bool>(out);
 }
 
 }  // namespace phpsafe::obs

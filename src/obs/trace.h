@@ -7,12 +7,9 @@
 //
 // Cost model: a *disabled* tracer is free — span() returns an inert Span
 // without copying a byte or allocating (tests/obs_test.cpp asserts this),
-// so instrumentation can stay in place unconditionally. The PHPSAFE_TRACE
-// CMake option chooses the default-constructed state: OFF (the default)
-// builds a library whose tracers start disabled and must be armed
-// explicitly with Tracer(true); ON arms them at construction. Either way
-// there are no extra dependencies — exporters use only the standard
-// library and util/json_writer.h.
+// so instrumentation can stay in place unconditionally. A tracer starts
+// disabled unless constructed with Tracer(true). The exporters return
+// strings and use only the standard library and util/json_writer.h.
 #pragma once
 
 #include <initializer_list>
@@ -26,16 +23,6 @@
 #include "obs/counters.h"
 
 namespace phpsafe::obs {
-
-/// True when the build was configured with -DPHPSAFE_TRACE=ON, i.e. when
-/// default-constructed tracers record spans.
-constexpr bool trace_enabled_by_default() noexcept {
-#ifdef PHPSAFE_TRACE
-    return true;
-#else
-    return false;
-#endif
-}
 
 /// One label attached to a span ("plugin" → "wp-forum", "stage" → "lex").
 using SpanArg = std::pair<std::string, std::string>;
@@ -56,7 +43,7 @@ struct SpanRecord {
 
 class Tracer {
 public:
-    explicit Tracer(bool enabled = trace_enabled_by_default());
+    explicit Tracer(bool enabled = false);
 
     bool enabled() const noexcept { return enabled_; }
 
@@ -117,10 +104,6 @@ public:
     /// Flat JSON: {"spans":[{name, args..., wall_ms, cpu_ms,
     /// counters:{...nonzero deltas...}}, ...]}.
     std::string flat_json() const;
-
-    /// Writes an exporter's output to `path`; returns false on I/O error.
-    bool write_chrome_trace(const std::string& path) const;
-    bool write_flat_json(const std::string& path) const;
 
 private:
     void commit(SpanRecord&& record);

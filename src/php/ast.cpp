@@ -5,61 +5,6 @@
 
 namespace phpsafe::php {
 
-const char* to_string(NodeKind kind) {
-    switch (kind) {
-        case NodeKind::kLiteral: return "literal";
-        case NodeKind::kInterpString: return "interp";
-        case NodeKind::kVariable: return "var";
-        case NodeKind::kArrayAccess: return "index";
-        case NodeKind::kPropertyAccess: return "prop";
-        case NodeKind::kStaticPropertyAccess: return "sprop";
-        case NodeKind::kClassConstAccess: return "cconst";
-        case NodeKind::kFunctionCall: return "call";
-        case NodeKind::kMethodCall: return "mcall";
-        case NodeKind::kStaticCall: return "scall";
-        case NodeKind::kNew: return "new";
-        case NodeKind::kAssign: return "assign";
-        case NodeKind::kBinary: return "binary";
-        case NodeKind::kUnary: return "unary";
-        case NodeKind::kCast: return "cast";
-        case NodeKind::kTernary: return "ternary";
-        case NodeKind::kArrayLiteral: return "array";
-        case NodeKind::kIssetExpr: return "isset";
-        case NodeKind::kEmptyExpr: return "empty";
-        case NodeKind::kIncDec: return "incdec";
-        case NodeKind::kClosure: return "closure";
-        case NodeKind::kIncludeExpr: return "include";
-        case NodeKind::kListExpr: return "list";
-        case NodeKind::kInstanceOf: return "instanceof";
-        case NodeKind::kPrintExpr: return "print";
-        case NodeKind::kExitExpr: return "exit";
-        case NodeKind::kExprStmt: return "expr-stmt";
-        case NodeKind::kEchoStmt: return "echo";
-        case NodeKind::kBlock: return "block";
-        case NodeKind::kIfStmt: return "if";
-        case NodeKind::kWhileStmt: return "while";
-        case NodeKind::kDoWhileStmt: return "do-while";
-        case NodeKind::kForStmt: return "for";
-        case NodeKind::kForeachStmt: return "foreach";
-        case NodeKind::kSwitchStmt: return "switch";
-        case NodeKind::kBreakStmt: return "break";
-        case NodeKind::kContinueStmt: return "continue";
-        case NodeKind::kReturnStmt: return "return";
-        case NodeKind::kGlobalStmt: return "global";
-        case NodeKind::kStaticVarStmt: return "static-var";
-        case NodeKind::kUnsetStmt: return "unset";
-        case NodeKind::kFunctionDecl: return "function";
-        case NodeKind::kClassDecl: return "class";
-        case NodeKind::kInlineHtmlStmt: return "html";
-        case NodeKind::kTryStmt: return "try";
-        case NodeKind::kThrowStmt: return "throw";
-        case NodeKind::kNamespaceStmt: return "namespace";
-        case NodeKind::kUseStmt: return "use";
-        case NodeKind::kConstStmt: return "const";
-    }
-    return "?";
-}
-
 const char* to_string(AssignOp op) {
     switch (op) {
         case AssignOp::kAssign: return "=";
@@ -587,7 +532,7 @@ void dump_node(const Node& node, std::ostringstream& os) {
             return;
         }
     }
-    os << "(?" << to_string(node.kind) << ')';
+    os << "(?" << static_cast<int>(node.kind) << ')';
 }
 
 }  // namespace

@@ -42,8 +42,6 @@ enum class NodeKind {
     kUseStmt, kConstStmt,
 };
 
-const char* to_string(NodeKind kind);
-
 /// Base of every AST node. Not polymorphic: dispatch is by `kind`, and the
 /// owning Arena destroys each node through its exact type, so no vtable is
 /// needed — which keeps most leaf nodes trivially destructible.
@@ -72,7 +70,9 @@ using StmtPtr = Stmt*;
 // ---------------------------------------------------------------------------
 
 struct Literal final : Expr {
-    enum class Type { kString, kInt, kFloat, kBool, kNull };
+    /// kConstant is a bare constant (`PHP_EOL`, `__FILE__`, a `const` or
+    /// define()d name); its `value` is the name.
+    enum class Type { kString, kInt, kFloat, kBool, kNull, kConstant };
     Literal() : Expr(NodeKind::kLiteral) {}
     Type type = Type::kString;
     std::string_view value;  ///< decoded string / number text / "true"/"false"

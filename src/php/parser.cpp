@@ -1335,8 +1335,8 @@ ExprPtr Parser::parse_identifier_expr() {
     // Bare constant: untainted literal from the analysis's point of view.
     auto* lit = arena_.create<Literal>();
     lit->line = line;
-    lit->type = Literal::Type::kString;
-    lit->value = "";
+    lit->type = Literal::Type::kConstant;
+    lit->value = name;
     return parse_postfix(std::move(lit));
 }
 

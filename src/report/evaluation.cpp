@@ -98,14 +98,9 @@ Evaluation run_corpus_evaluation(const std::vector<Tool>& tools,
     WorkerPool pool(workers);
     pool.run(units.size(), [&](size_t u) {
         const PluginVersionUnit& unit = units[u];
-        const std::string& version = versions[unit.version_index];
         // Table III scope: parse (model construction) + analysis, measured
         // on this thread's CPU clock only. The counter delta is per-thread
         // too, so it captures exactly this unit's model construction.
-        obs::Tracer::Span model_span;
-        if (options.tracer)
-            model_span = options.tracer->span(
-                "model", {{"plugin", unit.plugin->name}, {"version", version}});
         const obs::CounterDelta model_delta;
         const double parse_start = thread_cpu_seconds();
         DiagnosticSink sink;
@@ -113,7 +108,6 @@ Evaluation run_corpus_evaluation(const std::vector<Tool>& tools,
             corpus::build_project(*unit.plugin, *unit.src, sink);
         const double build_seconds = thread_cpu_seconds() - parse_start;
         const obs::Counters model_counters = model_delta.take();
-        model_span.end();
 
         // Stage split of model construction: lexing is measured inside the
         // parser; the remainder (parse proper, indexing, source assembly)
@@ -123,21 +117,11 @@ Evaluation run_corpus_evaluation(const std::vector<Tool>& tools,
         model_stages.parse = build_seconds - model_stages.lex;
 
         for (size_t t = 0; t < tools.size(); ++t) {
-            obs::Tracer::Span tool_span;
-            if (options.tracer)
-                tool_span = options.tracer->span("analyze",
-                                                {{"plugin", unit.plugin->name},
-                                                 {"version", version},
-                                                 {"tool", tools[t].name}});
             AnalysisResult result = run_tool(tools[t], project);
             for (int rep = 1; rep < reps; ++rep) {
                 const AnalysisResult repeat = run_tool(tools[t], project);
                 result.cpu_seconds += repeat.cpu_seconds;
                 result.include_cpu_seconds += repeat.include_cpu_seconds;
-            }
-            if (tool_span.active()) {
-                tool_span.note("findings", std::to_string(result.findings.size()));
-                tool_span.end();
             }
 
             ToolOutcome& outcome = outcomes[u][t];

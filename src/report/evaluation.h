@@ -14,7 +14,6 @@
 #include "baselines/analyzers.h"
 #include "corpus/generator.h"
 #include "obs/counters.h"
-#include "obs/trace.h"
 
 namespace phpsafe {
 
@@ -102,10 +101,6 @@ struct EvaluationOptions {
     /// the PHPSAFE_JOBS environment variable when set, otherwise
     /// std::thread::hardware_concurrency().
     int parallelism = 1;
-    /// Optional span tracer: when set (and enabled), the driver records a
-    /// "model" span per (plugin, version) and an "analyze" span per
-    /// (plugin, version, tool). Not owned; may be null.
-    obs::Tracer* tracer = nullptr;
 };
 
 /// Runs `tools` over the generated corpus. Deterministic for fixed options.

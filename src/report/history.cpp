@@ -5,15 +5,6 @@
 
 namespace phpsafe {
 
-std::string to_string(FindingFate fate) {
-    switch (fate) {
-        case FindingFate::kPersisted: return "persisted";
-        case FindingFate::kFixed: return "fixed";
-        case FindingFate::kIntroduced: return "introduced";
-    }
-    return "?";
-}
-
 int HistoryReport::count(FindingFate fate) const noexcept {
     int n = 0;
     for (const HistoryEntry& e : entries)

@@ -21,8 +21,6 @@ enum class FindingFate {
     kIntroduced, ///< in the new version only
 };
 
-std::string to_string(FindingFate fate);
-
 struct HistoryEntry {
     FindingFate fate = FindingFate::kPersisted;
     const Finding* old_finding = nullptr;  ///< null when kIntroduced

@@ -4,7 +4,8 @@
 //   - file pool: lexed+parsed files keyed by (file name, fnv1a64 of the
 //     text). A hit injects the shared immutable AST into the next project
 //     via php::Project::add_parsed(), skipping lexing and parsing — the two
-//     stages that dominate model-construction CPU (see BENCH_scale.json).
+//     stages that dominate model-construction CPU (php.build_ms in
+//     phpbench's layer metrics).
 //   - result pool: whole AnalysisResults keyed by (preset fingerprint,
 //     project fingerprint). A hit answers a scan without touching the
 //     engine at all.

@@ -1,5 +1,5 @@
 // Minimal streaming JSON writer shared by every JSON producer in the tree
-// (report/export.cpp, bench/bench_scale.cpp, the obs trace exporters).
+// (report/export.cpp, the bench baselines, the obs trace exporters).
 // Before it existed each of those hand-rolled its own comma/escape/indent
 // logic; this centralizes the three things that keep going wrong in
 // hand-rolled emission — separators, string escaping, and balanced

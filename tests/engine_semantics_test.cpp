@@ -371,5 +371,29 @@ TEST(EngineSemanticsTest, ByRefFlowFromAnotherParameter) {
     EXPECT_EQ(r.findings.size(), 1u);
 }
 
+TEST(EngineSemanticsTest, ThrownTaintIsNotOutput) {
+    // Constructing and throwing an exception echoes nothing; the echo after
+    // the guard is the only sink.
+    EXPECT_TRUE(analyze("<?php throw new Exception($_GET['m']);").findings.empty());
+    const auto r = analyze(
+        "<?php $m = $_GET['m'];\n"
+        "if ($m === '') throw new Exception('empty: ' . $m);\n"
+        "echo $m;");
+    ASSERT_EQ(r.findings.size(), 1u);
+    EXPECT_EQ(r.findings[0].location.line, 3);
+}
+
+TEST(EngineSemanticsTest, TopLevelConstantIsUntainted) {
+    EXPECT_TRUE(analyze("<?php const T = 'x'; echo T;").findings.empty());
+    EXPECT_EQ(analyze("<?php const T = 'x'; echo T . $_GET['a'];").findings.size(),
+              1u);
+}
+
+TEST(EngineSemanticsTest, FloatCoercionsSanitize) {
+    EXPECT_TRUE(analyze("<?php echo floatval($_GET['x']) * 1.5;").findings.empty());
+    EXPECT_TRUE(analyze("<?php echo (float) $_GET['x'];").findings.empty());
+    EXPECT_EQ(analyze("<?php echo 1.5 . $_GET['x'];").findings.size(), 1u);
+}
+
 }  // namespace
 }  // namespace phpsafe

@@ -214,5 +214,64 @@ TEST(InterpreterSemanticsTest, NumericStringJuggling) {
     EXPECT_EQ(r.output, "8|53|eq");
 }
 
+TEST(InterpreterSemanticsTest, UncaughtThrowStopsTheRun) {
+    const ExecResult r = run(
+        "<?php echo 'a'; throw new Exception($_GET['m']); echo 'b';",
+        [](Interpreter& i) { i.set_superglobal_default("$_GET", "<script>"); });
+    EXPECT_EQ(r.output, "a");
+    EXPECT_FALSE(r.completed);
+    EXPECT_EQ(r.error, "uncaught exception");
+}
+
+TEST(InterpreterSemanticsTest, ConstAndDefineNameValues) {
+    const ExecResult r = run(
+        "<?php const T = 'x', N = 2 + 3; echo T, N;\n"
+        "define('U', $_GET['u']); define('U', 'second'); echo '|', U;\n"
+        "echo '|', UNDEFINED_NAME, '|', dirname(__FILE__);",
+        [](Interpreter& i) { i.set_superglobal_default("$_GET", "<script>"); });
+    EXPECT_EQ(r.output, "x5|<script>||.");
+    EXPECT_TRUE(r.completed);
+}
+
+TEST(InterpreterSemanticsTest, FloatArithmetic) {
+    const ExecResult r = run(
+        "<?php echo 1.5 + 1.5, '|', 7 / 2, '|', 6 / 2, '|', 0.1 + 0.2, '|',\n"
+        "  -1.5, '|', 2 * 1.25, '|', '1.5' + 1, '|', 10 - 0.5;");
+    EXPECT_EQ(r.output, "3|3.5|3|0.3|-1.5|2.5|2.5|9.5");
+}
+
+TEST(InterpreterSemanticsTest, IntegerOverflowBecomesFloat) {
+    // PHP_INT_MIN / -1 and PHP_INT_MIN % -1 trap in C++ integer division.
+    const ExecResult r = run(
+        "<?php $min = -9223372036854775807 - 1;\n"
+        "echo 9223372036854775807 + 1, '|', $min / -1, '|', $min % -1, '|', -$min;");
+    EXPECT_EQ(r.output,
+              "9.2233720368548E+18|9.2233720368548E+18|0|9.2233720368548E+18");
+}
+
+TEST(InterpreterSemanticsTest, FloatCompoundAssignment) {
+    const ExecResult r = run(
+        "<?php $x = 1.25; $x *= 2; echo $x, '|';\n"
+        "$y = 10; $y /= 4; echo $y, '|';\n"
+        "$z = 0.5; $z += 1; $z -= 0.25; echo $z, '|';\n"
+        "$n = 7; $n %= 4; echo $n, '|';\n"
+        "$f = 1.5; $f++; echo $f;");
+    EXPECT_EQ(r.output, "2.5|2.5|1.25|3|2.5");
+}
+
+TEST(InterpreterSemanticsTest, FloatConversionsDestroyPayload) {
+    const ExecResult r = run(
+        "<?php echo floatval($_GET['a']), '|', (float) $_GET['a'] + 0.5, '|',\n"
+        "  floatval('3.14abc') * 2, '|', doubleval('x<script>');",
+        [](Interpreter& i) { i.set_superglobal_default("$_GET", "2.5<script>"); });
+    EXPECT_EQ(r.output, "2.5|3|6.28|0");
+}
+
+TEST(InterpreterSemanticsTest, FloatsPrintWithFourteenDigits) {
+    const ExecResult r = run(
+        "<?php echo 3.14159265358, '|', 1e20, '|', 1.5e-7, '|', 2.0, '|', 1/3;");
+    EXPECT_EQ(r.output, "3.14159265358|1.0E+20|1.5E-7|2|0.33333333333333");
+}
+
 }  // namespace
 }  // namespace phpsafe::dynamic

@@ -289,7 +289,7 @@ TEST(InterpreterTest, BinaryChainsSpendTheSameStepsAsNestedEvaluation) {
         {"<?php function f($v){ return $v . '!'; } echo f($_GET['a']) . "
          "f('x') . f(f('y')) . (3 % 0) . (7 / 2) . (1 == '1') . (1 === '1')"
          " . (2 < 3);",
-         48, "A!x!y!!311"},
+         48, "A!x!y!!3.511"},
         {"<?php echo 0 && $_GET['a'] && 1; echo 1 || $_GET['x'] || 0;", 8,
          "1"},
         {long_chain, 706, "100<X>"},

@@ -181,9 +181,11 @@ TEST(ObsTraceTest, SpansRecordTheirCounterDeltas) {
     EXPECT_EQ(flat.find("\"tokens_lexed\""), std::string::npos);
 }
 
-TEST(ObsTraceTest, DefaultStateFollowsBuildOption) {
+TEST(ObsTraceTest, DefaultConstructedTracerIsDisabled) {
     obs::Tracer tracer;
-    EXPECT_EQ(tracer.enabled(), obs::trace_enabled_by_default());
+    EXPECT_FALSE(tracer.enabled());
+    { auto span = tracer.span("analyze"); EXPECT_FALSE(span.active()); }
+    EXPECT_EQ(tracer.record_count(), 0u);
 }
 
 /// Records the order of every observer callback for the dispatch tests.

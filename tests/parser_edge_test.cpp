@@ -90,7 +90,7 @@ TEST(ParserEdgeTest, ParenthesizedExpressionNotCast) {
 }
 
 TEST(ParserEdgeTest, MagicConstantsAreConstants) {
-    EXPECT_EQ(first_stmt("$f = __FILE__;"), "(= $f \"\")");
+    EXPECT_EQ(first_stmt("$f = __FILE__;"), "(= $f __FILE__)");
 }
 
 TEST(ParserEdgeTest, KeywordAsMethodName) {

@@ -185,7 +185,7 @@ TEST(ParserTest, UnsetStatement) {
 TEST(ParserTest, IncludeRequire) {
     EXPECT_EQ(first_stmt("require_once 'inc.php';"), "(require_once \"inc.php\")");
     EXPECT_EQ(first_stmt("include dirname(__FILE__) . '/x.php';"),
-              "(include (. (call dirname \"\") \"/x.php\"))");
+              "(include (. (call dirname __FILE__) \"/x.php\"))");
 }
 
 TEST(ParserTest, ClosureWithUse) {
@@ -349,6 +349,23 @@ TEST(ParserTest, ToPhpSourceRendersNestedChainsInSourceOrder) {
     ASSERT_NE(expr, nullptr);
     EXPECT_EQ(to_php_source(*expr),
               "$a . $b . 'x' . f($c[1], $d->e) . (int) $n + \"v{$w}\"");
+}
+
+TEST(ParserTest, ThrowStatementKeepsItsExpression) {
+    EXPECT_EQ(first_stmt("throw new Exception($_GET['m']);"),
+              "(throw (new Exception (index $_GET \"m\")))");
+}
+
+TEST(ParserTest, TopLevelConstDeclaresEveryName) {
+    const FileUnit unit = parse("<?php const T = 'x', N = 2 + 3; echo T;");
+    ASSERT_EQ(unit.statements.size(), 2u);
+    ASSERT_EQ(unit.statements[0]->kind, NodeKind::kConstStmt);
+    EXPECT_EQ(dump(*unit.statements[0]), "(const T=\"x\" N=(+ 2 3))");
+    EXPECT_EQ(dump(*unit.statements[1]), "(echo T)");
+}
+
+TEST(ParserTest, FloatLiteralsKeepTheirText) {
+    EXPECT_EQ(first_stmt("$x = 1.5 * 2e3;"), "(= $x (* 1.5 2e3))");
 }
 
 }  // namespace

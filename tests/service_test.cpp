@@ -295,27 +295,57 @@ TEST(ServiceTest, RequestFingerprintCoversNamesAndContent) {
     EXPECT_EQ(fp, AnalysisService::request_fingerprint(base));
 }
 
+// The editor/CI loop the service exists for: scan the whole corpus, touch
+// one file of one plugin, scan everything again. The warm pass must run the
+// engine once, for the touched plugin, over every other file's cached AST,
+// and answer every other plugin from the result pool. Those counts, not a
+// wall-clock ratio, are what make the warm pass fast, so they are asserted
+// exactly; every warm report must equal a cold service's byte for byte.
 TEST(ServiceTest, WarmScanOfCorpusPluginMatchesColdByteForByte) {
     corpus::CorpusOptions corpus_options;
-    corpus_options.scale = 0.05;
+    corpus_options.scale = 0.2;
     const corpus::Corpus corpus = corpus::generate_corpus(corpus_options);
-    const corpus::GeneratedPlugin& plugin = corpus.plugins.front();
 
-    ScanRequest request;
-    request.plugin = plugin.name;
-    for (const auto& [name, text] : plugin.v2014.files)
-        request.files.push_back({name, text});
+    std::vector<ScanRequest> requests;
+    for (const corpus::GeneratedPlugin& plugin : corpus.plugins) {
+        ScanRequest request;
+        request.plugin = plugin.name;
+        for (const auto& [name, text] : plugin.v2014.files)
+            request.files.push_back({name, text});
+        requests.push_back(std::move(request));
+    }
+    ASSERT_GT(requests.size(), 1u);
+    const size_t touched = 0;
+    const int touched_files = static_cast<int>(requests[touched].files.size());
+    ASSERT_GT(touched_files, 1);
 
     AnalysisService warm_service;
-    (void)warm_service.scan(request);  // prime
-    ScanRequest touched = request;
-    touched.files[0].text += "\n// touched\n";
-    const ScanResponse warm = warm_service.scan(touched);
-    EXPECT_GT(warm.files_reused, 0);
+    for (const ScanRequest& request : requests) (void)warm_service.scan(request);
+    const CacheStats primed = warm_service.cache_stats();
+    EXPECT_EQ(primed.result_hits, 0u);
+
+    // A trailing comment changes the file's content hash, not its findings.
+    requests[touched].files[0].text += "\n// touched\n";
+    std::vector<ScanResponse> warm;
+    for (const ScanRequest& request : requests)
+        warm.push_back(warm_service.scan(request));
+    const CacheStats after = warm_service.cache_stats();
+
+    const uint64_t others = requests.size() - 1;
+    EXPECT_EQ(after.result_hits - primed.result_hits, others);
+    EXPECT_EQ(after.file_misses - primed.file_misses, 1u);
+    EXPECT_EQ(after.file_hits - primed.file_hits,
+              static_cast<uint64_t>(touched_files - 1));
+    EXPECT_EQ(after.evictions, 0u);
+    for (size_t i = 0; i < warm.size(); ++i)
+        EXPECT_EQ(warm[i].from_result_cache, i != touched) << requests[i].plugin;
+    EXPECT_EQ(warm[touched].files_reused, touched_files - 1);
 
     AnalysisService cold_service;
-    const ScanResponse cold = cold_service.scan(touched);
-    EXPECT_EQ(render_json_report(warm.result), render_json_report(cold.result));
+    for (size_t i = 0; i < requests.size(); ++i)
+        EXPECT_EQ(render_json_report(warm[i].result),
+                  render_json_report(cold_service.scan(requests[i]).result))
+            << requests[i].plugin;
 }
 
 TEST(ServiceTest, ServedReportEqualsPaperAnalyzerReportOnTheCorpus) {

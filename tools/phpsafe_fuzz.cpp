@@ -16,7 +16,13 @@
 // (full validation pipeline + an independent rescan per emitted fix) —
 // likewise opt-in for dedicated CI stages.
 //
-// Exit status: 0 = clean, 1 = oracle violations, 2 = usage error.
+// --corpus defaults to the source tree's tests/fuzz_corpus/regressions, so
+// the driver replays the same corpus from any working directory. A fuzz
+// run without that directory skips the replay; --replay-only fails instead,
+// because a replay that replays nothing checks nothing.
+//
+// Exit status: 0 = clean, 1 = oracle violations or nothing replayed,
+// 2 = usage error.
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -24,6 +30,10 @@
 #include <string>
 
 #include "fuzz/fuzzer.h"
+
+#ifndef PHPSAFE_REPO_ROOT
+#define PHPSAFE_REPO_ROOT "."
+#endif
 
 namespace {
 
@@ -41,7 +51,7 @@ int main(int argc, char** argv) {
     using namespace phpsafe::fuzz;
 
     FuzzOptions options;
-    options.corpus_dir = "tests/fuzz_corpus/regressions";
+    options.corpus_dir = PHPSAFE_REPO_ROOT "/tests/fuzz_corpus/regressions";
     bool replay_only = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -77,8 +87,12 @@ int main(int argc, char** argv) {
             return usage(argv[0]);
         }
     }
-    if (!options.corpus_dir.empty() &&
-        !std::filesystem::is_directory(options.corpus_dir)) {
+    if (!std::filesystem::is_directory(options.corpus_dir)) {
+        if (replay_only) {
+            std::cerr << "error: corpus directory '" << options.corpus_dir
+                      << "' not found\n";
+            return 1;
+        }
         std::cerr << "note: corpus directory '" << options.corpus_dir
                   << "' not found; replay skipped\n";
         options.corpus_dir.clear();
@@ -105,6 +119,11 @@ int main(int argc, char** argv) {
                   << " violation(s), " << stats.regressions_written.size()
                   << " regression(s) written\n"
                   << "case trace hash: " << hash << "\n";
+    }
+    if (replay_only && stats.corpus_replayed == 0) {
+        std::cerr << "error: no .case file replayed from '"
+                  << options.corpus_dir << "'\n";
+        return 1;
     }
     for (const auto& v : stats.corpus_violations)
         std::cout << "CORPUS VIOLATION [" << to_string(v.oracle) << "] "
