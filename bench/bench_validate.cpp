@@ -15,7 +15,8 @@
 //                (entry file, payload, seed class) share one interpreter
 //                run each; fix verification re-parses only the patched file
 //                (php::Project::fork_with_replacement shares every other
-//                AST and declaration-table entry) before its rescan.
+//                AST and the declaration tables) and replays the finding
+//                before it pays for a rescan.
 //
 // Both judge with the same Validator::judge on deterministic executions
 // and hold verified fixes to the same gates, so their outcomes agree
@@ -121,8 +122,11 @@ struct SequentialOutcome {
 };
 
 /// The sequential fix verification: write the patched file set, rebuild the
-/// whole project model from text, re-run the analyzer cold, replay. Gates
-/// mirror validate.cpp's verify_fix exactly so the verdicts are comparable.
+/// whole project model from text, re-run the analyzer cold, replay. The
+/// gates are validate.cpp's verify_fix gates in their original order —
+/// rescan and compare first, replay last — on purpose: this is the
+/// reference that verify_fix's fork and its replay-first order are checked
+/// against, so the verdicts must match case by case.
 bool verify_sequentially(const Tool& tool, const php::Project& project,
                          const AnalysisResult& result, size_t target,
                          const validate::Quickfix& fix) {
@@ -470,9 +474,10 @@ int main(int argc, char** argv) {
          "proposed quickfix: sequential replay (one seeded interpreter run "
          "per finding, then per fix a from-text project rebuild + cold "
          "analyzer rescan + replay) vs the batch pipeline (findings sharing "
-         "an execution key share one run; fix rescans re-parse only the "
-         "patched file via fork_with_replacement). Outcomes "
-         "byte-identical case by case, "
+         "an execution key share one run; each fix forks the project "
+         "re-parsing only the patched file (fork_with_replacement), "
+         "replays the finding first and rescans only when the replay no "
+         "longer confirms it). Outcomes byte-identical case by case, "
          "best-of-reps, single worker so the speedup is algorithmic");
     w.kv("timing_reps", reps);
     w.kv("corpus_scale", 1.0, 2);

@@ -165,7 +165,8 @@ AnalysisResult Engine::analyze(const php::Project& project) {
 
     // Stage 1 (paper §III.C): inter-procedural parsing of the functions that
     // are not called from the source code of the plugin.
-    if (options_.analyze_uncalled_functions) summarize_uncalled();
+    const std::vector<php::FunctionRef> uncalled = project.uncalled_functions();
+    if (options_.analyze_uncalled_functions) summarize_uncalled(uncalled);
 
     // Stage 2: inter-procedural analysis starting from each file's "main
     // function", following the program flow (calls, includes) from there.
@@ -203,9 +204,8 @@ AnalysisResult Engine::analyze(const php::Project& project) {
         }
     }
 
-    stats_.uncalled_functions =
-        static_cast<int>(project.uncalled_functions().size());
-    stats_.functions_summarized = static_cast<int>(summaries_.analyzed_names().size());
+    stats_.uncalled_functions = static_cast<int>(uncalled.size());
+    stats_.functions_summarized = static_cast<int>(summaries_.analyzed_count());
     result.stats = stats_;
 
     deduplicate(findings_);
@@ -219,8 +219,8 @@ AnalysisResult Engine::analyze(const php::Project& project) {
     return result;
 }
 
-void Engine::summarize_uncalled() {
-    for (const php::FunctionRef& ref : project_->uncalled_functions()) {
+void Engine::summarize_uncalled(const std::vector<php::FunctionRef>& uncalled) {
+    for (const php::FunctionRef& ref : uncalled) {
         if (!ref.decl) continue;
         FunctionSummary& summary = summarize(ref);
         if (!options_.assume_params_tainted_in_uncalled) continue;

@@ -189,7 +189,7 @@ private:
 
     // -- drivers -------------------------------------------------------------
     void analyze_entry_file(const php::ParsedFile& file);
-    void summarize_uncalled();
+    void summarize_uncalled(const std::vector<php::FunctionRef>& uncalled);
 
     // -- statements ----------------------------------------------------------
     void exec_stmts(const ArenaVector<php::StmtPtr>& stmts, Scope& scope);

@@ -13,12 +13,10 @@ const FunctionSummary* SummaryStore::find(const std::string& qualified_lower) co
 
 void SummaryStore::clear() { summaries_.clear(); }
 
-std::vector<std::string> SummaryStore::analyzed_names() const {
-    std::vector<std::string> names;
-    names.reserve(summaries_.size());
-    for (const auto& [name, summary] : summaries_)
-        if (summary.analyzed) names.push_back(name);
-    return names;
+size_t SummaryStore::analyzed_count() const noexcept {
+    size_t count = 0;
+    for (const auto& [name, summary] : summaries_) count += summary.analyzed;
+    return count;
 }
 
 }  // namespace phpsafe

@@ -66,8 +66,8 @@ public:
     void clear();
     size_t size() const noexcept { return summaries_.size(); }
 
-    /// All qualified names with a computed summary (for engine statistics).
-    std::vector<std::string> analyzed_names() const;
+    /// Number of summaries whose body was analyzed (engine statistics).
+    size_t analyzed_count() const noexcept;
 
 private:
     std::map<std::string, FunctionSummary> summaries_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
+#include <map>
 #include <memory_resource>
 
 #include "obs/counters.h"
@@ -230,7 +232,231 @@ bool contains_folded(const std::vector<std::string_view>& sorted_folded,
                               FoldedLess{});
 }
 
+using NameLists = std::array<std::span<const std::string_view>, 2>;
+
+/// The facts lists that make a free function "called", and a method.
+NameLists called_function_lists(const FactsBlock& facts) {
+    return {facts.called_functions, facts.callback_functions};
+}
+NameLists called_method_lists(const FactsBlock& facts) {
+    return {facts.called_methods, facts.callback_methods};
+}
+
+struct ClassEntry {
+    const ClassDecl* decl = nullptr;
+    const std::string* file = nullptr;  ///< declaring unit.file_name
+};
+
+/// Methods are keyed (class, method) — both views — folded per part.
+struct MethodKey {
+    std::string_view class_name;
+    std::string_view method;
+};
+struct MethodKeyLess {
+    using is_transparent = void;
+    constexpr bool operator()(const MethodKey& a,
+                              const MethodKey& b) const noexcept {
+        const int c = folded_compare(a.class_name, b.class_name);
+        if (c != 0) return c < 0;
+        return folded_compare(a.method, b.method) < 0;
+    }
+};
+
+using Files = std::vector<std::shared_ptr<const ParsedFile>>;
+
+/// One called-name set: the union of every file's folded name lists,
+/// sorted and unique, with the number of lists naming each entry.
+struct CalledNames {
+    std::vector<std::string_view> names;
+    std::vector<uint32_t> callers;  ///< aligned with names
+
+    /// Sorts the appended names and folds repeats into caller counts.
+    void count_callers() {
+        std::sort(names.begin(), names.end());
+        callers.clear();
+        size_t out = 0;
+        for (size_t i = 0; i < names.size(); ++i) {
+            if (out > 0 && names[out - 1] == names[i]) {
+                ++callers.back();
+            } else {
+                names[out++] = names[i];
+                callers.push_back(1);
+            }
+        }
+        names.resize(out);
+    }
+
+    uint32_t callers_of(std::string_view name) const {
+        const auto it = std::lower_bound(names.begin(), names.end(), name);
+        return it != names.end() && *it == name ? callers[it - names.begin()]
+                                                : 0;
+    }
+
+    /// The set after the files at `slots` change from `before` to `after`,
+    /// or nullopt when no name enters or leaves it. Only the replaced
+    /// files' lists are read.
+    std::optional<std::vector<std::string_view>> patched(
+        const Files& before, const Files& after, const std::vector<size_t>& slots,
+        NameLists (*lists_of)(const FactsBlock&)) const {
+        std::vector<std::pair<std::string_view, int>> delta;
+        for (const size_t slot : slots) {
+            for (const auto list : lists_of(before[slot]->facts))
+                for (const std::string_view name : list) delta.emplace_back(name, -1);
+            for (const auto list : lists_of(after[slot]->facts))
+                for (const std::string_view name : list) delta.emplace_back(name, 1);
+        }
+        std::sort(delta.begin(), delta.end());
+        std::vector<std::string_view> added, removed;
+        for (size_t i = 0; i < delta.size();) {
+            const std::string_view name = delta[i].first;
+            int change = 0;
+            for (; i < delta.size() && delta[i].first == name; ++i)
+                change += delta[i].second;
+            if (change == 0) continue;
+            const int64_t count = callers_of(name);
+            if (count == 0) added.push_back(name);
+            else if (count + change == 0) removed.push_back(name);
+        }
+        if (added.empty() && removed.empty()) return std::nullopt;
+        std::vector<std::string_view> kept, out;
+        std::set_difference(names.begin(), names.end(), removed.begin(),
+                            removed.end(), std::back_inserter(kept));
+        out.reserve(kept.size() + added.size());
+        std::merge(kept.begin(), kept.end(), added.begin(), added.end(),
+                   std::back_inserter(out));
+        return out;
+    }
+};
+
+/// True when `after` declares exactly what `before` does, in the same
+/// order: the same classes with the same parents and method names, and the
+/// same free functions. Names compare byte for byte.
+bool same_declarations(const FactsBlock& before, const FactsBlock& after) {
+    if (before.classes.size() != after.classes.size() ||
+        before.functions.size() != after.functions.size())
+        return false;
+    for (size_t c = 0; c < before.classes.size(); ++c) {
+        const ClassDecl& was = *before.classes[c];
+        const ClassDecl& is = *after.classes[c];
+        if (was.name != is.name || was.parent != is.parent ||
+            was.methods.size() != is.methods.size())
+            return false;
+        for (size_t m = 0; m < was.methods.size(); ++m)
+            if (was.methods[m]->name != is.methods[m]->name) return false;
+    }
+    for (size_t f = 0; f < before.functions.size(); ++f)
+        if (before.functions[f]->name != after.functions[f]->name) return false;
+    return true;
+}
+
+template <typename Decl, typename Entry>
+const Entry* remapped(const std::vector<std::pair<const Decl*, Entry>>& entries,
+                      const Decl* decl) {
+    const auto it = std::lower_bound(
+        entries.begin(), entries.end(), decl,
+        [](const auto& entry, const Decl* d) { return entry.first < d; });
+    return &it->second;
+}
+
 }  // namespace
+
+/// Everything merge_facts derives from a file set. Immutable once built and
+/// shared by a project and all its overlay forks; `files` pins every file
+/// whose names and declarations the tables view.
+struct Project::Tables {
+    Files files;
+    /// Declaration tables. Keys are views of the declaration names, which
+    /// live in the owning file's arena, under the transparent FoldedLess
+    /// comparator — so indexing a declaration costs one tree-node
+    /// allocation and lookups pass mixed-case string_views straight from
+    /// AST nodes without allocating a folded temporary. The merge emplaces
+    /// in declaration order, so the first declaration of a duplicated name
+    /// wins.
+    std::map<std::string_view, FunctionRef, FoldedLess> functions;
+    std::map<std::string_view, ClassEntry, FoldedLess> classes;
+    std::map<MethodKey, FunctionRef, MethodKeyLess> methods;
+    std::vector<FunctionRef> function_list;
+    CalledNames called_functions;
+    CalledNames called_methods;
+    IncludeIndex include_index;
+};
+
+/// What a fork sees differently from the shared tables when its replaced
+/// files declare what the originals did (same_declarations): the same
+/// winners of every lookup, now in the new ASTs.
+struct Project::Overlay {
+    std::vector<size_t> slots;  ///< replaced file positions
+    /// unit.file_name of each replaced file as the tables know it: an entry
+    /// viewing one of these strings was declared by a replaced file.
+    std::vector<const std::string*> old_names;
+    /// Each replaced file's declarations, old decl -> new entry, sorted by
+    /// the old pointer.
+    std::vector<std::pair<const FunctionDecl*, FunctionRef>> functions;
+    std::vector<std::pair<const ClassDecl*, ClassEntry>> classes;
+    std::vector<FunctionRef> function_list;
+    /// Set only when a name entered or left the tables' set.
+    std::optional<std::vector<std::string_view>> called_functions;
+    std::optional<std::vector<std::string_view>> called_methods;
+
+    /// Whether `file`, a view of some unit.file_name, is a replaced file's.
+    bool replaced(std::string_view file) const {
+        return std::ranges::any_of(old_names, [&](const std::string* name) {
+            return name->data() == file.data();
+        });
+    }
+
+    const FunctionRef* current(const FunctionRef& ref) const {
+        return replaced(ref.file) ? remapped(functions, ref.decl) : &ref;
+    }
+
+    const ClassEntry& current(const ClassEntry& entry) const {
+        return replaced(*entry.file) ? *remapped(classes, entry.decl) : entry;
+    }
+
+    /// The overlay of `files` — `base.files` with the files at `slots`
+    /// replaced — or null when a replaced file declares something else
+    /// (or is shared by two slots of the base), which needs a full merge.
+    static std::shared_ptr<const Overlay> build(const Tables& base,
+                                                const Files& files,
+                                                std::vector<size_t> slots) {
+        if (files.size() != base.files.size()) return nullptr;
+        auto overlay = std::make_shared<Overlay>();
+        for (const size_t slot : slots) {
+            const ParsedFile& before = *base.files[slot];
+            const ParsedFile& after = *files[slot];
+            if (!same_declarations(before.facts, after.facts) ||
+                std::ranges::count(base.files, base.files[slot]) != 1)
+                return nullptr;
+            overlay->old_names.push_back(&before.unit.file_name);
+            const std::string& file = after.unit.file_name;
+            for (size_t c = 0; c < before.facts.classes.size(); ++c) {
+                const ClassDecl* was = before.facts.classes[c];
+                const ClassDecl* cls = after.facts.classes[c];
+                overlay->classes.emplace_back(was, ClassEntry{cls, &file});
+                for (size_t m = 0; m < cls->methods.size(); ++m)
+                    overlay->functions.emplace_back(
+                        was->methods[m], FunctionRef{cls->methods[m], cls, file});
+            }
+            for (size_t f = 0; f < before.facts.functions.size(); ++f)
+                overlay->functions.emplace_back(
+                    before.facts.functions[f],
+                    FunctionRef{after.facts.functions[f], nullptr, file});
+        }
+        const auto by_old = [](const auto& a, const auto& b) {
+            return a.first < b.first;
+        };
+        std::sort(overlay->functions.begin(), overlay->functions.end(), by_old);
+        std::sort(overlay->classes.begin(), overlay->classes.end(), by_old);
+        overlay->function_list = base.function_list;
+        for (FunctionRef& ref : overlay->function_list) ref = *overlay->current(ref);
+        overlay->called_functions = base.called_functions.patched(
+            base.files, files, slots, called_function_lists);
+        overlay->called_methods = base.called_methods.patched(
+            base.files, files, slots, called_method_lists);
+        overlay->slots = std::move(slots);
+        return overlay;
+    }
+};
 
 uint64_t content_hash(std::string_view text) noexcept { return fnv1a64(text); }
 
@@ -279,6 +505,11 @@ std::string FunctionRef::qualified_name() const {
         return out;
     }
     return std::string(decl->name);
+}
+
+Project::Project(std::string name) : name_(std::move(name)) {
+    static const std::shared_ptr<const Tables> kEmpty = std::make_shared<Tables>();
+    tables_ = kEmpty;
 }
 
 void Project::add_file(std::string file_name, std::string text) {
@@ -342,7 +573,7 @@ std::optional<Project> Project::fork_with_replacement(
     std::string_view file_name, std::string text, DiagnosticSink& sink) const {
     // An unbuilt project (pending files) has an empty include index, so an
     // unknown file and a project that was never parsed both refuse here.
-    const size_t slot = include_index_.find(file_name);
+    const size_t slot = tables_->include_index.find(file_name);
     if (slot == IncludeIndex::npos || !pending_.empty()) return std::nullopt;
 
     Project fork(name_);
@@ -352,7 +583,16 @@ std::optional<Project> Project::fork_with_replacement(
     fork.files_[slot] =
         parse_file(std::string(file_name), std::move(text), sink, lex_seconds);
     fork.build_stats_.files_reused = static_cast<int>(files_.size()) - 1;
-    fork.merge_facts();
+    std::vector<size_t> slots = overlay_ ? overlay_->slots : std::vector<size_t>{};
+    if (std::ranges::find(slots, slot) == slots.end()) slots.push_back(slot);
+    fork.tables_ = tables_;
+    fork.overlay_ = Overlay::build(*tables_, fork.files_, std::move(slots));
+    if (fork.overlay_) {
+        ++obs::tls().forks_overlaid;
+    } else {
+        fork.merge_facts();
+        ++obs::tls().forks_merged;
+    }
     fork.build_stats_.lex_cpu_seconds = lex_seconds;
     fork.build_stats_.parse_cpu_seconds =
         thread_cpu_seconds() - build_start - lex_seconds;
@@ -360,12 +600,8 @@ std::optional<Project> Project::fork_with_replacement(
 }
 
 void Project::merge_facts() {
-    functions_.clear();
-    classes_.clear();
-    methods_.clear();
-    function_list_.clear();
-    called_functions_.clear();
-    called_methods_.clear();
+    auto tables = std::make_shared<Tables>();
+    tables->files = files_;
     std::vector<std::string_view> names;
     names.reserve(files_.size());
     for (const std::shared_ptr<const ParsedFile>& pf : files_) {
@@ -375,28 +611,30 @@ void Project::merge_facts() {
         names.emplace_back(file);
         const FactsBlock& facts = pf->facts;
         for (const ClassDecl* cls : facts.classes) {
-            classes_.emplace(cls->name, ClassEntry{cls, &file});
+            tables->classes.emplace(cls->name, ClassEntry{cls, &file});
             for (const FunctionDecl* method : cls->methods) {
                 const FunctionRef ref{method, cls, file};
-                methods_.emplace(MethodKey{cls->name, method->name}, ref);
-                function_list_.push_back(ref);
+                tables->methods.emplace(MethodKey{cls->name, method->name}, ref);
+                tables->function_list.push_back(ref);
             }
         }
         for (const FunctionDecl* fn : facts.functions) {
             const FunctionRef ref{fn, nullptr, file};
-            functions_.emplace(fn->name, ref);
-            function_list_.push_back(ref);
+            tables->functions.emplace(fn->name, ref);
+            tables->function_list.push_back(ref);
         }
-        for (const auto list : {facts.called_functions, facts.callback_functions})
-            called_functions_.insert(called_functions_.end(), list.begin(),
-                                     list.end());
-        for (const auto list : {facts.called_methods, facts.callback_methods})
-            called_methods_.insert(called_methods_.end(), list.begin(),
-                                   list.end());
+        for (const auto list : called_function_lists(facts))
+            tables->called_functions.names.insert(
+                tables->called_functions.names.end(), list.begin(), list.end());
+        for (const auto list : called_method_lists(facts))
+            tables->called_methods.names.insert(
+                tables->called_methods.names.end(), list.begin(), list.end());
     }
-    sort_unique(called_functions_);
-    sort_unique(called_methods_);
-    include_index_ = IncludeIndex(names);
+    tables->called_functions.count_callers();
+    tables->called_methods.count_callers();
+    tables->include_index = IncludeIndex(names);
+    tables_ = std::move(tables);
+    overlay_.reset();
 }
 
 int Project::total_lines() const noexcept {
@@ -406,29 +644,35 @@ int Project::total_lines() const noexcept {
 }
 
 const ParsedFile* Project::file_named(std::string_view name) const {
-    const size_t pos = include_index_.find(name);
+    const size_t pos = tables_->include_index.find(name);
     return pos == IncludeIndex::npos ? nullptr : files_[pos].get();
 }
 
 const ParsedFile* Project::resolve_include(std::string_view path) const {
-    const size_t pos = include_index_.resolve(path);
+    const size_t pos = tables_->include_index.resolve(path);
     return pos == IncludeIndex::npos ? nullptr : files_[pos].get();
 }
 
+const FunctionRef* Project::current(const FunctionRef& ref) const {
+    return overlay_ ? overlay_->current(ref) : &ref;
+}
+
 const FunctionRef* Project::find_function(std::string_view name) const {
-    const auto it = functions_.find(name);  // transparent folded compare
-    return it == functions_.end() ? nullptr : &it->second;
+    const auto it = tables_->functions.find(name);  // transparent folded compare
+    return it == tables_->functions.end() ? nullptr : current(it->second);
 }
 
 const ClassDecl* Project::find_class(std::string_view name) const {
-    const auto it = classes_.find(name);
-    return it == classes_.end() ? nullptr : it->second.decl;
+    const auto it = tables_->classes.find(name);
+    if (it == tables_->classes.end()) return nullptr;
+    return overlay_ ? overlay_->current(it->second).decl : it->second.decl;
 }
 
 const std::string& Project::file_of_class(std::string_view class_name) const {
     static const std::string kEmpty;
-    const auto it = classes_.find(class_name);
-    return it == classes_.end() ? kEmpty : *it->second.file;
+    const auto it = tables_->classes.find(class_name);
+    if (it == tables_->classes.end()) return kEmpty;
+    return overlay_ ? *overlay_->current(it->second).file : *it->second.file;
 }
 
 const FunctionRef* Project::find_method(std::string_view class_name,
@@ -436,11 +680,13 @@ const FunctionRef* Project::find_method(std::string_view class_name,
     std::string_view cls = class_name;
     // Walk the inheritance chain (single inheritance, as in PHP). The
     // composite key probes case-preserving; MethodKeyLess folds per part.
+    // The overlay path keeps every class's parent, so the base tables'
+    // parents are the fork's.
     for (int depth = 0; depth < 16; ++depth) {
-        const auto it = methods_.find(MethodKey{cls, method_name});
-        if (it != methods_.end()) return &it->second;
-        const auto cit = classes_.find(cls);
-        if (cit == classes_.end() || cit->second.decl->parent.empty())
+        const auto it = tables_->methods.find(MethodKey{cls, method_name});
+        if (it != tables_->methods.end()) return current(it->second);
+        const auto cit = tables_->classes.find(cls);
+        if (cit == tables_->classes.end() || cit->second.decl->parent.empty())
             return nullptr;
         cls = cit->second.decl->parent;
     }
@@ -449,23 +695,42 @@ const FunctionRef* Project::find_method(std::string_view class_name,
 
 const FunctionRef* Project::find_method_any(std::string_view method_name) const {
     const FunctionRef* found = nullptr;
-    for (const auto& [key, ref] : methods_) {
+    for (const auto& [key, ref] : tables_->methods) {
         if (folded_compare(key.method, method_name) != 0) continue;
         if (found) return nullptr;  // ambiguous
         found = &ref;
     }
-    return found;
+    return found ? current(*found) : nullptr;
+}
+
+const std::vector<FunctionRef>& Project::all_functions() const noexcept {
+    return overlay_ ? overlay_->function_list : tables_->function_list;
+}
+
+const std::vector<std::string_view>& Project::called_function_names()
+    const noexcept {
+    return overlay_ && overlay_->called_functions ? *overlay_->called_functions
+                                                  : tables_->called_functions.names;
+}
+
+const std::vector<std::string_view>& Project::called_method_names()
+    const noexcept {
+    return overlay_ && overlay_->called_methods ? *overlay_->called_methods
+                                                : tables_->called_methods.names;
 }
 
 std::vector<FunctionRef> Project::uncalled_functions() const {
+    const std::vector<std::string_view>& called_functions =
+        called_function_names();
+    const std::vector<std::string_view>& called_methods = called_method_names();
     std::vector<FunctionRef> out;
-    for (const FunctionRef& ref : function_list_) {
+    for (const FunctionRef& ref : all_functions()) {
         if (!ref.decl) continue;
         if (ref.owner) {
             if (iequals(ref.decl->name, "__construct")) continue;  // run via `new`
-            if (!contains_folded(called_methods_, ref.decl->name))
+            if (!contains_folded(called_methods, ref.decl->name))
                 out.push_back(ref);
-        } else if (!contains_folded(called_functions_, ref.decl->name)) {
+        } else if (!contains_folded(called_functions, ref.decl->name)) {
             out.push_back(ref);
         }
     }

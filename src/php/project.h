@@ -9,8 +9,10 @@
 // records the file's FactsBlock (declarations, called names, used classes,
 // include literals, OOP use). The project's tables are a merge of those
 // blocks in file order, and file names and includes resolve through one
-// IncludeIndex — so building a project from already-parsed files, or
-// forking one with a single file replaced, walks no AST at all.
+// IncludeIndex — so building a project from already-parsed files walks no
+// AST at all. The merged tables are one immutable object shared by
+// shared_ptr: a fork with a single file replaced reuses them and adds a
+// small overlay built from that one file's old and new facts blocks.
 //
 // Incremental-analysis hooks (service/): every file carries a stable
 // content hash (fnv1a64 of its text), parsed files are held by shared
@@ -21,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -154,7 +155,7 @@ public:
         int files_reused = 0;  ///< files injected pre-parsed (cache hits)
     };
 
-    explicit Project(std::string name) : name_(std::move(name)) {}
+    explicit Project(std::string name);
 
     Project(Project&&) = default;
     Project& operator=(Project&&) = default;
@@ -176,12 +177,19 @@ public:
     /// Parses `text` as a replacement for the existing file `file_name` and
     /// returns a project equal to the one add_file()+parse_all() would build
     /// over the patched file set. Every other ParsedFile is shared with this
-    /// project (both pin them by shared_ptr, so neither project's lifetime
-    /// depends on the other's) and contributes its facts block unchanged:
-    /// the fork lexes, parses and walks one file. This is the
-    /// model-construction fast path of batch quickfix verification
-    /// (validate/). Returns nullopt when `file_name` names no file of this
-    /// (fully built) project.
+    /// project, and so are the declaration tables and the include index (a
+    /// fork never changes a file name). The shared tables pin every file
+    /// they view, so neither project's lifetime depends on the other's.
+    /// When the new text declares the same classes (same parents), methods
+    /// and free functions in the same order as the old — true of every
+    /// quickfix, which edits one expression — the fork adds an overlay built
+    /// from the replaced file's two facts blocks alone: that file's
+    /// declarations map to the new AST, and called-name membership follows
+    /// per-name caller counts. Any other change rebuilds every table, as
+    /// parse_all() does. Either way the fork lexes, parses and walks one
+    /// file. This is the model-construction fast path of quickfix
+    /// verification (validate/). Returns nullopt when `file_name` names no
+    /// file of this (fully built) project.
     std::optional<Project> fork_with_replacement(std::string_view file_name,
                                                  std::string text,
                                                  DiagnosticSink& sink) const;
@@ -219,21 +227,15 @@ public:
 
     /// All declared functions and methods in declaration order: file by
     /// file, each file's methods (class by class) before its free functions.
-    const std::vector<FunctionRef>& all_functions() const noexcept {
-        return function_list_;
-    }
+    const std::vector<FunctionRef>& all_functions() const noexcept;
 
     /// Names of free functions called anywhere in plugin code, directly or
     /// through a callback API (lowercased, sorted, unique).
-    const std::vector<std::string_view>& called_function_names() const noexcept {
-        return called_functions_;
-    }
+    const std::vector<std::string_view>& called_function_names() const noexcept;
 
     /// Method names called anywhere in plugin code — through any receiver,
     /// statically, or as an array callback (lowercased, sorted, unique).
-    const std::vector<std::string_view>& called_method_names() const noexcept {
-        return called_methods_;
-    }
+    const std::vector<std::string_view>& called_method_names() const noexcept;
 
     /// Functions and methods never called from plugin code (paper §III.C:
     /// these must still be analyzed — the CMS may call them directly).
@@ -253,8 +255,15 @@ private:
                                                         std::string text,
                                                         DiagnosticSink& sink,
                                                         double& lex_seconds);
-    /// Rebuilds every table from the files' facts blocks, in file order.
+    /// Rebuilds every table from the files' facts blocks, in file order,
+    /// and drops any overlay.
     void merge_facts();
+
+    struct Tables;
+    struct Overlay;
+    /// `ref` as this project sees it: the overlay's entry for a declaration
+    /// of a replaced file, else `ref` itself.
+    const FunctionRef* current(const FunctionRef& ref) const;
 
     std::string name_;
     /// Files in registration order. Slots for add_file() entries stay null
@@ -266,39 +275,12 @@ private:
         std::string text;
     };
     std::vector<PendingFile> pending_;
-    /// Declaration tables. Keys are views of the declaration names, which
-    /// live in the owning file's arena (pinned by files_), under the
-    /// transparent FoldedLess comparator — so indexing a declaration costs
-    /// one tree-node allocation and lookups pass mixed-case string_views
-    /// straight from AST nodes without allocating a folded temporary. The
-    /// merge emplaces in declaration order, so the first declaration of a
-    /// duplicated name wins.
-    std::map<std::string_view, FunctionRef, FoldedLess> functions_;
-    struct ClassEntry {
-        const ClassDecl* decl = nullptr;
-        const std::string* file = nullptr;  ///< declaring unit.file_name
-    };
-    std::map<std::string_view, ClassEntry, FoldedLess> classes_;
-    /// Methods are keyed (class, method) — both views — folded per part.
-    struct MethodKey {
-        std::string_view class_name;
-        std::string_view method;
-    };
-    struct MethodKeyLess {
-        using is_transparent = void;
-        constexpr bool operator()(const MethodKey& a,
-                                  const MethodKey& b) const noexcept {
-            const int c = folded_compare(a.class_name, b.class_name);
-            if (c != 0) return c < 0;
-            return folded_compare(a.method, b.method) < 0;
-        }
-    };
-    std::map<MethodKey, FunctionRef, MethodKeyLess> methods_;
-    std::vector<FunctionRef> function_list_;
-    /// Views into the files' facts blocks (pinned by files_).
-    std::vector<std::string_view> called_functions_;
-    std::vector<std::string_view> called_methods_;
-    IncludeIndex include_index_;
+    /// Declaration tables, called-name sets and include index as last
+    /// merged; immutable and shared with every fork. Never null.
+    std::shared_ptr<const Tables> tables_;
+    /// Set only on a fork that took the overlay path: what differs from
+    /// tables_ because of the replaced files.
+    std::shared_ptr<const Overlay> overlay_;
     BuildStats build_stats_;
 };
 

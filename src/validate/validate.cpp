@@ -26,77 +26,85 @@ struct ExecGroup {
     std::string payload;
 };
 
-/// Byte rendering of one finding for the fix-verification "nothing else
-/// regressed" gate: identity plus the full trace.
-std::string finding_signature(const Finding& finding) {
-    std::string sig = to_string(finding);
-    sig += '\n';
+/// Appends the byte rendering of one finding for the fix-verification
+/// "nothing else regressed" gate: identity plus the full trace.
+void append_signature(std::string& out, const Finding& finding) {
+    out += to_string(finding);
+    out += '\n';
     for (const TaintStep& step : finding.trace) {
-        sig += "  " + to_string(step.location) + ' ' + step.description + '\n';
+        out += "  ";
+        out += to_string(step.location);
+        out += ' ';
+        out += step.description;
+        out += '\n';
     }
-    return sig;
 }
+
+/// What verifying one proposed fix did and decided.
+struct FixCheck {
+    bool forked = false;     ///< the patched project was built
+    bool rescanned = false;  ///< the analyzer re-ran on it
+    bool verified = false;   ///< every gate held
+};
 
 /// Verification loop for one proposed fix: apply the edit, re-parse the one
 /// patched file (php::Project::fork_with_replacement shares every other
-/// file's AST and declaration-table entries), re-run the analyzer with the
-/// configuration that produced the original result, and replay the targeted
-/// finding on the patched unit. Every gate must hold:
+/// file's AST and the declaration tables), replay the targeted finding on
+/// the patched unit, and only then re-run the analyzer with the
+/// configuration that produced the original result. Every gate must hold:
 ///   - the patched file reparses clean,
+///   - the interpreter replay no longer confirms the flow,
 ///   - the analyzer no longer reports the targeted finding,
-///   - every OTHER finding is byte-identical (same order, same trace),
-///   - the interpreter replay no longer confirms the flow.
+///   - every OTHER finding is byte-identical (same order, same trace) to
+///     its rendering in `signatures`.
+/// Each gate is a pure function of (project, fix) and the verdict is their
+/// AND, so the order decides only the cost: one replay is far cheaper than
+/// a whole-project rescan and rejects most failing fixes on its own.
 ///
 /// The kQuickfixSoundness fuzz oracle independently re-verifies accepted
 /// fixes against a from-scratch rebuild, so any divergence between the
 /// fork and a rebuild surfaces as an oracle violation.
-bool verify_fix(const php::Project& project, const KnowledgeBase& kb,
-                const AnalysisOptions& options, const AnalysisResult& result,
-                size_t target, const Quickfix& fix,
-                const dynamic::ExecOptions& exec) {
+FixCheck verify_fix(const php::Project& project, const KnowledgeBase& kb,
+                    const AnalysisOptions& options, const AnalysisResult& result,
+                    const std::vector<std::string>& signatures, size_t target,
+                    const Quickfix& fix, const dynamic::ExecOptions& exec) {
+    FixCheck check;
     const std::optional<std::string> patched_text = apply_quickfix(project, fix);
-    if (!patched_text) return false;
+    if (!patched_text) return check;
 
     DiagnosticSink sink;
-    std::optional<php::Project> forked =
+    const std::optional<php::Project> patched =
         project.fork_with_replacement(fix.file, *patched_text, sink);
-    if (!forked) {  // file set changed under us; rebuild the slow way
-        php::Project rebuilt(project.name());
-        for (const auto& file : project.files()) {
-            if (!file || !file->source) continue;
-            if (file->source->name() == fix.file)
-                rebuilt.add_file(fix.file, *patched_text);
-            else
-                rebuilt.add_parsed(file);
-        }
-        rebuilt.parse_all(sink);
-        forked = std::move(rebuilt);
-    }
-    const php::Project& patched = *forked;
-    const php::ParsedFile* parsed = patched.file_named(fix.file);
-    if (!parsed || parsed->parse_failed) return false;
-
-    const ScanResult rescan = Analyzer::borrowing(kb, options).scan(patched);
-    if (rescan.result.files_failed != result.files_failed) return false;
+    if (!patched) return check;
+    check.forked = true;
+    const php::ParsedFile* parsed = patched->file_named(fix.file);
+    if (!parsed || parsed->parse_failed) return check;
 
     const Finding& finding = result.findings[target];
-    const std::string target_key = finding.dedup_key();
+    const std::string payload = Validator::payload_for(finding.kind);
+    dynamic::Interpreter interpreter(*patched, exec);
+    Validator::seed_vector(interpreter, finding.vector, payload);
+    const dynamic::ExecResult run = interpreter.run_file(finding.location.file);
+    if (Validator::judge(finding, run, payload).confirmed) return check;
+
+    check.rescanned = true;
+    const ScanResult rescan = Analyzer::borrowing(kb, options).scan(*patched);
+    if (rescan.result.files_failed != result.files_failed) return check;
     if (rescan.result.findings.size() + 1 != result.findings.size())
-        return false;
+        return check;
+    const std::string target_key = finding.dedup_key();
+    std::string signature;
     size_t j = 0;
     for (size_t i = 0; i < result.findings.size(); ++i) {
         if (i == target) continue;
         const Finding& after = rescan.result.findings[j++];
-        if (after.dedup_key() == target_key) return false;
-        if (finding_signature(after) != finding_signature(result.findings[i]))
-            return false;
+        if (after.dedup_key() == target_key) return check;
+        signature.clear();
+        append_signature(signature, after);
+        if (signature != signatures[i]) return check;
     }
-
-    const std::string payload = Validator::payload_for(finding.kind);
-    dynamic::Interpreter interpreter(patched, exec);
-    Validator::seed_vector(interpreter, finding.vector, payload);
-    const dynamic::ExecResult run = interpreter.run_file(finding.location.file);
-    return !Validator::judge(finding, run, payload).confirmed;
+    check.verified = true;
+    return check;
 }
 
 }  // namespace
@@ -194,17 +202,26 @@ ValidationReport validate_result(const php::Project& project,
             proposals[i] = propose_quickfix(project, kb, result.findings[i]);
             if (proposals[i]) ++report.fixes_proposed;
         }
+        // Every rescan compares against these, so render each once.
+        std::vector<std::string> signatures(report.fixes_proposed > 0 ? n : 0);
+        for (size_t i = 0; i < signatures.size(); ++i)
+            append_signature(signatures[i], result.findings[i]);
 
+        std::vector<FixCheck> checks(n);
         pool.run(n, [&](size_t i) {
             if (!proposals[i]) return;
-            if (verify_fix(project, kb, options, result, i, *proposals[i],
-                           vopts.exec)) {
+            checks[i] = verify_fix(project, kb, options, result, signatures, i,
+                                   *proposals[i], vopts.exec);
+            if (checks[i].verified) {
                 proposals[i]->verified = true;
                 report.cases[i].fix = std::move(proposals[i]);
             }
         });
-        for (const CaseOutcome& outcome : report.cases)
-            if (outcome.fix) ++report.fixes_verified;
+        for (const FixCheck& check : checks) {
+            report.forks += check.forked;
+            report.rescans += check.rescanned;
+            report.fixes_verified += check.verified;
+        }
     }
 
     report.wall_seconds = now_seconds() - start;

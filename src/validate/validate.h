@@ -18,10 +18,11 @@
 //      apply_confidence and from there into the JSON/HTML reports.
 //   4. With fixes enabled, the remediation engine (validate/quickfix.h)
 //      proposes a textual fix per finding and *verifies* each one on the
-//      patched unit — reparse clean, analyzer re-scan kills exactly the
-//      targeted finding with every other finding byte-identical, and the
-//      interpreter replay no longer confirms the flow. Only fixes passing
-//      all gates are emitted.
+//      patched unit, cheapest deciding gate first — reparse clean, then the
+//      interpreter replay no longer confirms the flow, then an analyzer
+//      re-scan kills exactly the targeted finding with every other finding
+//      byte-identical. Only fixes passing all gates are emitted; a fix the
+//      replay rejects costs no re-scan.
 #pragma once
 
 #include <optional>
@@ -74,10 +75,16 @@ struct ValidationReport {
     int executions = 0;
     int fixes_proposed = 0;  ///< proposals the remediation engine produced
     int fixes_verified = 0;  ///< proposals that passed every gate (emitted)
+    /// Verification work: patched projects forked and analyzer re-scans
+    /// run. Cost only, like wall_seconds: never part of the identity.
+    int forks = 0;
+    int rescans = 0;
     double wall_seconds = 0.0;  ///< measured; never part of the identity
 };
 
-/// Runs the pipeline over a scan result. `kb`/`options` must be the
+/// Runs the pipeline over a scan result. `project` must be built (every
+/// added file parsed by parse_all()): fix verification forks it, and a fix
+/// whose file it cannot fork is not verified. `kb`/`options` must be the
 /// configuration that produced `result` (fix verification re-runs the
 /// analyzer with them).
 ValidationReport validate_result(const php::Project& project,

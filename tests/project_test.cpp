@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "corpus/generator.h"
+#include "obs/counters.h"
 #include "php/project.h"
 
 namespace phpsafe::php {
@@ -242,13 +244,34 @@ TEST(IncludeIndexProperty, ProjectResolvesThroughTheIndex) {
     }
 }
 
+/// Whether `ref` points into the AST the project holds for `ref.file`. A
+/// fork answering with the replaced file's old nodes would still render the
+/// same names and lines, so the pointers are checked instead.
+bool is_current(const Project& p, const FunctionRef& ref) {
+    const ParsedFile* file = p.file_named(ref.file);
+    if (!file) return false;
+    for (const ClassDecl* cls : file->facts.classes)
+        for (const FunctionDecl* method : cls->methods)
+            if (method == ref.decl) return ref.owner == cls;
+    return std::ranges::find(file->facts.functions, ref.decl) !=
+           file->facts.functions.end();
+}
+
+bool is_current(const Project& p, const ClassDecl* cls, std::string_view file) {
+    const ParsedFile* parsed = p.file_named(file);
+    return parsed && std::ranges::find(parsed->facts.classes, cls) !=
+                         parsed->facts.classes.end();
+}
+
 /// Everything a consumer can observe of a project's tables, rendered with
-/// declaration lines and files (node pointers differ between two parses).
+/// declaration lines and files (node pointers differ between two parses),
+/// and marked where a lookup answers with a node of a replaced AST.
 std::vector<std::string> observe(const Project& p) {
     std::vector<std::string> out;
-    const auto where = [](const FunctionRef* ref) {
+    const auto where = [&p](const FunctionRef* ref) {
         return ref ? ref->qualified_name() + "@" + std::string(ref->file) + ":" +
-                         std::to_string(ref->decl->line)
+                         std::to_string(ref->decl->line) +
+                         (is_current(p, *ref) ? "" : " (stale)")
                    : std::string("-");
     };
     for (const FunctionRef& ref : p.all_functions()) {
@@ -259,11 +282,13 @@ std::vector<std::string> observe(const Project& p) {
             out.push_back("  find_method_any " +
                           where(p.find_method_any(ref.decl->name)));
             const ClassDecl* cls = p.find_class(ref.owner->name);
+            const std::string& in = p.file_of_class(ref.owner->name);
             out.push_back("  find_class " +
                           (cls ? std::string(cls->name) + ":" +
-                                     std::to_string(cls->line)
+                                     std::to_string(cls->line) +
+                                     (is_current(p, cls, in) ? "" : " (stale)")
                                : std::string("-")) +
-                          " in " + p.file_of_class(ref.owner->name));
+                          " in " + in);
         } else {
             out.push_back("  find_function " +
                           where(p.find_function(ref.decl->name)));
@@ -344,6 +369,145 @@ TEST(ForkProperty, ForkEqualsFreshBuildOfThePatchedSet) {
         }
     }
     EXPECT_GT(forks, 20);
+}
+
+using Files = std::vector<std::pair<std::string, std::string>>;
+
+Project fresh_build(const std::string& name, const Files& files) {
+    Project fresh(name);
+    for (const auto& [file, text] : files) fresh.add_file(file, text);
+    DiagnosticSink sink;
+    fresh.parse_all(sink);
+    return fresh;
+}
+
+/// `text` with `call` inserted right after its opening tag: a one-line
+/// edit that keeps every line number and every declaration.
+std::optional<std::string> with_call(const std::string& text,
+                                     const std::string& call) {
+    const size_t open = text.find("<?php");
+    if (open == std::string::npos) return std::nullopt;
+    std::string out = text;
+    out.insert(open + 5, " " + call + ";");
+    return out;
+}
+
+/// The corpus versions the exactness cases below fork.
+std::vector<std::pair<std::string, Files>> fork_cases() {
+    corpus::CorpusOptions options;
+    options.scale = 0.3;
+    const corpus::Corpus corpus = corpus::generate_corpus(options);
+    std::vector<std::pair<std::string, Files>> out;
+    for (size_t i = 0; i < corpus.plugins.size(); i += 4)
+        for (const corpus::PluginVersionSource* version :
+             {&corpus.plugins[i].v2012, &corpus.plugins[i].v2014})
+            out.emplace_back(corpus.plugins[i].name, version->files);
+    return out;
+}
+
+TEST(ForkProperty, EditCallingAnUncalledPluginFunctionOverlaysExactly) {
+    // Like a sanitize-wrap fix, the edit adds a call on one line; here the
+    // callee is a plugin function nothing called, so uncalled_functions()
+    // and the called-name set change while the declarations do not.
+    int forks = 0;
+    for (const auto& [plugin, files] : fork_cases()) {
+        const Project base = fresh_build(plugin, files);
+        const auto uncalled = base.uncalled_functions();
+        const auto target = std::ranges::find_if(
+            uncalled, [](const FunctionRef& ref) { return !ref.owner; });
+        if (target == uncalled.end()) continue;
+        const std::string callee(target->decl->name);
+        for (size_t f = 0; f < files.size(); ++f) {
+            const std::optional<std::string> patched =
+                with_call(files[f].second, callee + "('x')");
+            if (!patched) continue;
+            Files patched_files = files;
+            patched_files[f].second = *patched;
+            DiagnosticSink sink;
+            const obs::CounterDelta delta;
+            const std::optional<Project> fork =
+                base.fork_with_replacement(files[f].first, *patched, sink);
+            ASSERT_TRUE(fork.has_value());
+            EXPECT_EQ(delta.take().forks_overlaid, 1u) << files[f].first;
+            EXPECT_LT(fork->uncalled_functions().size(), uncalled.size());
+            EXPECT_EQ(observe(*fork), observe(fresh_build(plugin, patched_files)))
+                << plugin << " " << files[f].first << " calls " << callee;
+            ++forks;
+        }
+    }
+    EXPECT_GT(forks, 20);
+}
+
+TEST(ForkProperty, EditRenamingADeclarationRebuildsTheTables) {
+    int forks = 0;
+    for (const auto& [plugin, files] : fork_cases()) {
+        const Project base = fresh_build(plugin, files);
+        for (size_t f = 0; f < files.size(); ++f) {
+            const ParsedFile* parsed = base.file_named(files[f].first);
+            ASSERT_NE(parsed, nullptr);
+            std::string needle;
+            if (!parsed->facts.functions.empty())
+                needle = "function " + std::string(parsed->facts.functions[0]->name);
+            else if (!parsed->facts.classes.empty())
+                needle = "class " + std::string(parsed->facts.classes[0]->name);
+            const size_t at = needle.empty() ? std::string::npos
+                                             : files[f].second.find(needle);
+            if (at == std::string::npos) continue;
+            std::string patched = files[f].second;
+            patched.insert(at + needle.size(), "_renamed");
+            Files patched_files = files;
+            patched_files[f].second = patched;
+            DiagnosticSink sink;
+            const obs::CounterDelta delta;
+            const std::optional<Project> fork =
+                base.fork_with_replacement(files[f].first, patched, sink);
+            ASSERT_TRUE(fork.has_value());
+            EXPECT_EQ(delta.take().forks_merged, 1u) << needle;
+            EXPECT_EQ(observe(*fork), observe(fresh_build(plugin, patched_files)))
+                << plugin << " " << files[f].first << " renames " << needle;
+            ++forks;
+        }
+    }
+    EXPECT_GT(forks, 10);
+}
+
+TEST(ForkProperty, ForkOfAForkOutlivesItsParents) {
+    // Each fork of a fork overlays the first build's tables; both parents
+    // are gone before the grandchild is read.
+    int forks = 0;
+    for (const auto& [plugin, files] : fork_cases()) {
+        if (files.size() < 2) continue;
+        for (const size_t second : {size_t{0}, files.size() - 1}) {
+            const std::optional<std::string> first_text =
+                with_call(files[0].second, "esc_html('a')");
+            const std::optional<std::string> second_text =
+                with_call(second == 0 ? *first_text : files[second].second,
+                          "trim('b')");
+            ASSERT_TRUE(first_text && second_text);
+            Files patched_files = files;
+            patched_files[0].second = *first_text;
+            patched_files[second].second = *second_text;
+
+            DiagnosticSink sink;
+            std::optional<Project> grandchild;
+            const obs::CounterDelta delta;
+            {
+                const Project base = fresh_build(plugin, files);
+                const std::optional<Project> child =
+                    base.fork_with_replacement(files[0].first, *first_text, sink);
+                ASSERT_TRUE(child.has_value());
+                grandchild = child->fork_with_replacement(files[second].first,
+                                                          *second_text, sink);
+            }
+            ASSERT_TRUE(grandchild.has_value());
+            EXPECT_EQ(delta.take().forks_overlaid, 2u);
+            EXPECT_EQ(observe(*grandchild),
+                      observe(fresh_build(plugin, patched_files)))
+                << plugin << " second edit in " << files[second].first;
+            ++forks;
+        }
+    }
+    EXPECT_GT(forks, 10);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -12,6 +13,7 @@
 
 #include "baselines/analyzers.h"
 #include "core/analyzer.h"
+#include "corpus/generator.h"
 #include "dynamic/validator.h"
 #include "php/project.h"
 #include "validate/quickfix.h"
@@ -227,6 +229,111 @@ TEST(ValidateTest, ForkTracksDeclarationChanges) {
                      .fork_with_replacement("missing.php", "<?php\n",
                                             missing_sink)
                      .has_value());
+}
+
+TEST(ValidateTest, FixTheReplayStillConfirmsCostsNoRescan) {
+    // Two sinks print the same input: wrapping either one leaves the other
+    // printing the payload, so the replay rejects both fixes and no rescan
+    // runs. The one-sink control is verified and does rescan.
+    Pipeline p = analyze(
+        "<?php\n"
+        "echo $_GET['a'];\n"
+        "echo $_GET['b'];\n");
+    ASSERT_EQ(p.analysis.findings.size(), 2u);
+    const ValidationReport report = run(p);
+    EXPECT_EQ(report.fixes_proposed, 2);
+    EXPECT_EQ(report.forks, 2);
+    EXPECT_EQ(report.rescans, 0);
+    EXPECT_EQ(report.fixes_verified, 0);
+
+    Pipeline control = analyze("<?php\necho $_GET['a'];\n");
+    const ValidationReport verified = run(control);
+    EXPECT_EQ(verified.forks, 1);
+    EXPECT_EQ(verified.rescans, 1);
+    EXPECT_EQ(verified.fixes_verified, 1);
+}
+
+/// The reference verdict for one fix: a from-scratch rebuild of the patched
+/// file set, checked in the original gate order (rescan and compare before
+/// the replay) — what the pipeline's fork and gate order must reproduce.
+bool verify_from_scratch(const Tool& tool, const php::Project& project,
+                         const AnalysisResult& result, size_t target,
+                         const Quickfix& fix) {
+    const std::optional<std::string> patched_text = apply_quickfix(project, fix);
+    if (!patched_text) return false;
+    php::Project patched(project.name());
+    for (const auto& file : project.files())
+        patched.add_file(std::string(file->source->name()),
+                         file->source->name() == fix.file
+                             ? *patched_text
+                             : std::string(file->source->text()));
+    DiagnosticSink sink;
+    patched.parse_all(sink);
+    const php::ParsedFile* parsed = patched.file_named(fix.file);
+    if (!parsed || parsed->parse_failed) return false;
+
+    const AnalysisResult after = run_tool(tool, patched);
+    if (after.files_failed != result.files_failed) return false;
+    const Finding& finding = result.findings[target];
+    if (after.findings.size() + 1 != result.findings.size()) return false;
+    const auto signature = [](const Finding& f) {
+        std::string sig = to_string(f) + '\n';
+        for (const TaintStep& step : f.trace)
+            sig += "  " + to_string(step.location) + ' ' + step.description + '\n';
+        return sig;
+    };
+    size_t j = 0;
+    for (size_t i = 0; i < result.findings.size(); ++i) {
+        if (i == target) continue;
+        const Finding& kept = after.findings[j++];
+        if (kept.dedup_key() == finding.dedup_key()) return false;
+        if (signature(kept) != signature(result.findings[i])) return false;
+    }
+    return !Validator(patched).validate(finding).confirmed;
+}
+
+TEST(ValidateTest, EveryFixVerdictMatchesAFromScratchRebuild) {
+    // Scale 0.5 is the smallest at which some fixes fail: at 0.25 every
+    // proposal verifies, so rejected verdicts would go unchecked.
+    corpus::CorpusOptions options;
+    options.scale = 0.5;
+    const corpus::Corpus corpus = corpus::generate_corpus(options);
+    const Tool tool = make_phpsafe_tool();
+    int accepted = 0, rejected = 0;
+    std::vector<std::pair<const corpus::GeneratedPlugin*,
+                          const corpus::PluginVersionSource*>> versions;
+    for (const corpus::GeneratedPlugin& plugin : corpus.plugins)
+        for (const auto* version : {&plugin.v2012, &plugin.v2014})
+            versions.emplace_back(&plugin, version);
+    for (const auto& [plugin, version] : versions) {
+        DiagnosticSink sink;
+        const php::Project project =
+            corpus::build_project(*plugin, *version, sink);
+        const AnalysisResult result = run_tool(tool, project);
+        ValidateOptions vopts;
+        vopts.workers = 1;
+        const ValidationReport report =
+            validate_result(project, tool.kb, tool.options, result, vopts);
+        ASSERT_EQ(report.cases.size(), result.findings.size());
+        EXPECT_EQ(report.forks, report.fixes_proposed) << plugin->name;
+        EXPECT_GE(report.rescans, report.fixes_verified) << plugin->name;
+        for (size_t i = 0; i < result.findings.size(); ++i) {
+            const std::optional<Quickfix> fix =
+                propose_quickfix(project, tool.kb, result.findings[i]);
+            if (!fix) {
+                EXPECT_FALSE(report.cases[i].fix.has_value());
+                continue;
+            }
+            const bool expected =
+                verify_from_scratch(tool, project, result, i, *fix);
+            EXPECT_EQ(report.cases[i].fix.has_value(), expected)
+                << plugin->name << " " << version->version << " finding "
+                << i << ": " << to_string(result.findings[i]);
+            ++(expected ? accepted : rejected);
+        }
+    }
+    EXPECT_GT(accepted, 20);
+    EXPECT_GT(rejected, 5);
 }
 
 TEST(QuickfixTest, SanitizeWrapVerifiedOnPlainEcho) {
