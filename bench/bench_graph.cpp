@@ -11,13 +11,16 @@
 //           re-analysis of the whole project) + render_scan_line.
 //   watch — the watch-mode path (service/watch.h): one small NDJSON edit
 //           line naming only the changed files. Timed region: parse +
-//           WatchSession::edit (pinned ASTs skip hash/probe for every
-//           unchanged file; the invalidated cone comes from the reverse
+//           WatchSession::edit (a fork of the session's built project
+//           that parses the edited files alone and hands the scan a
+//           finished model; the invalidated cone comes from the reverse
 //           project graph) + render_edit_line (delta findings only).
 //
-// Both paths run the full file set through the same perform_scan, so their
-// reports agree byte-for-byte; what differs is the per-edit overhead, which
-// is O(tree bytes) for the warm path and O(cone) for watch. The sweep runs
+// Both paths analyze the full file set through the same perform_scan, so
+// their reports agree byte-for-byte; what differs is the per-edit
+// overhead around the analysis, which is O(tree bytes) for the warm path
+// (decode, hash and probe every file, rebuild the model) and O(edit) for
+// watch. The sweep runs
 // monorepo scales 1/2/4/8 (~1.3k to ~10k files), single-edit and 16-edit
 // batches, best-of-N reps. Results go to BENCH_graph.json (committed).
 //
@@ -48,6 +51,7 @@
 #include <vector>
 
 #include "corpus/generator.h"
+#include "host.h"
 #include "report/export.h"
 #include "service/ndjson.h"
 #include "service/service.h"
@@ -482,8 +486,9 @@ int main(int argc, char** argv) {
     w.kv("scenario",
          "per-edit cost after the first scan of a generated monorepo: the "
          "whole-request warm path (full NDJSON scan line: parse + re-hash + "
-         "probe every file + scan + full report render) vs the watch path "
-         "(one edit line: cone-bounded re-analysis over pinned ASTs + delta "
+         "probe every file + model rebuild + scan + full report render) vs "
+         "the watch path (one edit line: fork of the session's built project "
+         "re-parsing only the edited file + full re-analysis + delta "
          "render); identical services, identical findings, best-of-reps");
     w.kv("timing_reps", reps);
     w.kv("workers", 1);
@@ -530,6 +535,7 @@ int main(int argc, char** argv) {
     w.kv("watch_ms", smoke.single.watch_seconds * 1e3, 3);
     w.kv("watch_over_warm", smoke_ratio, 3);
     w.end_object();
+    bench::write_host(w);
     w.end_object();
     out << "\n";
     std::cout << "wrote " << out_path << "\n";

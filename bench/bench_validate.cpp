@@ -14,7 +14,7 @@
 //   batched    — validate/validate.h: findings grouped by execution key
 //                (entry file, payload, seed class) share one interpreter
 //                run each; fix verification re-parses only the patched file
-//                (php::Project::fork_with_replacement shares every other
+//                (php::Project::fork_with_replacements shares every other
 //                AST and the declaration tables) and replays the finding
 //                before it pays for a rescan.
 //
@@ -475,7 +475,7 @@ int main(int argc, char** argv) {
          "per finding, then per fix a from-text project rebuild + cold "
          "analyzer rescan + replay) vs the batch pipeline (findings sharing "
          "an execution key share one run; each fix forks the project "
-         "re-parsing only the patched file (fork_with_replacement), "
+         "re-parsing only the patched file (fork_with_replacements), "
          "replays the finding first and rescans only when the replay no "
          "longer confirms it). Outcomes byte-identical case by case, "
          "best-of-reps, single worker so the speedup is algorithmic");

@@ -24,29 +24,6 @@ struct EvalDepthScope {
     int& depth_;
 };
 
-void append_ascii_lower(std::string& out, std::string_view s) {
-    for (char c : s)
-        out.push_back(c >= 'A' && c <= 'Z' ? static_cast<char>(c + ('a' - 'A'))
-                                           : c);
-}
-
-/// Summary-store key for a function: ascii_lower(ref.qualified_name()) in a
-/// single allocation. Stage 3 recomputes this for every declared function on
-/// every scan.
-std::string lowered_key(const php::FunctionRef& ref) {
-    std::string key;
-    if (!ref.decl) return "<null>";
-    if (ref.owner) {
-        key.reserve(ref.owner->name.size() + ref.decl->name.size() + 2);
-        append_ascii_lower(key, ref.owner->name);
-        key += "::";
-    } else {
-        key.reserve(ref.decl->name.size());
-    }
-    append_ascii_lower(key, ref.decl->name);
-    return key;
-}
-
 /// Best-effort static reconstruction of an include path: concatenates the
 /// literal fragments of concat chains / interpolated strings and ignores
 /// dynamic parts (dirname(__FILE__), constants, ...).
@@ -148,7 +125,7 @@ AnalysisResult Engine::analyze(const php::Project& project) {
     globals_ = Scope{};
     globals_.is_global = true;
     properties_.clear();
-    summaries_.clear();
+    summaries_.reset(project.summary_slots());
     included_once_.clear();
     include_stack_.clear();
     analyzed_closures_.clear();
@@ -197,10 +174,8 @@ AnalysisResult Engine::analyze(const php::Project& project) {
     // dynamic calls) is analyzed for 100% code coverage.
     if (options_.analyze_uncalled_functions) {
         for (const php::FunctionRef& ref : project.all_functions()) {
-            if (!ref.decl) continue;
-            const std::string key = lowered_key(ref);
-            const FunctionSummary* s = summaries_.find(key);
-            if (!s || !s->analyzed) summarize(ref);
+            if (ref.decl && !summaries_.at(ref.summary_slot).analyzed)
+                summarize(ref);
         }
     }
 
@@ -245,7 +220,7 @@ void Engine::analyze_entry_file(const php::ParsedFile& file) {
     include_stack_.clear();
     include_stack_.push_back(&file);
     included_once_.clear();
-    included_once_.insert(file.source->name());
+    included_once_.push_back(file.source->name());
     exec_stmts(file.unit.statements, scope);
     // The file-level scope dies here, but `global $x` statements alias into
     // globals_, which persists across entry files: taint written to a plain
@@ -1322,8 +1297,7 @@ TaintValue Engine::apply_user_function(const php::FunctionRef& ref,
 
 FunctionSummary& Engine::summarize(const php::FunctionRef& ref,
                                    const std::vector<TaintValue>* first_call_args) {
-    const std::string key = lowered_key(ref);
-    FunctionSummary& summary = summaries_.slot(key);
+    FunctionSummary& summary = summaries_.slot(ref.summary_slot);
     if (summary.analyzed || summary.in_progress) {
         ++obs::tls().summaries_reused;
         return summary;
@@ -1429,9 +1403,11 @@ TaintValue Engine::eval_include(const php::IncludeExpr& inc, Scope& scope) {
         if (active == resolved) return TaintValue::clean();
     const bool once = inc.include_kind == php::IncludeKind::kIncludeOnce ||
                       inc.include_kind == php::IncludeKind::kRequireOnce;
-    if (once && included_once_.count(resolved->source->name()))
+    const std::string_view resolved_name = resolved->source->name();
+    if (std::ranges::find(included_once_, resolved_name) == included_once_.end())
+        included_once_.push_back(resolved_name);
+    else if (once)
         return TaintValue::clean();
-    included_once_.insert(resolved->source->name());
 
     if (static_cast<int>(include_stack_.size()) >= options_.max_include_depth) {
         // Paper §V.E: phpSAFE failed on files "that had many includes and

@@ -290,7 +290,10 @@ private:
     Scope globals_;
     PropertyStore properties_;
     SummaryStore summaries_;
-    std::set<std::string> included_once_;
+    /// Names of the files entered by this entry file's run, viewing the
+    /// names the project's files own. An entry includes few files, so a
+    /// flat list beats a node per insert.
+    std::vector<std::string_view> included_once_;
     std::vector<const php::ParsedFile*> include_stack_;
     std::set<const php::Closure*> analyzed_closures_;
     /// Classes whose `new` is currently being evaluated. A property default

@@ -2,20 +2,14 @@
 
 namespace phpsafe {
 
-FunctionSummary& SummaryStore::slot(const std::string& qualified_lower) {
-    return summaries_[qualified_lower];
+void SummaryStore::reset(size_t slots) {
+    summaries_.clear();
+    summaries_.resize(slots);
 }
-
-const FunctionSummary* SummaryStore::find(const std::string& qualified_lower) const {
-    const auto it = summaries_.find(qualified_lower);
-    return it == summaries_.end() ? nullptr : &it->second;
-}
-
-void SummaryStore::clear() { summaries_.clear(); }
 
 size_t SummaryStore::analyzed_count() const noexcept {
     size_t count = 0;
-    for (const auto& [name, summary] : summaries_) count += summary.analyzed;
+    for (const FunctionSummary& summary : summaries_) count += summary.analyzed;
     return count;
 }
 

@@ -7,7 +7,6 @@
 // `in_progress` marker, matching the paper's endless-loop guard.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -58,19 +57,22 @@ struct FunctionSummary {
     std::vector<ParamOut> param_outputs;
 };
 
-/// Keyed map of summaries ("function" or "class::method", lowercased).
+/// One run's summaries, indexed by php::FunctionRef::summary_slot: every
+/// declaration of one folded qualified name ("function" or
+/// "class::method") shares a summary.
 class SummaryStore {
 public:
-    FunctionSummary& slot(const std::string& qualified_lower);
-    const FunctionSummary* find(const std::string& qualified_lower) const;
-    void clear();
-    size_t size() const noexcept { return summaries_.size(); }
+    /// Drops every summary and makes room for `slots` (the project's
+    /// php::Project::summary_slots()).
+    void reset(size_t slots);
+    FunctionSummary& slot(uint32_t index) { return summaries_[index]; }
+    const FunctionSummary& at(uint32_t index) const { return summaries_[index]; }
 
     /// Number of summaries whose body was analyzed (engine statistics).
     size_t analyzed_count() const noexcept;
 
 private:
-    std::map<std::string, FunctionSummary> summaries_;
+    std::vector<FunctionSummary> summaries_;
 };
 
 }  // namespace phpsafe

@@ -1,6 +1,7 @@
 #include "dynamic/interpreter.h"
 
 #include <algorithm>
+#include <cmath>
 #include <regex>
 
 #include "util/strings.h"
@@ -408,6 +409,141 @@ Value modulo(const Value& lhs, const Value& rhs) {
     return Value::integer(y == -1 ? 0 : x % y);
 }
 
+/// PHP's **: an int base and a non-negative int exponent give an int
+/// unless it overflows; anything else is pow() on floats.
+Value power(const Value& lhs, const Value& rhs) {
+    const Value a = lhs.to_number(), b = rhs.to_number();
+    if (a.type() == Value::Type::kInt && b.type() == Value::Type::kInt &&
+        b.to_int() >= 0) {
+        long base = a.to_int(), exponent = b.to_int(), r = 1;
+        bool overflow = false;
+        while (exponent > 0 && !overflow) {
+            if (exponent & 1) overflow = __builtin_mul_overflow(r, base, &r);
+            exponent >>= 1;
+            if (exponent > 0 && !overflow)
+                overflow = __builtin_mul_overflow(base, base, &base);
+        }
+        if (!overflow) return Value::integer(r);
+    }
+    return Value::real(std::pow(a.to_float(), b.to_float()));
+}
+
+/// PHP's & | ^: two strings combine byte by byte (| keeps the longer
+/// string's tail, & and ^ stop at the shorter), anything else as ints.
+Value bitwise(php::BinaryOp op, const Value& lhs, const Value& rhs) {
+    using php::BinaryOp;
+    if (lhs.is_string() && rhs.is_string()) {
+        const std::string a = lhs.to_string(), b = rhs.to_string();
+        const std::string& longer = a.size() >= b.size() ? a : b;
+        std::string out = op == BinaryOp::kBitOr ? longer : std::string();
+        out.resize(op == BinaryOp::kBitOr ? longer.size()
+                                          : std::min(a.size(), b.size()));
+        for (size_t i = 0; i < std::min(a.size(), b.size()); ++i)
+            out[i] = static_cast<char>(op == BinaryOp::kBitAnd ? a[i] & b[i]
+                                       : op == BinaryOp::kBitOr ? a[i] | b[i]
+                                                                : a[i] ^ b[i]);
+        return Value::string(std::move(out));
+    }
+    const long x = lhs.to_int(), y = rhs.to_int();
+    switch (op) {
+        case BinaryOp::kBitAnd: return Value::integer(x & y);
+        case BinaryOp::kBitOr: return Value::integer(x | y);
+        default: return Value::integer(x ^ y);
+    }
+}
+
+/// PHP's << and >> on ints: a shift by 64 or more gives 0 (or -1 for >>
+/// of a negative); a negative shift throws in PHP and yields null here.
+Value shift(php::BinaryOp op, const Value& lhs, const Value& rhs) {
+    const long x = lhs.to_int(), y = rhs.to_int();
+    if (y < 0) return Value();
+    constexpr long kBits = 64;
+    if (op == php::BinaryOp::kShl)
+        return Value::integer(
+            y >= kBits ? 0
+                       : static_cast<long>(static_cast<unsigned long>(x) << y));
+    return Value::integer(y >= kBits ? (x < 0 ? -1 : 0) : x >> y);
+}
+
+/// PHP's <=>: two non-numeric strings compare byte-wise, anything else
+/// numerically.
+Value spaceship(const Value& lhs, const Value& rhs) {
+    int order = 0;
+    if (lhs.is_string() && rhs.is_string() &&
+        !(is_numeric_string(lhs.to_string()) && is_numeric_string(rhs.to_string()))) {
+        order = lhs.to_string().compare(rhs.to_string());
+    } else {
+        const double x = lhs.to_float(), y = rhs.to_float();
+        order = x < y ? -1 : x > y ? 1 : 0;
+    }
+    return Value::integer(order < 0 ? -1 : order > 0 ? 1 : 0);
+}
+
+/// One strict (both-operands) binary operator applied to its values.
+Value apply_binary(php::BinaryOp op, Value lhs, const Value& rhs) {
+    using php::BinaryOp;
+    switch (op) {
+        case BinaryOp::kConcat:
+            return Value::string(std::move(lhs).to_string() + rhs.to_string());
+        case BinaryOp::kAdd:
+        case BinaryOp::kSub:
+        case BinaryOp::kMul:
+        case BinaryOp::kDiv:
+            return arithmetic(op, lhs, rhs);
+        case BinaryOp::kMod: return modulo(lhs, rhs);
+        case BinaryOp::kPow: return power(lhs, rhs);
+        case BinaryOp::kEq: return Value::boolean(lhs.loose_equals(rhs));
+        case BinaryOp::kNotEq: return Value::boolean(!lhs.loose_equals(rhs));
+        case BinaryOp::kIdentical:
+            return Value::boolean(lhs.type() == rhs.type() && lhs.loose_equals(rhs));
+        case BinaryOp::kNotIdentical:
+            return Value::boolean(!(lhs.type() == rhs.type() && lhs.loose_equals(rhs)));
+        case BinaryOp::kLt: return Value::boolean(lhs.to_float() < rhs.to_float());
+        case BinaryOp::kGt: return Value::boolean(lhs.to_float() > rhs.to_float());
+        case BinaryOp::kLtEq: return Value::boolean(lhs.to_float() <= rhs.to_float());
+        case BinaryOp::kGtEq: return Value::boolean(lhs.to_float() >= rhs.to_float());
+        case BinaryOp::kSpaceship: return spaceship(lhs, rhs);
+        case BinaryOp::kCoalesce: return lhs.is_null() ? rhs : lhs;
+        case BinaryOp::kXor:
+            return Value::boolean(lhs.to_bool() != rhs.to_bool());
+        case BinaryOp::kBitAnd:
+        case BinaryOp::kBitOr:
+        case BinaryOp::kBitXor:
+            return bitwise(op, lhs, rhs);
+        case BinaryOp::kShl:
+        case BinaryOp::kShr:
+            return shift(op, lhs, rhs);
+        case BinaryOp::kAnd:  // short-circuit: eval_binary evaluates these
+        case BinaryOp::kOr:
+            break;
+    }
+    return Value();
+}
+
+/// The binary operator a compound assignment applies (`$a op= $b` is
+/// `$a = $a op $b`).
+php::BinaryOp compound_op(php::AssignOp op) {
+    using php::AssignOp;
+    using php::BinaryOp;
+    switch (op) {
+        case AssignOp::kConcat: return BinaryOp::kConcat;
+        case AssignOp::kPlus: return BinaryOp::kAdd;
+        case AssignOp::kMinus: return BinaryOp::kSub;
+        case AssignOp::kMul: return BinaryOp::kMul;
+        case AssignOp::kDiv: return BinaryOp::kDiv;
+        case AssignOp::kMod: return BinaryOp::kMod;
+        case AssignOp::kPow: return BinaryOp::kPow;
+        case AssignOp::kBitAnd: return BinaryOp::kBitAnd;
+        case AssignOp::kBitOr: return BinaryOp::kBitOr;
+        case AssignOp::kBitXor: return BinaryOp::kBitXor;
+        case AssignOp::kShl: return BinaryOp::kShl;
+        case AssignOp::kShr: return BinaryOp::kShr;
+        case AssignOp::kAssign:
+        case AssignOp::kCoalesce: break;
+    }
+    return BinaryOp::kCoalesce;  // unreachable for compound operators
+}
+
 }  // namespace
 
 Value Interpreter::eval(const php::Expr& expr, Frame& frame) {
@@ -747,74 +883,16 @@ void Interpreter::assign_to(const php::Expr& target, Value value, Frame& frame) 
 Value Interpreter::eval_assign(const php::Assign& assign, Frame& frame) {
     if (!assign.target || !assign.value) return Value();
     Value value = eval(*assign.value, frame);
-    switch (assign.op) {
-        case php::AssignOp::kAssign:
-            break;
-        case php::AssignOp::kConcat:
-            value = Value::string(eval(*assign.target, frame).to_string() +
-                                  value.to_string());
-            break;
-        case php::AssignOp::kPlus:
-            value = arithmetic(php::BinaryOp::kAdd, eval(*assign.target, frame), value);
-            break;
-        case php::AssignOp::kMinus:
-            value = arithmetic(php::BinaryOp::kSub, eval(*assign.target, frame), value);
-            break;
-        case php::AssignOp::kMul:
-            value = arithmetic(php::BinaryOp::kMul, eval(*assign.target, frame), value);
-            break;
-        case php::AssignOp::kDiv:
-            value = arithmetic(php::BinaryOp::kDiv, eval(*assign.target, frame), value);
-            break;
-        case php::AssignOp::kMod:
-            value = modulo(eval(*assign.target, frame), value);
-            break;
-        case php::AssignOp::kCoalesce: {
-            const Value current = eval(*assign.target, frame);
-            if (!current.is_null()) return current;
-            break;
-        }
-        default:
-            value = Value::integer(value.to_int());
-            break;
+    if (assign.op == php::AssignOp::kCoalesce) {
+        const Value current = eval(*assign.target, frame);
+        if (!current.is_null()) return current;
+    } else if (assign.op != php::AssignOp::kAssign) {
+        value = apply_binary(compound_op(assign.op), eval(*assign.target, frame),
+                             value);
     }
     assign_to(*assign.target, value, frame);
     return value;
 }
-
-namespace {
-
-/// One strict (both-operands) binary operator applied to its values.
-Value apply_binary(php::BinaryOp op, Value lhs, const Value& rhs) {
-    using php::BinaryOp;
-    switch (op) {
-        case BinaryOp::kConcat:
-            return Value::string(std::move(lhs).to_string() + rhs.to_string());
-        case BinaryOp::kAdd:
-        case BinaryOp::kSub:
-        case BinaryOp::kMul:
-        case BinaryOp::kDiv:
-            return arithmetic(op, lhs, rhs);
-        case BinaryOp::kMod: return modulo(lhs, rhs);
-        case BinaryOp::kEq: return Value::boolean(lhs.loose_equals(rhs));
-        case BinaryOp::kNotEq: return Value::boolean(!lhs.loose_equals(rhs));
-        case BinaryOp::kIdentical:
-            return Value::boolean(lhs.type() == rhs.type() && lhs.loose_equals(rhs));
-        case BinaryOp::kNotIdentical:
-            return Value::boolean(!(lhs.type() == rhs.type() && lhs.loose_equals(rhs)));
-        case BinaryOp::kLt: return Value::boolean(lhs.to_float() < rhs.to_float());
-        case BinaryOp::kGt: return Value::boolean(lhs.to_float() > rhs.to_float());
-        case BinaryOp::kLtEq: return Value::boolean(lhs.to_float() <= rhs.to_float());
-        case BinaryOp::kGtEq: return Value::boolean(lhs.to_float() >= rhs.to_float());
-        case BinaryOp::kCoalesce: return lhs.is_null() ? rhs : lhs;
-        case BinaryOp::kXor:
-            return Value::boolean(lhs.to_bool() != rhs.to_bool());
-        default:
-            return Value::integer(0);
-    }
-}
-
-}  // namespace
 
 Value Interpreter::eval_binary(const php::Binary& bin, Frame& frame) {
     using php::BinaryOp;

@@ -55,10 +55,10 @@ namespace phpsafe::obs {
     X(watch_edits, "file-change events applied to watch sessions")              \
     X(watch_cone_files, "files inside the invalidated cone of watch edits")     \
     X(graph_builds, "project graphs linked from file facts")                    \
-    X(forks_overlaid, "single-file project forks that overlaid the shared "     \
-                      "declaration tables")                                     \
-    X(forks_merged, "single-file project forks that rebuilt every table (the "  \
-                    "replaced file's declarations changed)")                    \
+    X(forks_overlaid, "project forks that overlaid the shared declaration "      \
+                      "tables")                                                 \
+    X(forks_merged, "project forks that rebuilt every table (a replaced "       \
+                    "file's declarations changed)")                             \
     X(alloc_arena_bytes, "bytes handed out by per-file AST arenas")             \
     X(alloc_arena_blocks, "heap blocks backing AST arenas (the model's "        \
                           "entire malloc traffic)")                             \

@@ -976,6 +976,18 @@ ExprPtr Parser::parse_unary() {
         node->op = op;
         node->operand = parse_unary();
         if (!node->operand) return nullptr;
+        // `**` binds tighter than a prefix operator: -2 ** 2 is -(2 ** 2).
+        // The right-associative rhs takes any further `**`.
+        if (check(TokenKind::kPow)) {
+            auto* pow = arena_.create<Binary>();
+            pow->line = current().line;
+            consume();
+            pow->op = BinaryOp::kPow;
+            pow->lhs = node->operand;
+            pow->rhs = parse_expression(kBpPow);
+            if (!pow->rhs) return nullptr;
+            node->operand = pow;
+        }
         return node;
     };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory_resource>
@@ -349,13 +350,14 @@ bool same_declarations(const FactsBlock& before, const FactsBlock& after) {
     return true;
 }
 
-template <typename Decl, typename Entry>
-const Entry* remapped(const std::vector<std::pair<const Decl*, Entry>>& entries,
-                      const Decl* decl) {
+/// The entry `entries` (sorted by key) holds for `key`, which must be there.
+template <typename Key, typename Entry>
+const Entry& remapped(const std::vector<std::pair<Key, Entry>>& entries,
+                      Key key) {
     const auto it = std::lower_bound(
-        entries.begin(), entries.end(), decl,
-        [](const auto& entry, const Decl* d) { return entry.first < d; });
-    return &it->second;
+        entries.begin(), entries.end(), key,
+        [](const auto& entry, Key k) { return std::less<Key>{}(entry.first, k); });
+    return it->second;
 }
 
 }  // namespace
@@ -371,14 +373,27 @@ struct Project::Tables {
     /// allocation and lookups pass mixed-case string_views straight from
     /// AST nodes without allocating a folded temporary. The merge emplaces
     /// in declaration order, so the first declaration of a duplicated name
-    /// wins.
+    /// wins, and its summary slot is the one every later declaration of the
+    /// name shares.
     std::map<std::string_view, FunctionRef, FoldedLess> functions;
     std::map<std::string_view, ClassEntry, FoldedLess> classes;
     std::map<MethodKey, FunctionRef, MethodKeyLess> methods;
     std::vector<FunctionRef> function_list;
+    /// File i's declarations are function_list[file_functions[i],
+    /// file_functions[i + 1]).
+    std::vector<uint32_t> file_functions;
+    uint32_t summary_slots = 0;
+    /// Files held at more than one position, sorted (an overlay cannot
+    /// replace one position of such a file).
+    std::vector<const ParsedFile*> shared_files;
     CalledNames called_functions;
     CalledNames called_methods;
     IncludeIndex include_index;
+
+    bool shared(const ParsedFile* file) const {
+        return std::binary_search(shared_files.begin(), shared_files.end(), file,
+                                  std::less<const ParsedFile*>{});
+    }
 };
 
 /// What a fork sees differently from the shared tables when its replaced
@@ -386,13 +401,17 @@ struct Project::Tables {
 /// winners of every lookup, now in the new ASTs.
 struct Project::Overlay {
     std::vector<size_t> slots;  ///< replaced file positions
-    /// unit.file_name of each replaced file as the tables know it: an entry
-    /// viewing one of these strings was declared by a replaced file.
-    std::vector<const std::string*> old_names;
-    /// Each replaced file's declarations, old decl -> new entry, sorted by
+    /// unit.file_name data of each replaced file as the tables know it,
+    /// sorted: an entry viewing one of these strings was declared by a
+    /// replaced file.
+    std::vector<const char*> old_names;
+    /// Each replaced file's functions and methods, old decl -> position in
+    /// function_list, and its classes, old decl -> new entry; both sorted by
     /// the old pointer.
-    std::vector<std::pair<const FunctionDecl*, FunctionRef>> functions;
+    std::vector<std::pair<const FunctionDecl*, uint32_t>> functions;
     std::vector<std::pair<const ClassDecl*, ClassEntry>> classes;
+    /// The tables' list with the replaced files' ranges pointing at the new
+    /// ASTs.
     std::vector<FunctionRef> function_list;
     /// Set only when a name entered or left the tables' set.
     std::optional<std::vector<std::string_view>> called_functions;
@@ -400,55 +419,62 @@ struct Project::Overlay {
 
     /// Whether `file`, a view of some unit.file_name, is a replaced file's.
     bool replaced(std::string_view file) const {
-        return std::ranges::any_of(old_names, [&](const std::string* name) {
-            return name->data() == file.data();
-        });
+        return std::binary_search(old_names.begin(), old_names.end(), file.data(),
+                                  std::less<const char*>{});
     }
 
     const FunctionRef* current(const FunctionRef& ref) const {
-        return replaced(ref.file) ? remapped(functions, ref.decl) : &ref;
+        return replaced(ref.file) ? &function_list[remapped(functions, ref.decl)]
+                                  : &ref;
     }
 
     const ClassEntry& current(const ClassEntry& entry) const {
-        return replaced(*entry.file) ? *remapped(classes, entry.decl) : entry;
+        return replaced(*entry.file) ? remapped(classes, entry.decl) : entry;
     }
 
     /// The overlay of `files` — `base.files` with the files at `slots`
     /// replaced — or null when a replaced file declares something else
     /// (or is shared by two slots of the base), which needs a full merge.
+    /// Costs the replaced files' declarations and names plus one copy of
+    /// the function list.
     static std::shared_ptr<const Overlay> build(const Tables& base,
                                                 const Files& files,
                                                 std::vector<size_t> slots) {
         if (files.size() != base.files.size()) return nullptr;
         auto overlay = std::make_shared<Overlay>();
+        overlay->function_list = base.function_list;
         for (const size_t slot : slots) {
             const ParsedFile& before = *base.files[slot];
             const ParsedFile& after = *files[slot];
             if (!same_declarations(before.facts, after.facts) ||
-                std::ranges::count(base.files, base.files[slot]) != 1)
+                base.shared(&before))
                 return nullptr;
-            overlay->old_names.push_back(&before.unit.file_name);
+            overlay->old_names.push_back(before.unit.file_name.data());
             const std::string& file = after.unit.file_name;
+            // The file's range of function_list holds its declarations in
+            // the order the facts block lists them (merge_facts).
+            uint32_t at = base.file_functions[slot];
+            const auto replace = [&](const FunctionDecl* decl,
+                                     const ClassDecl* owner) {
+                FunctionRef& ref = overlay->function_list[at];
+                overlay->functions.emplace_back(ref.decl, at++);
+                ref = FunctionRef{decl, owner, file, ref.summary_slot};
+            };
             for (size_t c = 0; c < before.facts.classes.size(); ++c) {
-                const ClassDecl* was = before.facts.classes[c];
                 const ClassDecl* cls = after.facts.classes[c];
-                overlay->classes.emplace_back(was, ClassEntry{cls, &file});
-                for (size_t m = 0; m < cls->methods.size(); ++m)
-                    overlay->functions.emplace_back(
-                        was->methods[m], FunctionRef{cls->methods[m], cls, file});
+                overlay->classes.emplace_back(before.facts.classes[c],
+                                              ClassEntry{cls, &file});
+                for (const FunctionDecl* method : cls->methods) replace(method, cls);
             }
-            for (size_t f = 0; f < before.facts.functions.size(); ++f)
-                overlay->functions.emplace_back(
-                    before.facts.functions[f],
-                    FunctionRef{after.facts.functions[f], nullptr, file});
+            for (const FunctionDecl* fn : after.facts.functions) replace(fn, nullptr);
         }
         const auto by_old = [](const auto& a, const auto& b) {
-            return a.first < b.first;
+            return std::less<>{}(a.first, b.first);
         };
         std::sort(overlay->functions.begin(), overlay->functions.end(), by_old);
         std::sort(overlay->classes.begin(), overlay->classes.end(), by_old);
-        overlay->function_list = base.function_list;
-        for (FunctionRef& ref : overlay->function_list) ref = *overlay->current(ref);
+        std::sort(overlay->old_names.begin(), overlay->old_names.end(),
+                  std::less<const char*>{});
         overlay->called_functions = base.called_functions.patched(
             base.files, files, slots, called_function_lists);
         overlay->called_methods = base.called_methods.patched(
@@ -569,22 +595,39 @@ void Project::parse_all(DiagnosticSink& sink) {
         thread_cpu_seconds() - build_start - lex_seconds;
 }
 
-std::optional<Project> Project::fork_with_replacement(
-    std::string_view file_name, std::string text, DiagnosticSink& sink) const {
+std::optional<Project> Project::fork_with_replacements(
+    std::vector<Replacement> replacements, DiagnosticSink& sink) const {
     // An unbuilt project (pending files) has an empty include index, so an
     // unknown file and a project that was never parsed both refuse here.
-    const size_t slot = tables_->include_index.find(file_name);
-    if (slot == IncludeIndex::npos || !pending_.empty()) return std::nullopt;
-
+    // Every name is checked before anything is parsed, so a refused fork
+    // costs nothing.
+    if (!pending_.empty()) return std::nullopt;
+    std::vector<size_t> positions;
+    positions.reserve(replacements.size());
+    for (const Replacement& replacement : replacements) {
+        positions.push_back(tables_->include_index.find(replacement.name));
+        if (positions.back() == IncludeIndex::npos) return std::nullopt;
+    }
     Project fork(name_);
     const double build_start = thread_cpu_seconds();
     double lex_seconds = 0;
     fork.files_ = files_;
-    fork.files_[slot] =
-        parse_file(std::string(file_name), std::move(text), sink, lex_seconds);
-    fork.build_stats_.files_reused = static_cast<int>(files_.size()) - 1;
     std::vector<size_t> slots = overlay_ ? overlay_->slots : std::vector<size_t>{};
-    if (std::ranges::find(slots, slot) == slots.end()) slots.push_back(slot);
+    int parsed = 0;
+    for (size_t i = 0; i < replacements.size(); ++i) {
+        Replacement& replacement = replacements[i];
+        const size_t slot = positions[i];
+        if (replacement.parsed) {
+            fork.files_[slot] = std::move(replacement.parsed);
+        } else {
+            fork.files_[slot] = parse_file(std::move(replacement.name),
+                                           std::move(replacement.text), sink,
+                                           lex_seconds);
+            ++parsed;
+        }
+        if (std::ranges::find(slots, slot) == slots.end()) slots.push_back(slot);
+    }
+    fork.build_stats_.files_reused = static_cast<int>(files_.size()) - parsed;
     fork.tables_ = tables_;
     fork.overlay_ = Overlay::build(*tables_, fork.files_, std::move(slots));
     if (fork.overlay_) {
@@ -604,24 +647,33 @@ void Project::merge_facts() {
     tables->files = files_;
     std::vector<std::string_view> names;
     names.reserve(files_.size());
+    tables->file_functions.reserve(files_.size() + 1);
+    uint32_t& slots = tables->summary_slots;
     for (const std::shared_ptr<const ParsedFile>& pf : files_) {
         // Keys are views of the declaration names in the file's arena; the
         // file is the stable unit.file_name of the declaring ParsedFile.
         const std::string& file = pf->unit.file_name;
         names.emplace_back(file);
+        tables->file_functions.push_back(
+            static_cast<uint32_t>(tables->function_list.size()));
         const FactsBlock& facts = pf->facts;
         for (const ClassDecl* cls : facts.classes) {
             tables->classes.emplace(cls->name, ClassEntry{cls, &file});
             for (const FunctionDecl* method : cls->methods) {
-                const FunctionRef ref{method, cls, file};
-                tables->methods.emplace(MethodKey{cls->name, method->name}, ref);
-                tables->function_list.push_back(ref);
+                const FunctionRef ref{method, cls, file, slots};
+                const auto [winner, added] =
+                    tables->methods.emplace(MethodKey{cls->name, method->name}, ref);
+                slots += added;
+                tables->function_list.push_back(
+                    FunctionRef{method, cls, file, winner->second.summary_slot});
             }
         }
         for (const FunctionDecl* fn : facts.functions) {
-            const FunctionRef ref{fn, nullptr, file};
-            tables->functions.emplace(fn->name, ref);
-            tables->function_list.push_back(ref);
+            const FunctionRef ref{fn, nullptr, file, slots};
+            const auto [winner, added] = tables->functions.emplace(fn->name, ref);
+            slots += added;
+            tables->function_list.push_back(
+                FunctionRef{fn, nullptr, file, winner->second.summary_slot});
         }
         for (const auto list : called_function_lists(facts))
             tables->called_functions.names.insert(
@@ -630,6 +682,16 @@ void Project::merge_facts() {
             tables->called_methods.names.insert(
                 tables->called_methods.names.end(), list.begin(), list.end());
     }
+    tables->file_functions.push_back(
+        static_cast<uint32_t>(tables->function_list.size()));
+    std::vector<const ParsedFile*> sorted;
+    sorted.reserve(files_.size());
+    for (const auto& pf : files_) sorted.push_back(pf.get());
+    std::sort(sorted.begin(), sorted.end(), std::less<const ParsedFile*>{});
+    for (size_t i = 1; i < sorted.size(); ++i)
+        if (sorted[i] == sorted[i - 1] &&
+            (tables->shared_files.empty() || tables->shared_files.back() != sorted[i]))
+            tables->shared_files.push_back(sorted[i]);
     tables->called_functions.count_callers();
     tables->called_methods.count_callers();
     tables->include_index = IncludeIndex(names);
@@ -705,6 +767,10 @@ const FunctionRef* Project::find_method_any(std::string_view method_name) const 
 
 const std::vector<FunctionRef>& Project::all_functions() const noexcept {
     return overlay_ ? overlay_->function_list : tables_->function_list;
+}
+
+uint32_t Project::summary_slots() const noexcept {
+    return tables_->summary_slots;
 }
 
 const std::vector<std::string_view>& Project::called_function_names()

@@ -10,9 +10,11 @@
 // include literals, OOP use). The project's tables are a merge of those
 // blocks in file order, and file names and includes resolve through one
 // IncludeIndex — so building a project from already-parsed files walks no
-// AST at all. The merged tables are one immutable object shared by
-// shared_ptr: a fork with a single file replaced reuses them and adds a
-// small overlay built from that one file's old and new facts blocks.
+// AST at all. The merge also numbers every distinct folded qualified name
+// (FunctionRef::summary_slot), which is how the engine keys its summaries.
+// The merged tables are one immutable object shared by shared_ptr: a fork
+// with some files replaced reuses them and adds a small overlay built from
+// the replaced files' old and new facts blocks.
 //
 // Incremental-analysis hooks (service/): every file carries a stable
 // content hash (fnv1a64 of its text), parsed files are held by shared
@@ -138,6 +140,11 @@ struct FunctionRef {
     const FunctionDecl* decl = nullptr;
     const ClassDecl* owner = nullptr;  ///< null for free functions
     std::string_view file;
+    /// Dense number of the folded qualified name, below
+    /// Project::summary_slots(): every declaration of one name (a guarded
+    /// duplicate, a class declared twice) shares it, so the engine keeps one
+    /// summary per name without building a key string.
+    uint32_t summary_slot = 0;
 
     /// "name" for free functions, "Class::name" for methods.
     std::string qualified_name() const;
@@ -174,25 +181,36 @@ public:
     /// declaration tables, the called-name sets and the include index.
     void parse_all(DiagnosticSink& sink);
 
-    /// Parses `text` as a replacement for the existing file `file_name` and
-    /// returns a project equal to the one add_file()+parse_all() would build
-    /// over the patched file set. Every other ParsedFile is shared with this
-    /// project, and so are the declaration tables and the include index (a
-    /// fork never changes a file name). The shared tables pin every file
-    /// they view, so neither project's lifetime depends on the other's.
-    /// When the new text declares the same classes (same parents), methods
-    /// and free functions in the same order as the old — true of every
-    /// quickfix, which edits one expression — the fork adds an overlay built
-    /// from the replaced file's two facts blocks alone: that file's
-    /// declarations map to the new AST, and called-name membership follows
+    /// New content for one existing file of a fork: `parsed` when the
+    /// caller already holds a parse of it (the service's file pool), else
+    /// `text`, which the fork parses.
+    struct Replacement {
+        std::string name;
+        std::string text;
+        std::shared_ptr<const ParsedFile> parsed;
+    };
+
+    /// Returns a project equal to the one add_file()+parse_all() would build
+    /// over this project's files with `replacements` applied. Every other
+    /// ParsedFile is shared with this project, and so are the declaration
+    /// tables and the include index (a fork never changes a file name). The
+    /// shared tables pin every file they view, so neither project's
+    /// lifetime depends on the other's. When each new file declares the same
+    /// classes (same parents), methods and free functions in the same order
+    /// as the old — true of every quickfix, which edits one expression, and
+    /// of a comment or body edit in a watch session — the fork adds an
+    /// overlay built from the replaced files' facts blocks and their ranges
+    /// of all_functions() alone: their declarations map to the new ASTs
+    /// (keeping their summary slots), and called-name membership follows
     /// per-name caller counts. Any other change rebuilds every table, as
-    /// parse_all() does. Either way the fork lexes, parses and walks one
-    /// file. This is the model-construction fast path of quickfix
-    /// verification (validate/). Returns nullopt when `file_name` names no
-    /// file of this (fully built) project.
-    std::optional<Project> fork_with_replacement(std::string_view file_name,
-                                                 std::string text,
-                                                 DiagnosticSink& sink) const;
+    /// parse_all() does. Either way the fork lexes, parses and walks only
+    /// the replacements given as text. A fork of an overlaid fork overlays
+    /// the same shared tables, so a chain of forks never merges. This is the
+    /// model-construction fast path of quickfix verification (validate/)
+    /// and of watch-session edits (service/watch.h). Returns nullopt when a
+    /// replacement names no file of this (fully built) project.
+    std::optional<Project> fork_with_replacements(
+        std::vector<Replacement> replacements, DiagnosticSink& sink) const;
 
     const BuildStats& build_stats() const noexcept { return build_stats_; }
 
@@ -229,6 +247,10 @@ public:
     /// file, each file's methods (class by class) before its free functions.
     const std::vector<FunctionRef>& all_functions() const noexcept;
 
+    /// Number of distinct folded qualified names: every
+    /// FunctionRef::summary_slot of this project is below it.
+    uint32_t summary_slots() const noexcept;
+
     /// Names of free functions called anywhere in plugin code, directly or
     /// through a callback API (lowercased, sorted, unique).
     const std::vector<std::string_view>& called_function_names() const noexcept;
@@ -250,13 +272,13 @@ public:
 private:
     /// Lexes + parses one file into an immutable ParsedFile and records its
     /// facts block (the body of the parse_all() pending loop, shared with
-    /// fork_with_replacement()).
+    /// fork_with_replacements()).
     static std::shared_ptr<const ParsedFile> parse_file(std::string name,
                                                         std::string text,
                                                         DiagnosticSink& sink,
                                                         double& lex_seconds);
     /// Rebuilds every table from the files' facts blocks, in file order,
-    /// and drops any overlay.
+    /// numbering summary slots, and drops any overlay.
     void merge_facts();
 
     struct Tables;

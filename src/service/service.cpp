@@ -23,30 +23,47 @@ struct PendingScan {
     ScanResponse response;
 };
 
-uint64_t AnalysisService::spec_content_hash(const SourceFileSpec& spec) {
-    if (spec.parsed) return spec.parsed->content_hash;
-    if (spec.known_hash != 0) return spec.known_hash;
-    return php::content_hash(spec.text);
-}
-
 uint64_t AnalysisService::request_fingerprint(const ScanRequest& request) {
     uint64_t h = fnv1a64(request.plugin);
     h = fnv1a64("\x1f", h);
     h = fnv1a64(request.preset, h);
     h = fnv1a64("\x1f", h);
-    for (const SourceFileSpec& file : request.files) {
+    const auto add_file = [&h](std::string_view name, uint64_t content) {
         h = fnv1a64("\x1f", h);
-        h = fnv1a64(file.name, h);
+        h = fnv1a64(name, h);
         h = fnv1a64("\x1f", h);
-        uint64_t content = spec_content_hash(file);
         char bytes[8];
         for (char& b : bytes) {
             b = static_cast<char>(content & 0xff);
             content >>= 8;
         }
         h = fnv1a64(std::string_view(bytes, sizeof bytes), h);
+    };
+    if (request.project) {
+        for (const auto& file : request.project->files())
+            add_file(file->unit.file_name, file->content_hash);
+    } else {
+        for (const SourceFileSpec& file : request.files)
+            add_file(file.name, php::content_hash(file.text));
     }
     return h;
+}
+
+void AnalysisService::add_source(php::Project& project,
+                                 const SourceFileSpec& spec) {
+    if (auto cached = cache_.find_file(spec.name, php::content_hash(spec.text)))
+        project.add_parsed(std::move(cached));
+    else
+        project.add_file(spec.name, spec.text);
+}
+
+php::Project AnalysisService::build_project(const ScanRequest& request) {
+    php::Project project(request.plugin);
+    for (const SourceFileSpec& spec : request.files) add_source(project, spec);
+    DiagnosticSink sink;
+    project.parse_all(sink);
+    for (const auto& parsed : project.files()) cache_.insert_file(parsed);
+    return project;
 }
 
 AnalysisService::AnalysisService(ServiceOptions options)
@@ -156,17 +173,10 @@ ValidateResponse AnalysisService::validate(const ScanRequest& request) {
     }
 
     // The replay needs the concrete project, which the scan path does not
-    // hand out: rebuild it from the request's specs. Pinned ASTs (watch
-    // sessions) ride through without re-parsing; plain texts parse fresh.
-    php::Project project(request.plugin);
-    for (const SourceFileSpec& file : request.files) {
-        if (file.parsed)
-            project.add_parsed(file.parsed);
-        else
-            project.add_file(file.name, file.text);
-    }
-    DiagnosticSink sink;
-    project.parse_all(sink);
+    // hand out: a request that carries one (a watch session's) is replayed
+    // on it, any other rebuilds it from the file pool the scan just filled.
+    std::shared_ptr<const php::Project> project = request.project;
+    if (!project) project = std::make_shared<const php::Project>(build_project(request));
 
     // Same preset resolution as perform_scan, so the analyzer configuration
     // fix verification re-runs is exactly the one that produced the
@@ -176,7 +186,7 @@ ValidateResponse AnalysisService::validate(const ScanRequest& request) {
         preset_it != presets_.end() ? preset_it->second : presets_.at("phpsafe");
 
     validate::ValidateOptions vopts;  // workers auto: PHPSAFE_JOBS aware
-    response.report = validate::validate_result(project, tool.kb, tool.options,
+    response.report = validate::validate_result(*project, tool.kb, tool.options,
                                                 response.scan.result, vopts);
     response.tiered = response.scan.result;
     validate::apply_confidence(response.tiered, response.report);
@@ -289,38 +299,16 @@ ScanResponse AnalysisService::perform_scan(PendingScan& scan) {
         response.result = *cached;
         response.from_result_cache = true;
     } else {
-        // Model construction, with per-file AST reuse.
-        php::Project project(scan.request.plugin);
-        {
+        // Model construction, with per-file AST reuse — unless the
+        // requester (a watch session) already built the project.
+        std::shared_ptr<const php::Project> project = scan.request.project;
+        if (!project) {
             auto build_span =
                 tracer.span("service.build", {{"plugin", scan.request.plugin}});
-            for (const SourceFileSpec& file : scan.request.files) {
-                if (file.parsed) {
-                    // Pinned by the requester (watch sessions): no hash, no
-                    // cache probe — the shared_ptr alone keeps it alive.
-                    project.add_parsed(file.parsed);
-                    continue;
-                }
-                const uint64_t hash = file.known_hash != 0
-                                          ? file.known_hash
-                                          : php::content_hash(file.text);
-                if (auto cached = cache_.find_file(file.name, hash))
-                    project.add_parsed(std::move(cached));
-                else
-                    project.add_file(file.name, file.text);
-            }
-            DiagnosticSink sink;
-            project.parse_all(sink);
-            // Pinned files skip (re)insertion: they bypassed the probe on
-            // the way in, and their owner keeps them resident regardless.
-            const auto& parsed_files = project.files();
-            for (size_t i = 0; i < parsed_files.size(); ++i) {
-                if (i < scan.request.files.size() && scan.request.files[i].parsed)
-                    continue;
-                cache_.insert_file(parsed_files[i]);
-            }
+            project = std::make_shared<const php::Project>(
+                build_project(scan.request));
         }
-        response.files_reused = project.build_stats().files_reused;
+        response.files_reused = project->build_stats().files_reused;
 
         Engine engine(tool.kb, options);
         {
@@ -328,7 +316,7 @@ ScanResponse AnalysisService::perform_scan(PendingScan& scan) {
                 tracer.span("service.analyze", {{"plugin", scan.request.plugin},
                                                 {"tool", tool.name}});
             const double cpu_start = thread_cpu_seconds();
-            response.result = engine.analyze(project);
+            response.result = engine.analyze(*project);
             response.result.cpu_seconds = thread_cpu_seconds() - cpu_start;
         }
 

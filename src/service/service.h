@@ -7,8 +7,8 @@
 //      before: the stored AnalysisResult is returned without running
 //      anything.
 //   2. warm scan — unchanged files come from the file pool pre-parsed
-//      (or arrive pinned by a watch session); the engine then analyzes
-//      the whole project.
+//      (or the request carries a project a watch session built); the
+//      engine then analyzes the whole project.
 //   3. cold scan — everything misses; the scan also populates the cache.
 //
 // Function summaries are never carried from one scan to the next: the
@@ -68,18 +68,7 @@ struct ServiceOptions {
     obs::Tracer* tracer = nullptr;
 };
 
-/// One source file of a scan request. Callers that already know the file
-/// (the watch sessions of service/watch.h) can skip re-hashing and even
-/// re-parsing:
-///   - `known_hash` non-zero pre-computes content_hash(text) — the scan
-///     trusts it instead of hashing the text again,
-///   - `parsed` non-null pins an immutable AST that is injected directly
-///     (php::Project::add_parsed), so neither text nor hash are needed and
-///     the per-file cache probe is skipped entirely.
-/// Either way the request fingerprint is computed from the per-file
-/// content hashes, so a pinned, a pre-hashed and a plain-text spec of the
-/// same content are the same request (they coalesce and share result-pool
-/// entries).
+/// One source file of a scan request.
 struct SourceFileSpec {
     SourceFileSpec() = default;
     SourceFileSpec(std::string name, std::string text)
@@ -87,8 +76,6 @@ struct SourceFileSpec {
 
     std::string name;
     std::string text;
-    uint64_t known_hash = 0;
-    std::shared_ptr<const php::ParsedFile> parsed;
 };
 
 struct ScanRequest {
@@ -102,6 +89,13 @@ struct ScanRequest {
     /// still coalesces).
     int priority = 0;
     std::vector<SourceFileSpec> files;
+    /// A project already built from the plugin's files (a watch session's,
+    /// service/watch.h). When set, `files` is ignored and the scan analyzes
+    /// this project as it is: no hashing, no file-pool probe, no model
+    /// construction. The fingerprint is computed from its files' names and
+    /// content hashes, so it equals the fingerprint of the same files sent
+    /// as text, and the two forms coalesce and share result-pool entries.
+    std::shared_ptr<const php::Project> project;
 };
 
 struct ScanResponse {
@@ -203,15 +197,23 @@ public:
     /// Stable fingerprint of a request's analysis input (plugin name,
     /// preset, file names and per-file content hashes) — the
     /// result-pool / dedup key. Hashing content hashes rather than full
-    /// texts keeps the fingerprint identical across the three
-    /// SourceFileSpec forms (text, pre-hashed, pinned AST) and makes
-    /// fingerprinting O(names) for watch-mode requests. Scheduling fields
-    /// (priority) are excluded on purpose.
+    /// texts makes a request that carries a built project cost
+    /// O(files) to fingerprint and gives it the fingerprint of the same
+    /// files sent as text. Scheduling fields (priority) are excluded on
+    /// purpose.
     static uint64_t request_fingerprint(const ScanRequest& request);
 
-    /// The content hash a spec contributes to the fingerprint: the pinned
-    /// AST's hash, the pre-computed hash, or a fresh hash of the text.
-    static uint64_t spec_content_hash(const SourceFileSpec& spec);
+    /// The one model-construction path from source texts (scan, validate,
+    /// the "graph" op and a watch session's open): each file comes
+    /// pre-parsed from the file pool when the pool holds its (name,
+    /// content), the rest are parsed, and every file is admitted to the
+    /// pool (a hit only refreshes its recency).
+    php::Project build_project(const ScanRequest& request);
+
+    /// Adds one file to a project under construction: pre-parsed from the
+    /// file pool when the pool holds its (name, content), else as text for
+    /// the next parse_all(). Admits nothing.
+    void add_source(php::Project& project, const SourceFileSpec& spec);
 
 private:
     void run_scan(const std::shared_ptr<PendingScan>& scan);

@@ -1,6 +1,7 @@
 #include "service/watch.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -10,100 +11,70 @@
 
 namespace phpsafe::service {
 
-namespace {
-
-/// Parses one file outside any project — the fallback when the service's
-/// file pool evicted a parse between the scan and the state refresh.
-std::shared_ptr<const php::ParsedFile> parse_standalone(
-    const std::string& name, const std::string& text) {
-    php::Project project("watch-refresh");
-    project.add_file(name, text);
-    DiagnosticSink sink;
-    project.parse_all(sink);
-    return project.files().empty() ? nullptr : project.files().front();
-}
-
-}  // namespace
-
-ScanRequest WatchSession::assemble_request() const {
-    ScanRequest request = base_;
-    request.files.reserve(files_.size());
-    for (const auto& [name, state] : files_) {
-        SourceFileSpec spec;
-        spec.name = name;
-        if (state.parsed) {
-            spec.parsed = state.parsed;
-        } else {
-            spec.text = state.text;
-            spec.known_hash = state.hash;
-        }
-        request.files.push_back(std::move(spec));
-    }
-    return request;
-}
-
-void WatchSession::refresh_state() {
-    bool relink = !graph_ || graph_stale_;
-    for (auto& [name, state] : files_) {
-        if (!state.parsed) {
-            state.parsed = service_.cache().find_file(name, state.hash);
-            if (!state.parsed && !state.text.empty())
-                state.parsed = parse_standalone(name, state.text);
-            state.dirty = true;
-        }
-        if (state.dirty && state.parsed) {
-            graph::FileFacts fresh = graph::extract_file_facts(*state.parsed);
-            if (!relink && !graph::structure_equals(fresh, state.facts))
-                relink = true;
-            state.facts = std::move(fresh);
-            state.dirty = false;
-            state.text.clear();  // the pinned AST retains the source
-        }
+void WatchSession::refresh_state(const std::vector<std::string>& changed,
+                                 const std::vector<std::string>& removed) {
+    bool relink = !graph_ || !removed.empty();
+    for (const std::string& name : removed) facts_.erase(name);
+    for (const std::string& name : changed) {
+        graph::FileFacts fresh =
+            graph::extract_file_facts(*project_->file_named(name));
+        const auto [it, added] = facts_.try_emplace(name);
+        if (!relink && (added || !graph::structure_equals(fresh, it->second)))
+            relink = true;
+        it->second = std::move(fresh);
     }
     if (relink) {
         std::vector<graph::FileFacts> facts;
-        facts.reserve(files_.size());
-        for (const auto& [name, state] : files_) facts.push_back(state.facts);
+        facts.reserve(facts_.size());
+        for (const auto& [name, file_facts] : facts_) facts.push_back(file_facts);
         graph_ = std::make_unique<graph::ProjectGraph>(
             graph::ProjectGraph::build(std::move(facts)));
         ++obs::tls().graph_builds;
     } else {
         // Structure-preserving edit (comments, whitespace, bodies): every
-        // node and edge stays valid, only content hashes moved.
-        for (const auto& [name, state] : files_) {
-            const auto id = graph_->file_id(name);
-            if (id != graph::ProjectGraph::kNoFile)
-                graph_->set_file_hash(id, state.facts.content_hash);
-        }
+        // node and edge stays valid, only the changed files' hashes moved.
+        for (const std::string& name : changed)
+            graph_->set_file_hash(graph_->file_id(name),
+                                  facts_.at(name).content_hash);
     }
-    graph_stale_ = false;
+}
+
+ScanResponse WatchSession::scan(const obs::Counters& build) {
+    ScanRequest request = base_;
+    request.project = project_;
+    ScanResponse response = service_.scan(std::move(request));
+    response.counters += build;
+    return response;
 }
 
 ScanResponse WatchSession::open(ScanRequest request) {
-    files_.clear();
+    project_.reset();
+    facts_.clear();
     graph_.reset();
     baseline_.clear();
     active_ = false;
-    graph_stale_ = true;
 
+    // Files in name order, the last spec of a repeated name winning —
+    // deterministic like load_directory's path sort.
+    std::map<std::string, std::string> texts;
+    for (SourceFileSpec& spec : request.files)
+        texts.insert_or_assign(std::move(spec.name), std::move(spec.text));
+    request.files.clear();
     base_ = request;
-    base_.files.clear();
-    for (SourceFileSpec& spec : request.files) {
-        FileState state;
-        state.hash = AnalysisService::spec_content_hash(spec);
-        state.parsed = std::move(spec.parsed);
-        state.text = std::move(spec.text);
-        state.dirty = true;
-        files_.insert_or_assign(std::move(spec.name), std::move(state));
-    }
+    for (auto& [name, text] : texts) request.files.emplace_back(name, std::move(text));
 
-    ScanResponse response = service_.scan(assemble_request());
+    const obs::CounterDelta build;
+    project_ = std::make_shared<const php::Project>(service_.build_project(request));
+    ScanResponse response = scan(build.take());
     if (response.rejected || response.cancelled) {
-        files_.clear();
+        project_.reset();
         return response;
     }
     baseline_ = response.result.findings;
-    refresh_state();
+    std::vector<std::string> names;
+    names.reserve(texts.size());
+    for (const auto& [name, text] : texts) names.push_back(name);
+    refresh_state(names, {});
     active_ = true;
     return response;
 }
@@ -134,7 +105,7 @@ WatchDelta WatchSession::edit(const WatchEditBatch& batch) {
             delta.error = "edit touches \"" + name + "\" twice";
             return delta;
         }
-        if (!files_.count(name)) {
+        if (!project_->file_named(name)) {
             delta.error = "cannot remove unknown file \"" + name + "\"";
             return delta;
         }
@@ -161,28 +132,54 @@ WatchDelta WatchSession::edit(const WatchEditBatch& batch) {
     obs::tls().watch_edits += static_cast<uint64_t>(touched.size());
     obs::tls().watch_cone_files += static_cast<uint64_t>(delta.cone_files);
 
-    // Apply the batch.
-    for (const SourceFileSpec& spec : batch.upserts) {
-        FileState state;
-        // The previous facts stay until refresh_state compares the edited
-        // file's fresh facts against them: an edit that keeps the file's
-        // structure reuses the linked graph instead of relinking it.
-        if (const auto it = files_.find(spec.name); it != files_.end())
-            state.facts = std::move(it->second.facts);
-        state.hash = AnalysisService::spec_content_hash(spec);
-        state.parsed = spec.parsed;
-        state.text = spec.text;
-        state.dirty = true;
-        files_.insert_or_assign(spec.name, std::move(state));
+    // Apply the batch. An edit of existing files forks the held project;
+    // adding or removing files rebuilds it from the held ASTs. Edited
+    // content the file pool already holds is taken from it; nothing is
+    // admitted to it. A fork refuses (and parses nothing) only if a name it
+    // is given is not a file of the project; the rebuild then handles the
+    // batch.
+    const obs::CounterDelta build;
+    std::optional<php::Project> forked;
+    if (new_files == 0 && batch.removals.empty()) {
+        std::vector<php::Project::Replacement> replacements;
+        replacements.reserve(batch.upserts.size());
+        for (const SourceFileSpec& spec : batch.upserts) {
+            auto parsed = service_.cache().find_file(
+                spec.name, php::content_hash(spec.text));
+            replacements.push_back(
+                {spec.name, parsed ? std::string() : spec.text, std::move(parsed)});
+        }
+        DiagnosticSink sink;
+        forked = project_->fork_with_replacements(std::move(replacements), sink);
     }
-    for (const std::string& name : batch.removals) files_.erase(name);
-    if (new_files > 0 || !batch.removals.empty()) graph_stale_ = true;
+    if (forked) {
+        project_ = std::make_shared<const php::Project>(std::move(*forked));
+    } else {
+        std::map<std::string_view, const SourceFileSpec*> upserts;
+        for (const SourceFileSpec& spec : batch.upserts) upserts[spec.name] = &spec;
+        const std::set<std::string_view> removals(batch.removals.begin(),
+                                                  batch.removals.end());
+        php::Project next(base_.plugin);
+        auto upsert = upserts.begin();
+        for (const auto& file : project_->files()) {
+            const std::string& name = file->unit.file_name;
+            for (; upsert != upserts.end() && upsert->first < name; ++upsert)
+                service_.add_source(next, *upsert->second);
+            if (upsert != upserts.end() && upsert->first == name)
+                service_.add_source(next, *(upsert++)->second);
+            else if (!removals.count(name))
+                next.add_parsed(file);
+        }
+        for (; upsert != upserts.end(); ++upsert)
+            service_.add_source(next, *upsert->second);
+        DiagnosticSink sink;
+        next.parse_all(sink);
+        project_ = std::make_shared<const php::Project>(std::move(next));
+    }
 
-    // Full re-scan: unchanged files ride as pinned ASTs, so the request
-    // costs O(edit) to assemble and nothing is re-parsed outside the edit;
-    // the engine analyzes the whole project. Identical findings to a cold
-    // scan of the same content.
-    delta.response = service_.scan(assemble_request());
+    // Full re-scan of the new project; identical findings to a cold scan
+    // of the same content.
+    delta.response = scan(build.take());
     if (delta.response.rejected || delta.response.cancelled) {
         delta.error = delta.response.rejected
                           ? "re-scan rejected by admission control"
@@ -193,7 +190,6 @@ WatchDelta WatchSession::edit(const WatchEditBatch& batch) {
         baseline_.clear();
         return delta;
     }
-
     // Delta findings: canonical-serialization multiset diff, both sides in
     // their result order. Byte-identical to diffing two full cold scans.
     const std::vector<Finding>& now = delta.response.result.findings;
@@ -217,28 +213,17 @@ WatchDelta WatchSession::edit(const WatchEditBatch& batch) {
     }
 
     baseline_ = now;
-    refresh_state();
+    std::vector<std::string> changed;
+    changed.reserve(batch.upserts.size());
+    for (const SourceFileSpec& spec : batch.upserts) changed.push_back(spec.name);
+    refresh_state(changed, batch.removals);
     delta.ok = true;
     return delta;
 }
 
 graph::ProjectGraph build_request_graph(AnalysisService& service,
                                         const ScanRequest& request) {
-    php::Project project(request.plugin);
-    for (const SourceFileSpec& spec : request.files) {
-        if (spec.parsed) {
-            project.add_parsed(spec.parsed);
-            continue;
-        }
-        const uint64_t hash = AnalysisService::spec_content_hash(spec);
-        if (auto cached = service.cache().find_file(spec.name, hash))
-            project.add_parsed(std::move(cached));
-        else
-            project.add_file(spec.name, spec.text);
-    }
-    DiagnosticSink sink;
-    project.parse_all(sink);
-    for (const auto& parsed : project.files()) service.cache().insert_file(parsed);
+    const php::Project project = service.build_project(request);
     ++obs::tls().graph_builds;
     return graph::build_project_graph(project);
 }

@@ -48,7 +48,7 @@ struct FixCheck {
 };
 
 /// Verification loop for one proposed fix: apply the edit, re-parse the one
-/// patched file (php::Project::fork_with_replacement shares every other
+/// patched file (php::Project::fork_with_replacements shares every other
 /// file's AST and the declaration tables), replay the targeted finding on
 /// the patched unit, and only then re-run the analyzer with the
 /// configuration that produced the original result. Every gate must hold:
@@ -74,7 +74,7 @@ FixCheck verify_fix(const php::Project& project, const KnowledgeBase& kb,
 
     DiagnosticSink sink;
     const std::optional<php::Project> patched =
-        project.fork_with_replacement(fix.file, *patched_text, sink);
+        project.fork_with_replacements({{fix.file, *patched_text, nullptr}}, sink);
     if (!patched) return check;
     check.forked = true;
     const php::ParsedFile* parsed = patched->file_named(fix.file);

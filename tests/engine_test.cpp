@@ -389,6 +389,27 @@ TEST(EngineTest, IncludeOnceNotRepeated) {
     EXPECT_EQ(r.findings.size(), 1u);  // deduplicated single finding
 }
 
+TEST(EngineTest, IncludeOnceOfARepeatedNameCountsTheEntryFile) {
+    // Two files share a name; the second runs as an entry and includes its
+    // own name, which resolves to the first. Include-once bookkeeping goes
+    // by the resolved file, so the entry counts as that name: require_once
+    // skips the first file, a plain include runs it.
+    for (const bool once : {true, false}) {
+        php::Project project("dup");
+        project.add_file("a.php", "<?php echo $x;");
+        project.add_file("a.php", std::string("<?php $x = $_GET['q']; ") +
+                                      (once ? "require_once" : "include") +
+                                      " 'a.php';");
+        DiagnosticSink sink;
+        project.parse_all(sink);
+        const Tool tool = make_phpsafe_tool();
+        Engine engine(tool.kb, tool.options);
+        const auto r = engine.analyze(project);
+        EXPECT_EQ(r.findings.size(), once ? 0u : 1u) << (once ? "once" : "plain");
+        EXPECT_EQ(r.stats.includes_followed, once ? 0 : 1);
+    }
+}
+
 TEST(EngineTest, DeepIncludeChainFailsFile) {
     php::Project project("deep");
     const int chain_length = 12;

@@ -22,6 +22,45 @@ ExecResult run(const std::string& code,
     return interpreter.run_file("main.php");
 }
 
+struct OperatorCase {
+    const char* code;      ///< statements after `<?php `
+    const char* expected;  ///< what PHP prints (the PHP manual's examples)
+};
+
+TEST(InterpreterConformanceTest, OperatorsFollowThePhpManual) {
+    static constexpr OperatorCase kCases[] = {
+        {"echo 2 ** 3;", "8"},
+        {"echo 2 ** 3 ** 2;", "512"},  // right-associative
+        {"echo 2 ** -1;", "0.5"},
+        {"echo -2 ** 2;", "-4"},  // ** binds tighter than unary minus
+        {"echo 6 & 3;", "2"},
+        {"echo 6 | 1;", "7"},
+        {"echo 6 ^ 3;", "5"},
+        {"echo '12' & '10';", "10"},  // two strings: byte-wise
+        {"echo 1 << 4;", "16"},
+        {"echo 256 >> 4;", "16"},
+        {"echo -8 >> 1;", "-4"},
+        {"echo 1 << 64;", "0"},
+        {"echo 2 <=> 1;", "1"},
+        {"echo 1 <=> 1;", "0"},
+        {"echo 1 <=> 2;", "-1"},
+        {"echo 1.5 <=> 1.5;", "0"},
+        {"echo 'a' <=> 'b';", "-1"},
+        {"echo '10' <=> '9';", "1"},  // numeric strings compare as numbers
+        {"$a = 5; $a **= 2; echo $a;", "25"},
+        {"$b = 6; $b &= 3; echo $b;", "2"},
+        {"$c = 6; $c |= 1; echo $c;", "7"},
+        {"$d = 6; $d ^= 3; echo $d;", "5"},
+        {"$e = 1; $e <<= 4; echo $e;", "16"},
+        {"$f = 256; $f >>= 4; echo $f;", "16"},
+        {"$g = 'a'; $g .= 'b'; $g .= 1 + 2; echo $g;", "ab3"},
+    };
+    for (const OperatorCase& c : kCases) {
+        const ExecResult r = run(std::string("<?php ") + c.code);
+        EXPECT_EQ(r.output, c.expected) << c.code;
+    }
+}
+
 TEST(InterpreterSemanticsTest, HtmlspecialcharsNeutralizesPayload) {
     const ExecResult r = run("<?php echo htmlspecialchars($_GET['x']);",
                              [](Interpreter& i) {

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <optional>
+#include <set>
 #include <random>
 #include <string>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "corpus/generator.h"
 #include "obs/counters.h"
 #include "php/project.h"
+#include "util/strings.h"
 
 namespace phpsafe::php {
 namespace {
@@ -150,6 +153,30 @@ TEST(ProjectTest, AllFunctionsListsEverything) {
     EXPECT_EQ(p.all_functions().size(), 3u);
 }
 
+TEST(ProjectTest, OneSummarySlotPerFoldedQualifiedName) {
+    const Project p = make_project(
+        {{"a.php",
+          "<?php if (!function_exists('h')) { function h() {} }\n"
+          "class K { function Run() {} }\nfunction other() {}"},
+         {"b.php",
+          "<?php if (!function_exists('H')) { function H() {} }\n"
+          "class k { function run() {} function more() {} }"}});
+    // h/H and K::Run/k::run share a slot; other and k::more have one each.
+    EXPECT_EQ(p.summary_slots(), 4u);
+    std::map<std::string, uint32_t> slot_of;
+    std::set<uint32_t> slots;
+    for (const FunctionRef& ref : p.all_functions()) {
+        const auto [it, added] =
+            slot_of.emplace(ascii_lower(ref.qualified_name()), ref.summary_slot);
+        EXPECT_EQ(it->second, ref.summary_slot) << ref.qualified_name();
+        if (added) {
+            EXPECT_TRUE(slots.insert(ref.summary_slot).second);
+        }
+        EXPECT_LT(ref.summary_slot, p.summary_slots());
+    }
+    EXPECT_EQ(slot_of.size(), 4u);
+}
+
 TEST(ProjectTest, ParseFailureFlagged) {
     Project project("bad");
     // 250+ parse errors trigger the robustness abort.
@@ -270,7 +297,8 @@ std::vector<std::string> observe(const Project& p) {
     std::vector<std::string> out;
     const auto where = [&p](const FunctionRef* ref) {
         return ref ? ref->qualified_name() + "@" + std::string(ref->file) + ":" +
-                         std::to_string(ref->decl->line) +
+                         std::to_string(ref->decl->line) + " #" +
+                         std::to_string(ref->summary_slot) +
                          (is_current(p, *ref) ? "" : " (stale)")
                    : std::string("-");
     };
@@ -294,6 +322,7 @@ std::vector<std::string> observe(const Project& p) {
                           where(p.find_function(ref.decl->name)));
         }
     }
+    out.push_back("summary slots " + std::to_string(p.summary_slots()));
     for (const FunctionRef& ref : p.uncalled_functions())
         out.push_back("uncalled " + where(&ref));
     for (const std::string_view name : p.called_function_names())
@@ -351,7 +380,7 @@ TEST(ForkProperty, ForkEqualsFreshBuildOfThePatchedSet) {
                 for (const std::string& patched : {text, added + text}) {
                     DiagnosticSink fork_sink;
                     const std::optional<Project> fork =
-                        base.fork_with_replacement(name, patched, fork_sink);
+                        base.fork_with_replacements({{name, patched, nullptr}}, fork_sink);
                     ASSERT_TRUE(fork.has_value()) << name;
                     Project fresh(plugin.name);
                     for (size_t g = 0; g < version->files.size(); ++g)
@@ -426,7 +455,7 @@ TEST(ForkProperty, EditCallingAnUncalledPluginFunctionOverlaysExactly) {
             DiagnosticSink sink;
             const obs::CounterDelta delta;
             const std::optional<Project> fork =
-                base.fork_with_replacement(files[f].first, *patched, sink);
+                base.fork_with_replacements({{files[f].first, *patched, nullptr}}, sink);
             ASSERT_TRUE(fork.has_value());
             EXPECT_EQ(delta.take().forks_overlaid, 1u) << files[f].first;
             EXPECT_LT(fork->uncalled_functions().size(), uncalled.size());
@@ -460,7 +489,7 @@ TEST(ForkProperty, EditRenamingADeclarationRebuildsTheTables) {
             DiagnosticSink sink;
             const obs::CounterDelta delta;
             const std::optional<Project> fork =
-                base.fork_with_replacement(files[f].first, patched, sink);
+                base.fork_with_replacements({{files[f].first, patched, nullptr}}, sink);
             ASSERT_TRUE(fork.has_value());
             EXPECT_EQ(delta.take().forks_merged, 1u) << needle;
             EXPECT_EQ(observe(*fork), observe(fresh_build(plugin, patched_files)))
@@ -494,10 +523,10 @@ TEST(ForkProperty, ForkOfAForkOutlivesItsParents) {
             {
                 const Project base = fresh_build(plugin, files);
                 const std::optional<Project> child =
-                    base.fork_with_replacement(files[0].first, *first_text, sink);
+                    base.fork_with_replacements({{files[0].first, *first_text, nullptr}}, sink);
                 ASSERT_TRUE(child.has_value());
-                grandchild = child->fork_with_replacement(files[second].first,
-                                                          *second_text, sink);
+                grandchild = child->fork_with_replacements(
+                    {{files[second].first, *second_text, nullptr}}, sink);
             }
             ASSERT_TRUE(grandchild.has_value());
             EXPECT_EQ(delta.take().forks_overlaid, 2u);
@@ -508,6 +537,105 @@ TEST(ForkProperty, ForkOfAForkOutlivesItsParents) {
         }
     }
     EXPECT_GT(forks, 10);
+}
+
+/// `n` interlocking files: file i declares chain_i, every third file a
+/// class extending an earlier one (with a method of its own and a shared
+/// `render`), every fifth a guarded duplicate of one helper; even files
+/// call the next file's function and every file includes the next.
+Files chain_files(size_t n) {
+    Files files;
+    for (size_t i = 0; i < n; ++i) {
+        const std::string id = std::to_string(i);
+        const std::string next = std::to_string((i + 1) % n);
+        std::string text = "<?php\ninclude 'lib/f" + next + ".php';\n";
+        if (i % 5 == 0)
+            text += "if (!function_exists('shared_helper')) { function "
+                    "Shared_Helper($v) { return $v; } }\n";
+        text += "function chain_" + id + "($v) { echo $v; return $v; }\n";
+        if (i % 3 == 0) {
+            text += "class Chain_" + id;
+            if (i >= 3) text += " extends Chain_" + std::to_string(i - 3);
+            text += " { function step_" + id +
+                    "() { echo $_GET['x']; } function render() { return 1; } }\n";
+        }
+        if (i % 2 == 0) text += "chain_" + next + "($_GET['q']);\n";
+        files.emplace_back("lib/f" + id + ".php", std::move(text));
+    }
+    return files;
+}
+
+TEST(ForkProperty, ChainOfForksOverDistinctFilesEqualsFreshBuilds) {
+    // Each fork edits a file no earlier fork touched, the way a watch
+    // session's edits accumulate: a comment, a new call (a function or
+    // method name may enter the called sets), a removed call (a name may
+    // leave them), and now and then a renamed declaration, which merges
+    // the tables the later forks overlay. Some replacements arrive already
+    // parsed, as the service's file pool hands them over.
+    constexpr size_t kFiles = 120;
+    Files files = chain_files(kFiles);
+    std::vector<size_t> order(kFiles);
+    for (size_t i = 0; i < kFiles; ++i) order[i] = i;
+    std::shuffle(order.begin(), order.end(), std::mt19937(2015));
+
+    std::optional<Project> current = fresh_build("chain", files);
+    uint64_t overlaid = 0, merged = 0, renames = 0;
+    for (size_t k = 0; k < 110; ++k) {
+        const size_t f = order[k];
+        const std::string& name = files[f].first;
+        std::string text = files[f].second;
+        const std::string other = std::to_string((f * 7 + 3) % kFiles);
+        const std::string own_call =
+            "chain_" + std::to_string((f + 1) % kFiles) + "($_GET['q']);\n";
+        if (k % 25 == 24) {
+            const std::string decl = "function chain_" + std::to_string(f) + "(";
+            text.insert(text.find(decl) + decl.size() - 1, "_renamed");
+            ++renames;
+        } else if (k % 4 == 1) {
+            text += "chain_" + other + "('x');\n";
+        } else if (k % 4 == 2) {
+            text += "$o->step_" + other + "();\n";
+        } else if (k % 4 == 3 && text.find(own_call) != std::string::npos) {
+            text.erase(text.find(own_call), own_call.size());
+        } else {
+            text += "// rev " + std::to_string(k) + "\n";
+        }
+        files[f].second = text;
+
+        std::vector<Project::Replacement> replacements(1);
+        replacements[0].name = name;
+        const bool preparsed = k % 10 == 5;
+        if (preparsed)
+            replacements[0].parsed = fresh_build("one", {{name, text}}).files()[0];
+        else
+            replacements[0].text = text;
+        DiagnosticSink sink;
+        const obs::CounterDelta delta;
+        std::optional<Project> fork =
+            current->fork_with_replacements(std::move(replacements), sink);
+        ASSERT_TRUE(fork.has_value()) << name;
+        const obs::Counters counts = delta.take();
+        overlaid += counts.forks_overlaid;
+        merged += counts.forks_merged;
+        EXPECT_EQ(fork->build_stats().files_reused,
+                  static_cast<int>(kFiles) - (preparsed ? 0 : 1));
+        current.reset();  // the fork must not depend on its parent
+        EXPECT_EQ(observe(*fork), observe(fresh_build("chain", files)))
+            << "fork " << k << " edits " << name;
+        current = std::move(fork);
+    }
+    EXPECT_EQ(merged, renames);
+    EXPECT_EQ(overlaid, 110 - renames);
+}
+
+TEST(ForkProperty, ReplacingAnUnknownFileRefuses) {
+    const Project base = make_project({{"a.php", "<?php function a() {}"}});
+    std::vector<Project::Replacement> replacements(2);
+    replacements[0].name = "a.php";
+    replacements[0].text = "<?php function a() { echo 1; }";
+    replacements[1].name = "b.php";
+    DiagnosticSink sink;
+    EXPECT_FALSE(base.fork_with_replacements(std::move(replacements), sink));
 }
 
 }  // namespace

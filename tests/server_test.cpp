@@ -649,10 +649,11 @@ void expect_delta_matches_cold_rescan(
     const ScanResponse opened = watch.open(std::move(open));
     ASSERT_FALSE(opened.rejected);
     EXPECT_EQ(finding_keys(opened.result.findings), finding_keys(cold_before));
-    // Every file is pinned after the open; with a zero file budget the pool
-    // held none of them, so each pin is the session's own parse.
-    for (const service::SourceFileSpec& spec : watch.request().files)
-        EXPECT_NE(spec.parsed, nullptr) << spec.name;
+    // Every file is pinned by the session's project after the open; with a
+    // zero file budget the pool held none of them, so each is the session's
+    // own parse.
+    ASSERT_NE(watch.project(), nullptr);
+    EXPECT_EQ(watch.project()->files().size(), before.size());
     if (file_bytes == 0) {
         EXPECT_EQ(service.cache_stats().file_entries, 0u);
     }
@@ -681,8 +682,8 @@ TEST(WatchModeTest, DeltaMatchesColdRescanDiffParallel) {
 }
 
 TEST(WatchModeTest, DeltaMatchesColdRescanDiffWithoutFilePool) {
-    // A zero file budget keeps no parse, so every state refresh falls back
-    // to parsing the file on its own.
+    // A zero file budget keeps no parse, so the session's project holds the
+    // only copy of every file's AST.
     expect_delta_matches_cold_rescan(1, 0);
 }
 
@@ -750,21 +751,16 @@ TEST(WatchModeTest, IncludeEditRelinksTheGraph) {
               1u);
 }
 
-TEST(WatchModeTest, SoakFilePoolChargesEveryReservedArenaByte) {
-    // A few hundred edits through one watch session push every version of
-    // the edited file through the file pool. The pool must charge at least
-    // the arena bytes its resident parses reserve (the blocks they keep
+TEST(ServiceTest, SoakFilePoolChargesEveryReservedArenaByte) {
+    // A few hundred scans of successive versions push every version of the
+    // edited file through the file pool. The pool must charge at least the
+    // arena bytes its resident parses reserve (the blocks they keep
     // resident, not just the bytes handed out), and stay within budget.
     ServiceOptions so;
     so.workers = 1;
     so.budgets.file_bytes = 256ull << 10;
     so.budgets.result_bytes = 0;  // bytes_resident = the file pool alone
     AnalysisService service(so);
-    service::WatchSession watch(service);
-    ScanRequest open;
-    open.plugin = "soak";
-    for (const auto& [file, body] : kRelinkFiles) open.files.push_back({file, body});
-    ASSERT_FALSE(watch.open(std::move(open)).rejected);
 
     std::vector<std::pair<std::string, std::string>> versions = kRelinkFiles;
     for (int rev = 0; rev < 300; ++rev) {
@@ -772,9 +768,11 @@ TEST(WatchModeTest, SoakFilePoolChargesEveryReservedArenaByte) {
             "<?php function wrap($x) { return htmlentities($x); } // rev " +
             std::to_string(rev);
         versions.emplace_back("lib.php", text);
-        service::WatchEditBatch batch;
-        batch.upserts.push_back({"lib.php", text});
-        ASSERT_TRUE(watch.edit(batch).ok) << "rev " << rev;
+        ScanRequest request;
+        request.plugin = "soak";
+        for (const auto& [file, body] : kRelinkFiles)
+            request.files.push_back({file, file == "lib.php" ? text : body});
+        ASSERT_FALSE(service.scan(std::move(request)).rejected) << "rev " << rev;
     }
 
     const CacheStats stats = service.cache_stats();
@@ -791,6 +789,62 @@ TEST(WatchModeTest, SoakFilePoolChargesEveryReservedArenaByte) {
     EXPECT_EQ(resident, stats.file_entries);
     EXPECT_GE(stats.bytes_resident, reserved);
     EXPECT_LE(stats.bytes_resident, so.budgets.file_bytes);
+}
+
+TEST(WatchModeTest, EditsAdmitNothingToTheFilePool) {
+    // The session's project pins every version it parses, so a few hundred
+    // edits leave the shared pool exactly as the open filled it.
+    ServiceOptions so;
+    so.workers = 1;
+    AnalysisService service(so);
+    service::WatchSession watch(service);
+    ScanRequest open;
+    open.plugin = "soak";
+    for (const auto& [file, body] : kRelinkFiles) open.files.push_back({file, body});
+    ASSERT_FALSE(watch.open(std::move(open)).rejected);
+    const uint64_t opened = service.cache_stats().file_entries;
+    EXPECT_EQ(opened, kRelinkFiles.size());
+
+    for (int rev = 0; rev < 300; ++rev) {
+        service::WatchEditBatch batch;
+        batch.upserts.push_back(
+            {"lib.php", "<?php function wrap($x) { return htmlentities($x); } // rev " +
+                            std::to_string(rev)});
+        ASSERT_TRUE(watch.edit(batch).ok) << "rev " << rev;
+    }
+    EXPECT_EQ(service.cache_stats().file_entries, opened);
+}
+
+TEST(WatchModeTest, RejectedRescanClosesTheSession) {
+    // Another client's scan fills the shared queue, so the edit's re-scan
+    // is rejected. The edit fails and the session closes: a delta against
+    // an empty baseline would be wrong, and so would every later one.
+    ServiceOptions so;
+    so.workers = 1;
+    so.max_queue_depth = 1;
+    AnalysisService service(so);
+    service::WatchSession watch(service);
+    ScanRequest open;
+    open.plugin = "full";
+    for (const auto& [file, body] : kRelinkFiles) open.files.push_back({file, body});
+    ASSERT_FALSE(watch.open(std::move(open)).rejected);
+    ASSERT_TRUE(watch.active());
+
+    service.pause();
+    const auto queued =
+        service.submit(one_file("other", "x.php", "<?php echo $_GET['x'];"));
+    service::WatchEditBatch batch;
+    batch.upserts.push_back({"lib.php", "<?php function wrap($x) { return $x; }"});
+    const service::WatchDelta delta = watch.edit(batch);
+    EXPECT_FALSE(delta.ok);
+    EXPECT_TRUE(delta.response.rejected);
+    EXPECT_EQ(delta.error, "re-scan rejected by admission control");
+    EXPECT_TRUE(delta.removed.empty());
+    EXPECT_FALSE(watch.active());
+    EXPECT_FALSE(watch.edit(batch).ok);
+
+    service.resume();
+    EXPECT_FALSE(service.await(queued).rejected);
 }
 
 TEST(ServerSessionTest, PipelinedWatchSessionMatchesSerialLoopByteForByte) {

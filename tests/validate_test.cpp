@@ -165,7 +165,8 @@ TEST(ValidateTest, ForkWithReplacementMatchesFullRebuild) {
         "<?php echo fmt($_GET['m']); $p = new Page(); echo $p->title();\n";
     DiagnosticSink fork_sink;
     const std::optional<php::Project> fork =
-        original.fork_with_replacement("entry.php", patched_entry, fork_sink);
+        original.fork_with_replacements({{"entry.php", patched_entry, nullptr}},
+                                        fork_sink);
     ASSERT_TRUE(fork.has_value());
     EXPECT_EQ(fork->files().size(), 2u);
     EXPECT_EQ(fork->files()[0].get(), original.files()[0].get())
@@ -210,8 +211,8 @@ TEST(ValidateTest, ForkTracksDeclarationChanges) {
     EXPECT_TRUE(declared_in(original, "a.php").empty());
 
     DiagnosticSink fork_sink;
-    const std::optional<php::Project> fork = original.fork_with_replacement(
-        "a.php", "<?php function added() { return 1; } echo added();\n",
+    const std::optional<php::Project> fork = original.fork_with_replacements(
+        {{"a.php", "<?php function added() { return 1; } echo added();\n", nullptr}},
         fork_sink);
     ASSERT_TRUE(fork.has_value());
     EXPECT_EQ(declared_in(*fork, "a.php"),
@@ -226,8 +227,8 @@ TEST(ValidateTest, ForkTracksDeclarationChanges) {
     // Unknown files refuse to fork.
     DiagnosticSink missing_sink;
     EXPECT_FALSE(original
-                     .fork_with_replacement("missing.php", "<?php\n",
-                                            missing_sink)
+                     .fork_with_replacements({{"missing.php", "<?php\n", nullptr}},
+                                             missing_sink)
                      .has_value());
 }
 
