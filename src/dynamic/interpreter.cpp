@@ -465,18 +465,16 @@ Value shift(php::BinaryOp op, const Value& lhs, const Value& rhs) {
     return Value::integer(y >= kBits ? (x < 0 ? -1 : 0) : x >> y);
 }
 
-/// PHP's <=>: two non-numeric strings compare byte-wise, anything else
-/// numerically.
-Value spaceship(const Value& lhs, const Value& rhs) {
-    int order = 0;
+/// PHP's ordering behind <=>, <, >, <= and >=: two non-numeric strings
+/// compare byte-wise, anything else numerically. Negative, zero or
+/// positive; NAN orders after everything, and PHP evaluates `a > b` as
+/// `b < a`, so every comparison with NAN is false.
+int compare(const Value& lhs, const Value& rhs) {
     if (lhs.is_string() && rhs.is_string() &&
-        !(is_numeric_string(lhs.to_string()) && is_numeric_string(rhs.to_string()))) {
-        order = lhs.to_string().compare(rhs.to_string());
-    } else {
-        const double x = lhs.to_float(), y = rhs.to_float();
-        order = x < y ? -1 : x > y ? 1 : 0;
-    }
-    return Value::integer(order < 0 ? -1 : order > 0 ? 1 : 0);
+        !(is_numeric_string(lhs.to_string()) && is_numeric_string(rhs.to_string())))
+        return lhs.to_string().compare(rhs.to_string());
+    const double x = lhs.to_float(), y = rhs.to_float();
+    return x == y ? 0 : x < y ? -1 : 1;
 }
 
 /// One strict (both-operands) binary operator applied to its values.
@@ -498,11 +496,14 @@ Value apply_binary(php::BinaryOp op, Value lhs, const Value& rhs) {
             return Value::boolean(lhs.type() == rhs.type() && lhs.loose_equals(rhs));
         case BinaryOp::kNotIdentical:
             return Value::boolean(!(lhs.type() == rhs.type() && lhs.loose_equals(rhs)));
-        case BinaryOp::kLt: return Value::boolean(lhs.to_float() < rhs.to_float());
-        case BinaryOp::kGt: return Value::boolean(lhs.to_float() > rhs.to_float());
-        case BinaryOp::kLtEq: return Value::boolean(lhs.to_float() <= rhs.to_float());
-        case BinaryOp::kGtEq: return Value::boolean(lhs.to_float() >= rhs.to_float());
-        case BinaryOp::kSpaceship: return spaceship(lhs, rhs);
+        case BinaryOp::kLt: return Value::boolean(compare(lhs, rhs) < 0);
+        case BinaryOp::kGt: return Value::boolean(compare(rhs, lhs) < 0);
+        case BinaryOp::kLtEq: return Value::boolean(compare(lhs, rhs) <= 0);
+        case BinaryOp::kGtEq: return Value::boolean(compare(rhs, lhs) <= 0);
+        case BinaryOp::kSpaceship: {
+            const int order = compare(lhs, rhs);
+            return Value::integer(order < 0 ? -1 : order > 0 ? 1 : 0);
+        }
         case BinaryOp::kCoalesce: return lhs.is_null() ? rhs : lhs;
         case BinaryOp::kXor:
             return Value::boolean(lhs.to_bool() != rhs.to_bool());

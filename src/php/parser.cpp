@@ -974,7 +974,10 @@ ExprPtr Parser::parse_unary() {
         auto* node = arena_.create<Unary>();
         node->line = line;
         node->op = op;
-        node->operand = parse_unary();
+        // `!` ranks below instanceof, unlike the other prefix operators:
+        // !$a instanceof B is !($a instanceof B).
+        node->operand = op == UnaryOp::kNot ? parse_expression(kBpInstanceof)
+                                            : parse_unary();
         if (!node->operand) return nullptr;
         // `**` binds tighter than a prefix operator: -2 ** 2 is -(2 ** 2).
         // The right-associative rhs takes any further `**`.

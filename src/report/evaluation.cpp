@@ -58,7 +58,6 @@ Evaluation run_corpus_evaluation(const std::vector<Tool>& tools,
     for (const Tool& tool : tools) evaluation.tool_names.push_back(tool.name);
 
     const int reps = std::max(1, options.timing_repetitions);
-    const int workers = WorkerPool::resolve_parallelism(options.parallelism);
 
     // Parse-once, analyze-many: the unit of parallel work is a
     // (plugin, version). The worker builds the php::Project exactly once and
@@ -95,8 +94,9 @@ Evaluation run_corpus_evaluation(const std::vector<Tool>& tools,
     std::vector<std::vector<ToolOutcome>> outcomes(
         units.size(), std::vector<ToolOutcome>(tools.size()));
 
-    WorkerPool pool(workers);
-    pool.run(units.size(), [&](size_t u) {
+    // The calling thread takes part, so parallelism 1 starts no thread.
+    TaskTeam team(resolve_parallelism(options.parallelism) - 1);
+    team.run(units.size(), [&](size_t u) {
         const PluginVersionUnit& unit = units[u];
         // Table III scope: parse (model construction) + analysis, measured
         // on this thread's CPU clock only. The counter delta is per-thread

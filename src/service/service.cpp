@@ -72,8 +72,7 @@ AnalysisService::AnalysisService(ServiceOptions options)
     presets_.emplace("rips", make_rips_like_tool());
     presets_.emplace("pixy", make_pixy_like_tool());
 
-    team_ = std::make_unique<TaskTeam>(
-        WorkerPool::resolve_parallelism(options_.workers));
+    team_ = std::make_unique<TaskTeam>(resolve_parallelism(options_.workers));
 }
 
 // ~team_ (declared last, destroyed first) resumes a paused queue and runs
@@ -185,9 +184,9 @@ ValidateResponse AnalysisService::validate(const ScanRequest& request) {
     const Tool& tool =
         preset_it != presets_.end() ? preset_it->second : presets_.at("phpsafe");
 
-    validate::ValidateOptions vopts;  // workers auto: PHPSAFE_JOBS aware
+    // The fan-out runs on the scan workers, with this thread taking part.
     response.report = validate::validate_result(*project, tool.kb, tool.options,
-                                                response.scan.result, vopts);
+                                                response.scan.result, {}, *team_);
     response.tiered = response.scan.result;
     validate::apply_confidence(response.tiered, response.report);
 

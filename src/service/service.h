@@ -31,7 +31,10 @@
 // queue without bound. The cache's byte budgets bound its memory on their
 // own, whatever the queue depth.
 // await() blocks until the ticket's scan is done; scan() is the
-// synchronous submit+await convenience.
+// synchronous submit+await convenience. validate() fans its replays and
+// fix checks out on the same team (TaskTeam::run, with the calling thread
+// taking part), so the service never runs more than `workers` threads of
+// its own, whatever the mix of scans and validations.
 #pragma once
 
 #include <atomic>
@@ -54,8 +57,9 @@
 namespace phpsafe::service {
 
 struct ServiceOptions {
-    /// Worker threads for scan dispatch; <= 0 means auto (PHPSAFE_JOBS or
-    /// hardware concurrency, via WorkerPool::resolve_parallelism).
+    /// Worker threads for scan dispatch and the validate fan-out; <= 0
+    /// means auto (PHPSAFE_JOBS or hardware concurrency, via
+    /// resolve_parallelism).
     int workers = 0;
     /// Pool byte budgets; `result_bytes = 0` turns the result pool off, so
     /// every scan runs the engine.

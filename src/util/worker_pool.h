@@ -1,84 +1,40 @@
-// Thread teams for the two fan-out shapes in the codebase.
+// The codebase's one thread pool: a persistent team of threads with two
+// ways to hand it work.
 //
-// WorkerPool is the barrier shape used by the evaluation driver: run(count,
-// fn) distributes indices over all workers and blocks until every index is
-// done. The seed spawned a fresh std::async fan-out for every (version,
-// tool) pair — up to six thread-team launches per evaluation; the pool
-// starts its threads once and re-dispatches ranges to them, so repeated
-// runs (timing repetitions, bench sweeps) pay thread start-up exactly once.
+// post() is the streaming shape the analysis service uses: enqueue a task
+// with a priority and return immediately; team threads continuously drain
+// the queue highest-priority-first (FIFO within a priority), so a
+// long-running task never blocks the dispatch of unrelated later ones.
 //
-// TaskTeam is the streaming shape used by the analysis service: post() a
-// task with a priority and return immediately; team threads continuously
-// drain the queue highest-priority-first (FIFO within a priority), so a
-// long-running task never blocks the dispatch of unrelated later ones the
-// way a batch barrier does.
+// run(count, fn) is the fork-join shape the evaluation driver and the
+// validation fan-out use: the caller and any idle team threads claim
+// indices from one shared counter, and run() returns once every index is
+// done. Idle threads take fork-join work ahead of every queued task. A
+// served validate therefore fans out on the service's own threads and
+// starts none of its own.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace phpsafe {
 
-class WorkerPool {
-public:
-    /// `threads` is the total worker count including the calling thread;
-    /// values <= 1 mean run() executes inline with no threads started.
-    explicit WorkerPool(int threads);
-    ~WorkerPool();
+/// Resolves a requested parallelism: values >= 1 pass through; 0 or
+/// negative mean "auto" — the PHPSAFE_JOBS environment variable when set,
+/// otherwise std::thread::hardware_concurrency().
+int resolve_parallelism(int requested);
 
-    WorkerPool(const WorkerPool&) = delete;
-    WorkerPool& operator=(const WorkerPool&) = delete;
-
-    int thread_count() const noexcept {
-        return static_cast<int>(threads_.size()) + 1;
-    }
-
-    /// Calls fn(i) for every i in [0, count), distributing indices over all
-    /// workers (the calling thread participates). Blocks until every index
-    /// is done; rethrows the first worker exception. Reusable.
-    void run(size_t count, const std::function<void(size_t)>& fn);
-
-    /// Resolves a requested parallelism: values >= 1 pass through; 0 or
-    /// negative mean "auto" — the PHPSAFE_JOBS environment variable when
-    /// set, otherwise std::thread::hardware_concurrency().
-    static int resolve_parallelism(int requested);
-
-private:
-    void worker_loop();
-    void drain(const std::function<void(size_t)>& fn, size_t count);
-
-    std::mutex mutex_;
-    std::condition_variable start_cv_;
-    std::condition_variable done_cv_;
-    std::vector<std::thread> threads_;
-
-    const std::function<void(size_t)>* job_ = nullptr;
-    size_t job_count_ = 0;
-    std::atomic<size_t> next_{0};
-    int busy_workers_ = 0;
-    uint64_t generation_ = 0;
-    bool shutdown_ = false;
-    std::exception_ptr error_;
-};
-
-/// A persistent team of threads draining a priority task queue. Unlike
-/// WorkerPool::run there is no barrier: post() enqueues and returns, and
-/// each team thread picks the highest-priority queued task (FIFO within a
-/// priority) as soon as it frees up. Tasks must not throw — they run user
-/// completion logic that owns its own error channel; an escaping exception
-/// terminates (std::terminate) rather than being silently dropped.
 class TaskTeam {
 public:
-    /// Starts `threads` (floored at 1) dedicated threads. Tasks always run
-    /// on a team thread, never on the caller.
+    /// Starts `threads` dedicated threads; 0 (or negative) starts none, and
+    /// then post() and run() execute on the calling thread.
     explicit TaskTeam(int threads);
 
     /// Resumes a paused queue and runs every remaining task to completion
@@ -93,10 +49,20 @@ public:
     }
 
     /// Enqueues a task. Higher priority runs sooner; equal priorities run
-    /// in post order.
+    /// in post order. Tasks must not throw — they run user completion
+    /// logic that owns its own error channel; an escaping exception
+    /// terminates (std::terminate) rather than being silently dropped.
     void post(int priority, std::function<void()> task);
 
-    /// Tasks queued but not yet started.
+    /// Calls fn(i) for every i in [0, count) and blocks until all are done;
+    /// rethrows the first exception fn threw. The calling thread takes part,
+    /// and up to min(count - 1, threads) idle team threads help. Called from
+    /// one of this team's threads, or while the team is paused, it runs
+    /// every index on the caller alone, so it never waits on a thread that
+    /// cannot come.
+    void run(size_t count, const std::function<void(size_t)>& fn);
+
+    /// Tasks queued but not yet started (fork-join helpers not counted).
     size_t depth() const;
 
     /// While paused, threads finish their current task and then idle; the
@@ -105,8 +71,9 @@ public:
     void resume();
 
 private:
+    struct Job;
+
     void thread_loop();
-    std::function<void()> pop_locked();
 
     mutable std::mutex mutex_;
     std::condition_variable cv_;
@@ -115,6 +82,8 @@ private:
     /// descending priority via the comparator.
     std::map<int, std::deque<std::function<void()>>, std::greater<int>> queue_;
     size_t depth_ = 0;
+    /// run() calls still offering helper slots, oldest first.
+    std::deque<std::shared_ptr<Job>> jobs_;
     bool paused_ = false;
     bool shutdown_ = false;
 };

@@ -4,8 +4,6 @@
 #include <map>
 #include <sstream>
 
-#include "util/worker_pool.h"
-
 namespace phpsafe::validate {
 
 namespace {
@@ -132,6 +130,16 @@ ValidationReport validate_result(const php::Project& project,
                                  const AnalysisOptions& options,
                                  const AnalysisResult& result,
                                  const ValidateOptions& vopts) {
+    TaskTeam team(resolve_parallelism(vopts.workers) - 1);
+    return validate_result(project, kb, options, result, vopts, team);
+}
+
+ValidationReport validate_result(const php::Project& project,
+                                 const KnowledgeBase& kb,
+                                 const AnalysisOptions& options,
+                                 const AnalysisResult& result,
+                                 const ValidateOptions& vopts,
+                                 TaskTeam& team) {
     const double start = now_seconds();
     ValidationReport report;
     report.tool = result.tool;
@@ -166,11 +174,9 @@ ValidationReport validate_result(const php::Project& project,
     }
     report.executions = static_cast<int>(groups.size());
 
-    WorkerPool pool(WorkerPool::resolve_parallelism(vopts.workers));
-
-    // ---- 2. fan executions across the pool, merge by index ----------------
+    // ---- 2. fan executions across the team, merge by index ----------------
     std::vector<dynamic::ExecResult> runs(groups.size());
-    pool.run(groups.size(), [&](size_t g) {
+    team.run(groups.size(), [&](size_t g) {
         dynamic::Interpreter interpreter(project, vopts.exec);
         Validator::seed_vector(interpreter, groups[g].vector,
                                groups[g].payload);
@@ -208,7 +214,7 @@ ValidationReport validate_result(const php::Project& project,
             append_signature(signatures[i], result.findings[i]);
 
         std::vector<FixCheck> checks(n);
-        pool.run(n, [&](size_t i) {
+        team.run(n, [&](size_t i) {
             if (!proposals[i]) return;
             checks[i] = verify_fix(project, kb, options, result, signatures, i,
                                    *proposals[i], vopts.exec);

@@ -9,9 +9,12 @@
 //      batch speedup over one-at-a-time replay comes from, and it is exact:
 //      the interpreter is deterministic, so judging a shared ExecResult per
 //      finding is byte-identical to replaying each finding alone.
-//   2. Execution groups fan out across a WorkerPool (PHPSAFE_JOBS aware);
-//      results merge by group index, so the tiered output is byte-identical
-//      at any worker count.
+//   2. Execution groups fan out across a TaskTeam (util/worker_pool.h):
+//      the caller's own, or a private one sized by ValidateOptions::workers
+//      (PHPSAFE_JOBS aware). A served validate runs on the service's team,
+//      so it shares the `--workers` threads and starts none. Results merge
+//      by group index, so the tiered output is byte-identical at any
+//      worker count.
 //   3. Every finding is tiered: validated (payload broke out at the sink),
 //      unvalidated (replay ran, payload never surfaced) or inconclusive
 //      (replay could not run). Tiers thread into Finding::confidence via
@@ -33,6 +36,7 @@
 #include "core/finding.h"
 #include "dynamic/validator.h"
 #include "php/project.h"
+#include "util/worker_pool.h"
 #include "validate/quickfix.h"
 
 namespace phpsafe::validate {
@@ -55,8 +59,9 @@ struct CaseOutcome {
 
 struct ValidateOptions {
     dynamic::ExecOptions exec;  ///< per-case interpreter budgets
-    /// Worker threads for the replay/verification fan-out; <= 0 means auto
-    /// (PHPSAFE_JOBS or hardware concurrency). The tiered output is
+    /// Threads for the replay/verification fan-out, the caller included;
+    /// <= 0 means auto (PHPSAFE_JOBS or hardware concurrency). Unused when
+    /// validate_result is handed a TaskTeam. The tiered output is
     /// byte-identical at any value.
     int workers = 0;
     /// Run the remediation engine (propose + verify quickfixes).
@@ -92,6 +97,14 @@ ValidationReport validate_result(const php::Project& project,
                                  const AnalysisOptions& options,
                                  const AnalysisResult& result,
                                  const ValidateOptions& vopts = {});
+
+/// The same pipeline, fanned out on `team` (the caller takes part) instead
+/// of a private team of `vopts.workers - 1` threads.
+ValidationReport validate_result(const php::Project& project,
+                                 const KnowledgeBase& kb,
+                                 const AnalysisOptions& options,
+                                 const AnalysisResult& result,
+                                 const ValidateOptions& vopts, TaskTeam& team);
 
 /// Stamps each finding's confidence from the report's tiers.
 void apply_confidence(AnalysisResult& result, const ValidationReport& report);

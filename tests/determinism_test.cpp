@@ -198,6 +198,21 @@ TEST(DeterminismTest, ValidationSignatureStableAcrossWorkers) {
     }
     EXPECT_EQ(signatures[0], signatures[1])
         << "signature differs between 1 and 4 workers";
+
+    // Served arm: the service fans validation out on its own scan workers.
+    for (const int workers : {1, 4}) {
+        service::ServiceOptions options;
+        options.workers = workers;
+        service::AnalysisService svc(options);
+        service::ScanRequest request;
+        request.plugin = "determinism";
+        request.files.emplace_back("main.php", code);
+        const service::ValidateResponse served = svc.validate(request);
+        EXPECT_EQ(validate::validation_signature(served.scan.result,
+                                                 served.report),
+                  signatures[0])
+            << "served signature differs at " << workers << " workers";
+    }
 }
 
 }  // namespace

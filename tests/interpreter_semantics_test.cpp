@@ -47,6 +47,11 @@ TEST(InterpreterConformanceTest, OperatorsFollowThePhpManual) {
         {"echo 1.5 <=> 1.5;", "0"},
         {"echo 'a' <=> 'b';", "-1"},
         {"echo '10' <=> '9';", "1"},  // numeric strings compare as numbers
+        {"echo 'a' < 'b' ? 'y' : 'n';", "y"},  // two strings: byte-wise
+        {"echo 'b' > 'a' ? 'y' : 'n';", "y"},
+        {"echo 'abc' <= 'abd' ? 'y' : 'n';", "y"},
+        {"echo '10' < '9' ? 'y' : 'n';", "n"},  // both numeric: 10 < 9
+        {"class B {} $a = 1; echo (!$a instanceof B) ? 'y' : 'n';", "y"},
         {"$a = 5; $a **= 2; echo $a;", "25"},
         {"$b = 6; $b &= 3; echo $b;", "2"},
         {"$c = 6; $c |= 1; echo $c;", "7"},

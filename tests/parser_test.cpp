@@ -228,6 +228,16 @@ TEST(ParserTest, InstanceOf) {
               "(= $ok (instanceof $o WP_Error))");
 }
 
+TEST(ParserTest, NotRanksBelowInstanceof) {
+    // PHP ranks instanceof above `!` but below `-`, `~`, casts and `@`.
+    EXPECT_EQ(first_stmt("$ok = !$o instanceof WP_Error;"),
+              "(= $ok (! (instanceof $o WP_Error)))");
+    EXPECT_EQ(first_stmt("$ok = -$o instanceof WP_Error;"),
+              "(= $ok (instanceof (- $o) WP_Error))");
+    EXPECT_EQ(first_stmt("$ok = !$o instanceof A && $b;"),
+              "(= $ok (&& (! (instanceof $o A)) $b))");
+}
+
 TEST(ParserTest, InlineHtmlBetweenPhpBlocks) {
     FileUnit unit = parse("<?php $a = 1; ?><b>html</b><?php echo $a;");
     ASSERT_EQ(unit.statements.size(), 3u);

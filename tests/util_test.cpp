@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <future>
 #include <iterator>
 #include <stdexcept>
 #include <thread>
@@ -232,51 +234,95 @@ TEST(SymbolMapTest, GrowthPreservesEntries) {
     EXPECT_EQ(visited, 300u);
 }
 
-TEST(WorkerPoolTest, RunsEveryIndexExactlyOnce) {
-    WorkerPool pool(4);
-    EXPECT_EQ(pool.thread_count(), 4);
+TEST(TaskTeamTest, RunsEveryIndexExactlyOnce) {
+    TaskTeam team(3);
+    EXPECT_EQ(team.thread_count(), 3);
     std::vector<std::atomic<int>> hits(1000);
-    pool.run(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
+    team.run(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
     for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
-    // Reusable: a second dispatch on the same pool works.
+    // Reusable: a second dispatch on the same team works.
     std::atomic<int> total{0};
-    pool.run(257, [&](size_t) { total.fetch_add(1); });
+    team.run(257, [&](size_t) { total.fetch_add(1); });
     EXPECT_EQ(total.load(), 257);
 }
 
-TEST(WorkerPoolTest, SingleThreadRunsInline) {
-    WorkerPool pool(1);
-    EXPECT_EQ(pool.thread_count(), 1);
-    const auto caller = std::this_thread::get_id();
-    bool all_inline = true;
-    pool.run(16, [&](size_t) {
-        if (std::this_thread::get_id() != caller) all_inline = false;
-    });
-    EXPECT_TRUE(all_inline);
+TEST(TaskTeamTest, SingleIndexRunsInline) {
+    // The caller takes the one index itself; no helper is offered.
+    TaskTeam team(4);
+    std::thread::id ran_on;
+    team.run(1, [&](size_t) { ran_on = std::this_thread::get_id(); });
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
-TEST(WorkerPoolTest, RethrowsWorkerException) {
-    WorkerPool pool(2);
+TEST(TaskTeamTest, RethrowsWorkerException) {
+    TaskTeam team(1);
     EXPECT_THROW(
-        pool.run(8,
+        team.run(8,
                  [](size_t i) {
                      if (i == 5) throw std::runtime_error("boom");
                  }),
         std::runtime_error);
-    // Pool is still usable after an exception.
+    // The team is still usable after an exception.
     std::atomic<int> total{0};
-    pool.run(4, [&](size_t) { total.fetch_add(1); });
+    team.run(4, [&](size_t) { total.fetch_add(1); });
     EXPECT_EQ(total.load(), 4);
 }
 
-TEST(WorkerPoolTest, ResolveParallelismHonorsEnv) {
-    EXPECT_EQ(WorkerPool::resolve_parallelism(3), 3);
+TEST(TaskTeamTest, ResolveParallelismHonorsEnv) {
+    EXPECT_EQ(resolve_parallelism(3), 3);
     setenv("PHPSAFE_JOBS", "5", 1);
-    EXPECT_EQ(WorkerPool::resolve_parallelism(0), 5);
+    EXPECT_EQ(resolve_parallelism(0), 5);
     setenv("PHPSAFE_JOBS", "garbage", 1);
-    EXPECT_GE(WorkerPool::resolve_parallelism(0), 1);
+    EXPECT_GE(resolve_parallelism(0), 1);
     unsetenv("PHPSAFE_JOBS");
-    EXPECT_GE(WorkerPool::resolve_parallelism(-1), 1);
+    EXPECT_GE(resolve_parallelism(-1), 1);
+}
+
+TEST(TaskTeamTest, RunFromPostedTaskCompletes) {
+    // The team's only thread is the caller: waiting on a helper would
+    // deadlock, so the nested run() takes every index itself.
+    TaskTeam team(1);
+    std::promise<std::vector<std::thread::id>> ran;
+    team.post(0, [&] {
+        std::vector<std::thread::id> ids(64);
+        team.run(ids.size(),
+                 [&](size_t i) { ids[i] = std::this_thread::get_id(); });
+        ran.set_value(std::move(ids));
+    });
+    std::future<std::vector<std::thread::id>> done = ran.get_future();
+    ASSERT_EQ(done.wait_for(std::chrono::seconds(30)),
+              std::future_status::ready);
+    const std::vector<std::thread::id> ids = done.get();
+    for (const std::thread::id id : ids) EXPECT_EQ(id, ids.front());
+    EXPECT_NE(ids.front(), std::this_thread::get_id());
+}
+
+TEST(TaskTeamTest, RunOnPausedTeamStaysOnCaller) {
+    TaskTeam team(2);
+    team.pause();
+    const auto caller = std::this_thread::get_id();
+    std::atomic<int> off_caller{0};
+    team.run(64, [&](size_t) {
+        if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+    });
+    EXPECT_EQ(off_caller.load(), 0);
+    EXPECT_EQ(team.depth(), 0u);
+    team.resume();
+}
+
+TEST(TaskTeamTest, ZeroThreadTeamRunsOnCaller) {
+    TaskTeam team(0);
+    EXPECT_EQ(team.thread_count(), 0);
+    const auto caller = std::this_thread::get_id();
+    bool all_inline = true;
+    team.run(16, [&](size_t) {
+        if (std::this_thread::get_id() != caller) all_inline = false;
+    });
+    EXPECT_TRUE(all_inline);
+    // With no thread to drain the queue, post() runs the task at once.
+    bool posted_inline = false;
+    team.post(0, [&] { posted_inline = std::this_thread::get_id() == caller; });
+    EXPECT_TRUE(posted_inline);
 }
 
 }  // namespace
